@@ -8,6 +8,9 @@
 //! * `codec/*` — the wire codec's egress/ingress hot path: body
 //!   serialization, per-peer prefixes, the serialize-once broadcast
 //!   against per-destination encoding, decode and frame reassembly;
+//! * `recovery/*` — the checkpoint state digest: one window folded into
+//!   the incrementally maintained digest against the from-scratch
+//!   computation, at a small and a paper-sized store;
 //! * `wire/*` — batch digests and message-size computation;
 //! * `workload/*` — YCSB transaction generation;
 //! * `simnet/*` — event-queue throughput (the simulator's own engine).
@@ -211,6 +214,50 @@ fn bench_codec(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_recovery(c: &mut Criterion) {
+    use ringbft_recovery::{CheckpointStore, Snapshot};
+    use ringbft_store::KvStore;
+
+    let mut g = c.benchmark_group("recovery");
+    for keys in [8_000u64, 120_000] {
+        let mut kv = KvStore::new();
+        for k in 0..keys {
+            kv.put(k, k.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        }
+        // One checkpoint window of the wall-clock benchmark's traffic:
+        // 128 sequences of 50 single-write transactions, keys uniformly
+        // random (so the small store sees each dirty key ~1.5 times).
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let window: Vec<(u64, u64)> = (0..6_400u64)
+            .map(|i| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x % keys, i)
+            })
+            .collect();
+        g.throughput(Throughput::Elements(window.len() as u64));
+        // What a replica does per checkpoint: fold the window's writes
+        // into the checkpoint store and read the digest off the
+        // accumulator. The store carries over between iterations, as it
+        // does between windows.
+        let mut store = CheckpointStore::new(kv.clone());
+        g.bench_function(format!("checkpoint_window_{keys}"), |b| {
+            b.iter(|| {
+                let dirty = store.fold_window(window.iter().copied());
+                black_box((dirty.len(), store.digest(ShardId(0), 128)))
+            })
+        });
+        // What it did before, and still does to verify an installed
+        // snapshot or a replayed log: hash every record.
+        g.throughput(Throughput::Elements(keys));
+        g.bench_function(format!("digest_of_store_cold_{keys}"), |b| {
+            b.iter(|| Snapshot::digest_of_store(ShardId(0), 128, black_box(&kv)))
+        });
+    }
+    g.finish();
+}
+
 fn bench_wire(c: &mut Criterion) {
     let mut g = c.benchmark_group("wire");
     let batch = test_batch(ShardId(0), 1, 100);
@@ -278,6 +325,7 @@ criterion_group!(
     bench_lockmgr,
     bench_pbft_round,
     bench_codec,
+    bench_recovery,
     bench_wire,
     bench_workload,
     bench_simnet

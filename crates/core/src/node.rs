@@ -48,9 +48,9 @@ use ringbft_crypto::Digest;
 use ringbft_ledger::{BlockBody, Ledger};
 use ringbft_pbft::{PbftConfig, PbftCore, PbftEvent, PbftMsg};
 use ringbft_recovery::{
-    ChainTransfer, DeltaSnapshot, HoleFetcher, HoleStats, Recovered, RecoveryEvent,
-    RecoveryManager, RecoveryMsg, RecoveryStats, ReplicaWal, Snapshot, WalEntry, HOLE_PROBE_TOKEN,
-    RECOVERY_PROBE_TOKEN,
+    ChainTransfer, CheckpointStore, DeltaSnapshot, HoleFetcher, HoleStats, Recovered,
+    RecoveryEvent, RecoveryManager, RecoveryMsg, RecoveryStats, ReplicaWal, Snapshot, WalEntry,
+    HOLE_PROBE_TOKEN, RECOVERY_PROBE_TOKEN,
 };
 use ringbft_store::{KvStore, LockManager, Record};
 use ringbft_types::hole::{HoleReply, HoleRequest};
@@ -298,7 +298,7 @@ pub struct RingReplica {
     /// Executed sequence numbers above the watermark (out-of-order
     /// executions waiting for the gap to close).
     executed_ahead: BTreeSet<u64>,
-    /// Per-sequence write effects not yet folded into `stable_kv`.
+    /// Per-sequence write effects not yet folded into `stable`.
     pending_effects: BTreeMap<u64, Vec<(Key, Value)>>,
     /// Checkpoint boundaries PBFT declared due, awaiting the watermark.
     pending_checkpoints: BTreeSet<u64>,
@@ -308,11 +308,12 @@ pub struct RingReplica {
     announced: BTreeMap<u64, AnnouncedCheckpoint>,
     /// The store as of the last announced checkpoint: `kv` restricted to
     /// sequences ≤ `stable_seq`, advanced strictly in sequence order so
-    /// its content is identical across replicas.
-    stable_kv: KvStore,
-    /// Sequence `stable_kv` reflects.
+    /// its content is identical across replicas — with the digest
+    /// accumulator that makes each checkpoint O(writes).
+    stable: CheckpointStore,
+    /// Sequence `stable` reflects.
     stable_seq: u64,
-    /// The full-state digest of `stable_kv` at `stable_seq` (None until
+    /// The full-state digest of `stable` at `stable_seq` (None until
     /// the first checkpoint) — the chain base this replica advertises
     /// in StateRequests and folds delta transfers onto.
     stable_digest: Option<Digest>,
@@ -423,7 +424,7 @@ impl RingReplica {
         // transfer starts and before the per-request watchdog would
         // demand a (futile, solo) view change.
         let hole = HoleFetcher::new(me, shard_n, cfg.timers.local / 3);
-        let stable_kv = kv.clone();
+        let stable = CheckpointStore::new(kv.clone());
         let ring = cfg.ring_order();
         // Blocking mode keeps the observable event order identical to
         // the inline pipeline (the determinism twin test pins this);
@@ -460,7 +461,7 @@ impl RingReplica {
             pending_effects: BTreeMap::new(),
             pending_checkpoints: BTreeSet::new(),
             announced: BTreeMap::new(),
-            stable_kv,
+            stable,
             stable_seq: 0,
             stable_digest: None,
             windows_since_full: 0,
@@ -518,8 +519,8 @@ impl RingReplica {
             "wal attached after traffic"
         );
         if let Some(tip) = recovered.fold(self.me.shard) {
-            self.kv = tip.store.clone();
-            self.stable_kv = tip.store;
+            self.kv = tip.store.kv().clone();
+            self.stable = tip.store;
             self.stable_seq = tip.seq;
             self.stable_digest = Some(tip.digest);
             self.windows_since_full = 0;
@@ -532,14 +533,10 @@ impl RingReplica {
             // Re-seed retention from the recovered chain so this replica
             // is immediately servable to laggards and its own base is a
             // valid fold target for inbound delta transfers.
-            if let Some(full) = recovered.full.clone() {
-                let mut folded = full.restore_store();
-                self.recovery.retain(Arc::new(full));
-                for d in &recovered.deltas {
-                    d.fold_into(&mut folded);
-                    let digest = Snapshot::digest_of_store(self.me.shard, d.seq, &folded);
-                    self.recovery.retain_delta(Arc::new(d.clone()), digest);
-                }
+            let full = recovered.full.clone().expect("a tip folds from a full");
+            self.recovery.retain(Arc::new(full), tip.chain[0]);
+            for (d, digest) in recovered.deltas.iter().zip(&tip.chain[1..]) {
+                self.recovery.retain_delta(Arc::new(d.clone()), *digest);
             }
             self.obs.trace.push(
                 self.obs_now.as_nanos(),
@@ -590,14 +587,26 @@ impl RingReplica {
     /// so the next checkpoint window announces a diverging digest.
     pub fn corrupt_store_for_test(&mut self, key: Key) {
         self.kv.put(key, 0xDEAD_BEEF);
-        self.stable_kv.put(key, 0xDEAD_BEEF);
+        self.stable.fold_window([(key, 0xDEAD_BEEF)]);
     }
 
     /// Appends one entry to the durable log (no-op without one) and
     /// arms the group-commit flush tick under batched durability.
     fn wal_append(&mut self, entry: &WalEntry, out: &mut Outbox<RingMsg>) {
+        self.wal_write(|w| w.append(entry), out);
+    }
+
+    /// Runs one write against the durable log (no-op without one),
+    /// tracing a failure and arming the group-commit flush tick when
+    /// the write left unsynced bytes (a full-snapshot compaction syncs
+    /// itself and leaves none).
+    fn wal_write(
+        &mut self,
+        write: impl FnOnce(&mut ReplicaWal) -> std::io::Result<()>,
+        out: &mut Outbox<RingMsg>,
+    ) {
         let Some(w) = self.wal.as_mut() else { return };
-        if w.append(entry).is_err() {
+        if write(w).is_err() {
             self.obs
                 .trace
                 .push(self.obs_now.as_nanos(), "wal_error", &[]);
@@ -608,17 +617,6 @@ impl RingReplica {
                 self.wal_timer_armed = true;
                 out.set_timer(TimerKind::Client, WAL_FLUSH_TOKEN, interval);
             }
-        }
-    }
-
-    /// Persists a full checkpoint capture by compacting the log down to
-    /// it (durable by the compaction's own sync).
-    fn wal_append_full(&mut self, snap: &Snapshot) {
-        let Some(w) = self.wal.as_mut() else { return };
-        if w.append_full(snap).is_err() {
-            self.obs
-                .trace
-                .push(self.obs_now.as_nanos(), "wal_error", &[]);
         }
     }
 
@@ -691,7 +689,7 @@ impl RingReplica {
     /// across replicas that announced the same checkpoint sequence
     /// (post-run convergence checks).
     pub fn checkpoint_fingerprint(&self) -> u64 {
-        self.stable_kv.state_fingerprint()
+        self.stable.kv().state_fingerprint()
     }
 
     /// State-transfer counters (installs, transfers served, …).
@@ -1648,54 +1646,57 @@ impl RingReplica {
     }
 
     /// Announces every due checkpoint the watermark has reached: folds
-    /// the per-sequence effects into `stable_kv` strictly in sequence
-    /// order (making its content replica-deterministic), captures the
-    /// window's *delta* (the dirty keys of exactly those effects —
-    /// O(churn)) plus, on the `full_snapshot_every` cadence, a full
-    /// snapshot, and votes the full-state digest via the PBFT engine.
+    /// the per-sequence effects into `stable` strictly in sequence
+    /// order (making its content replica-deterministic), keeps the
+    /// window's dirty records as its *delta* plus, on the
+    /// `full_snapshot_every` cadence, a full snapshot, and votes the
+    /// full-state digest via the PBFT engine. Folding and the digest
+    /// cost O(writes in the window); only the full capture reads the
+    /// whole store.
     fn try_announce_checkpoints(&mut self, out: &mut Outbox<RingMsg>) {
         while let Some(&seq) = self.pending_checkpoints.iter().next() {
             if seq > self.exec_watermark {
                 break;
             }
+            let started = std::time::Instant::now();
             self.pending_checkpoints.remove(&seq);
             let later = self.pending_effects.split_off(&(seq + 1));
-            let mut dirty: BTreeSet<Key> = BTreeSet::new();
-            for (_, writes) in std::mem::replace(&mut self.pending_effects, later) {
-                for (k, v) in writes {
-                    self.stable_kv.put(k, v);
-                    dirty.insert(k);
-                }
-            }
+            let window = std::mem::replace(&mut self.pending_effects, later);
+            let records = self.stable.fold_window(window.into_values().flatten());
+            let dirty_keys = records.len() as u64;
             let prev = self.stable_digest.map(|d| (self.stable_seq, d));
             self.stable_seq = seq;
-            let digest = Snapshot::digest_of_store(self.me.shard, seq, &self.stable_kv);
+            let digest = self.stable.digest(self.me.shard, seq);
             self.stable_digest = Some(digest);
             // The delta chains to the previous checkpoint; the very
             // first checkpoint has no base and is captured full below.
             let delta = prev.map(|(base_seq, base_digest)| {
-                Arc::new(DeltaSnapshot::capture(
-                    self.me.shard,
+                Arc::new(DeltaSnapshot {
+                    shard: self.me.shard,
                     base_seq,
                     base_digest,
                     seq,
-                    dirty.iter().copied(),
-                    &self.stable_kv,
-                    self.ledger.height() as u64,
-                    self.ledger.head_hash(),
-                ))
+                    records,
+                    ledger_height: self.ledger.height() as u64,
+                    ledger_head: self.ledger.head_hash(),
+                })
             });
             self.windows_since_full += 1;
             let full = if delta.is_none() || self.windows_since_full >= self.cfg.full_snapshot_every
             {
                 self.windows_since_full = 0;
-                Some(Arc::new(Snapshot::capture(
+                let full = Snapshot::capture(
                     self.me.shard,
                     seq,
-                    &self.stable_kv,
+                    self.stable.kv(),
                     self.ledger.height() as u64,
                     self.ledger.head_hash(),
-                )))
+                );
+                // The one place the whole store is in hand anyway:
+                // check the accumulator against a from-scratch digest,
+                // in every debug run of every scenario.
+                debug_assert_eq!(full.digest(), digest, "digest accumulator drifted");
+                Some(Arc::new(full))
             } else {
                 None
             };
@@ -1715,6 +1716,8 @@ impl RingReplica {
             // shows exactly which window went wrong). The state itself
             // is persisted only once the window is quorum-stable.
             self.wal_append(&WalEntry::CheckpointVote { seq, digest }, out);
+            self.obs
+                .checkpoint(started.elapsed().as_nanos() as u64, dirty_keys);
             self.drive_pbft(
                 Instant::ZERO,
                 |pbft, pout, events| {
@@ -1758,14 +1761,14 @@ impl RingReplica {
                     // compacts the log (and subsumes the same window's
                     // delta); a delta-only window appends O(churn).
                     if let Some(d) = e.delta {
-                        self.recovery.retain_delta(Arc::clone(&d), e.digest);
                         if e.full.is_none() {
-                            self.wal_append(&WalEntry::CheckpointDelta((*d).clone()), out);
+                            self.wal_write(|w| w.append_delta(&d), out);
                         }
+                        self.recovery.retain_delta(d, e.digest);
                     }
                     if let Some(f) = e.full {
-                        self.wal_append_full(&f);
-                        self.recovery.retain(f);
+                        self.wal_write(|w| w.append_full(&f), out);
+                        self.recovery.retain(f, e.digest);
                     }
                 }
                 self.ledger.prune_through_seq(seq);
@@ -1865,7 +1868,7 @@ impl RingReplica {
             None
         } else {
             self.stable_digest
-                .map(|d| (self.stable_seq, d, &self.stable_kv))
+                .map(|d| (self.stable_seq, d, &self.stable))
         };
         let folded = transfer.fold_verified(self.me.shard, local_base, |s| {
             known.iter().find(|(ks, _)| *ks == s).map(|(_, d)| *d)
@@ -1927,7 +1930,7 @@ impl RingReplica {
         }
         let seq = snap.seq;
         self.kv = snap.restore_store();
-        self.stable_kv = self.kv.clone();
+        self.stable = CheckpointStore::new(self.kv.clone());
         self.stable_seq = seq;
         self.stable_digest = Some(digest);
         self.windows_since_full = 0;
@@ -2018,10 +2021,10 @@ impl RingReplica {
         }
         // A verified quorum snapshot is the strongest restart point the
         // log can hold: compact down to it.
-        self.wal_append_full(&snap);
+        self.wal_write(|w| w.append_full(&snap), out);
         // The installed snapshot is servable to the next laggard (as a
         // fresh chain base — future deltas chain onto it).
-        self.recovery.retain(Arc::new(snap));
+        self.recovery.retain(Arc::new(snap), digest);
         self.recovery.caught_up_to(self.exec_watermark);
         self.try_announce_checkpoints(out);
         true

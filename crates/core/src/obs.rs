@@ -23,9 +23,12 @@
 //! `phase.cst_forward` already times, and recording it twice made the
 //! two histograms byte-identical.
 //!
-//! All histogram samples are nanoseconds of simulated (or reactor-clock)
-//! time. Trace events use the same clock; see the README "Observability"
-//! section for the event schema.
+//! Phase histogram samples are nanoseconds of simulated (or
+//! reactor-clock) time. Trace events use the same clock; see the README
+//! "Observability" section for the event schema. `ring.checkpoint_ns` is
+//! the exception: it is wall-clock time the consensus thread spent
+//! inside one checkpoint announce (fold, digest, capture), under either
+//! driver — the stall itself, which no protocol clock sees.
 
 use ringbft_obs::{CounterId, GaugeId, HistId, Registry, TraceRing};
 use ringbft_types::{Duration, Instant, TraceContext};
@@ -110,6 +113,8 @@ pub struct ReplicaObs {
     g_pipeline_workers: GaugeId,
     g_worker_busy_ns: GaugeId,
     g_worker_idle_ns: GaugeId,
+    g_checkpoint_dirty_keys: GaugeId,
+    h_checkpoint_ns: HistId,
     phases: [HistId; 6],
 }
 
@@ -144,6 +149,8 @@ impl ReplicaObs {
         let g_pipeline_workers = reg.gauge("pipeline.workers");
         let g_worker_busy_ns = reg.gauge("pipeline.worker_busy_ns");
         let g_worker_idle_ns = reg.gauge("pipeline.worker_idle_ns");
+        let g_checkpoint_dirty_keys = reg.gauge("ring.checkpoint_dirty_keys");
+        let h_checkpoint_ns = reg.histogram("ring.checkpoint_ns");
         let phases = Phase::ALL.map(|p| reg.histogram(p.name()));
         ReplicaObs {
             reg,
@@ -169,6 +176,8 @@ impl ReplicaObs {
             g_pipeline_workers,
             g_worker_busy_ns,
             g_worker_idle_ns,
+            g_checkpoint_dirty_keys,
+            h_checkpoint_ns,
             phases,
         }
     }
@@ -249,6 +258,12 @@ impl ReplicaObs {
         self.reg.set_gauge(self.g_done_occupancy, occupancy);
         let seen = self.reg.counter_value(self.c_done_overwrites);
         self.reg.add(self.c_done_overwrites, overwrites - seen);
+    }
+    /// One checkpoint announce: wall-clock nanoseconds the consensus
+    /// thread spent in it, and the keys the window wrote.
+    pub(crate) fn checkpoint(&mut self, wall_ns: u64, dirty_keys: u64) {
+        self.reg.record(self.h_checkpoint_ns, wall_ns);
+        self.reg.set_gauge(self.g_checkpoint_dirty_keys, dirty_keys);
     }
     pub(crate) fn exec_jobs(&mut self, n: u64) {
         self.reg.add(self.c_exec_jobs, n);

@@ -18,7 +18,7 @@ pub mod sha256;
 
 pub use auth::{KeyStore, MacTag, Signature, Signer};
 pub use merkle::{verify_proof, MerkleProof, MerkleTree};
-pub use sha256::{sha256, sha256_concat, to_hex, Digest, Sha256};
+pub use sha256::{sha256, sha256_concat, sha256_one_block, to_hex, Digest, Sha256};
 
 /// Digest of a batch/transaction identified by `(shard, seq, payload)` —
 /// the `Δ := H(⟨T⟩c)` of Fig 5 line 6. Helper used across protocol crates.

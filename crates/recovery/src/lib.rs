@@ -9,9 +9,13 @@
 //! * [`Snapshot`] — the application state of one shard replica at a
 //!   stable checkpoint: the key-value partition, the lock-admission
 //!   high-water mark (`k_max`, implicitly the checkpoint sequence), and
-//!   the replica's ledger position. Its SHA-256 [`Snapshot::digest`] is
-//!   the `state_digest` carried in `PbftMsg::Checkpoint` — replicas only
+//!   the replica's ledger position. Its [`Snapshot::digest`] is the
+//!   `state_digest` carried in `PbftMsg::Checkpoint` — replicas only
 //!   reach a stable checkpoint when `nf` of them hold *identical* state.
+//! * [`CheckpointStore`] — the canonical checkpoint store together with
+//!   the accumulator that maintains that digest incrementally, so a
+//!   checkpoint costs O(writes in the window), not O(state); the digest
+//!   itself is defined in [`checkpoint`].
 //! * [`DeltaSnapshot`] — the incremental checkpoint (Castro & Liskov
 //!   §6.2): only the records written since the previous checkpoint,
 //!   chained to that checkpoint's digest, so per-window capture and
@@ -41,11 +45,13 @@
 //! *base*, but never bogus *state*: the key-value records are checked
 //! against the digest `nf` replicas voted for.
 
+pub mod checkpoint;
 pub mod hole;
 pub mod manager;
 pub mod snapshot;
 pub mod wal;
 
+pub use checkpoint::CheckpointStore;
 pub use hole::{DonorRotation, HoleFetcher, HoleStats, HOLE_PROBE_TOKEN};
 pub use manager::{
     RecoveryEvent, RecoveryManager, RecoveryMsg, RecoveryStats, RECOVERY_PROBE_TOKEN,

@@ -267,22 +267,50 @@ impl RecoveryManager {
         }
     }
 
-    /// Remembers `snap` as the full snapshot this replica serves to
-    /// laggards whose base it does not recognize. Retained deltas stay
-    /// servable when they are continuous with the new base (same tip);
-    /// a jump (snapshot install) breaks the chain and drops them.
-    pub fn retain(&mut self, snap: Arc<Snapshot>) {
+    /// Remembers `snap`, whose verified full-state digest is `digest`
+    /// (the host voted it or installed against it — recomputing it here
+    /// would be an O(keys) hash on the checkpoint path), as the full
+    /// snapshot this replica serves to laggards whose base it does not
+    /// recognize. Retained deltas stay servable when they are
+    /// continuous with the new base (same tip); a jump (snapshot
+    /// install) breaks the chain and drops them.
+    pub fn retain(&mut self, snap: Arc<Snapshot>, digest: Digest) {
         let tip = self.tip();
         if tip.is_some_and(|(s, _)| s > snap.seq) {
             return; // older than what we already serve
         }
-        let digest = snap.digest();
         if tip.is_some_and(|(s, _)| s < snap.seq) {
             // The full snapshot is ahead of every retained delta: the
             // chain no longer reaches it, so the deltas are useless.
             self.deltas.clear();
         }
         self.base = Some((snap, digest));
+        self.trim_deltas();
+    }
+
+    /// Bounds the retained chain by windows and by size. Deltas at or
+    /// below the full base exist to spare laggards the base: a laggard
+    /// whose state is the oldest such delta's base receives all of them
+    /// (plus the deltas above the base, which the full fallback ships
+    /// too), so once they hold as many records as the base itself that
+    /// chain cannot beat the fallback in bytes, and the oldest goes.
+    /// Deltas above the base are never dropped for size — the fallback
+    /// chain from the base to the tip runs through them.
+    fn trim_deltas(&mut self) {
+        while self.deltas.len() > KNOWN_STABLE_KEEP {
+            self.deltas.pop_front();
+        }
+        let Some((base, _)) = &self.base else { return };
+        let mut below: usize = self
+            .deltas
+            .iter()
+            .take_while(|d| d.delta.seq <= base.seq)
+            .map(|d| d.delta.records.len())
+            .sum();
+        while below >= base.records.len().max(1) {
+            let oldest = self.deltas.pop_front().expect("counted above");
+            below -= oldest.delta.records.len();
+        }
     }
 
     /// Remembers a verified delta checkpoint (this replica's digest won
@@ -313,9 +341,7 @@ impl RecoveryManager {
             delta,
             digest: resulting_digest,
         });
-        while self.deltas.len() > KNOWN_STABLE_KEEP {
-            self.deltas.pop_front();
-        }
+        self.trim_deltas();
     }
 
     /// Checkpoint sequence of the newest retained state, if any.
@@ -795,6 +821,7 @@ impl ProtocolNode<RecoveryMsg> for RecoveryManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CheckpointStore;
     use ringbft_store::KvStore;
     use ringbft_types::ShardId;
 
@@ -818,6 +845,12 @@ mod tests {
         Snapshot::capture(ShardId(0), seq, &store(keys), 3, [5; 32])
     }
 
+    /// Retains `snap` under its from-scratch digest.
+    fn retain_full(m: &mut RecoveryManager, snap: Arc<Snapshot>) {
+        let digest = snap.digest();
+        m.retain(snap, digest);
+    }
+
     /// Routes every Send in `out` into `to`, collecting its own sends.
     fn route(from: u32, out: &mut Outbox<RecoveryMsg>, to: &mut RecoveryManager) {
         let mut sink = Outbox::new();
@@ -834,7 +867,7 @@ mod tests {
         let snap = snapshot(8, keys);
         let digest = snap.digest();
         let mut donor = mgr(1, chunk_records);
-        donor.retain(Arc::new(snap));
+        retain_full(&mut donor, Arc::new(snap));
         let mut laggard = mgr(2, chunk_records);
         laggard.note_stable(8, digest);
         let mut out = Outbox::new();
@@ -901,7 +934,7 @@ mod tests {
         let d1 = Snapshot::digest_of_store(shard, 16, &kv);
 
         let mut donor = mgr(1, 4);
-        donor.retain(Arc::clone(&base));
+        retain_full(&mut donor, Arc::clone(&base));
         donor.retain_delta(Arc::clone(&delta), d1);
         assert_eq!(donor.retained_seq(), Some(16));
         assert_eq!(donor.retained_delta_windows(), 1);
@@ -932,7 +965,7 @@ mod tests {
         };
         assert!(t.is_delta_only());
         assert_eq!(t.links.len(), 1);
-        let base_store = base.restore_store();
+        let base_store = CheckpointStore::new(base.restore_store());
         let folded = t
             .fold_verified(shard, Some((8, d0, &base_store)), |_| None)
             .expect("delta chain verifies");
@@ -961,7 +994,7 @@ mod tests {
         ));
         let d1 = Snapshot::digest_of_store(shard, 16, &kv);
         let mut donor = mgr(1, 4);
-        donor.retain(Arc::clone(&base));
+        retain_full(&mut donor, Arc::clone(&base));
         donor.retain_delta(delta, d1);
 
         // Blank restart: no base to advertise.
@@ -998,7 +1031,7 @@ mod tests {
     fn unknown_digest_offers_are_ignored() {
         let snap = snapshot(8, 4);
         let mut donor = mgr(1, 2);
-        donor.retain(Arc::new(snap));
+        retain_full(&mut donor, Arc::new(snap));
         let mut laggard = mgr(2, 2);
         // note_stable with a *different* digest: the quorum agreed on
         // something else, so the donor's offer must be dropped.
@@ -1241,9 +1274,10 @@ mod tests {
         let mut kv = store(4);
         let mut donor = mgr(1, 8);
         let mut prev_seq = 8u64;
-        donor.retain(Arc::new(Snapshot::capture(
-            shard, prev_seq, &kv, 0, [0; 32],
-        )));
+        retain_full(
+            &mut donor,
+            Arc::new(Snapshot::capture(shard, prev_seq, &kv, 0, [0; 32])),
+        );
         let mut prev_digest = Snapshot::digest_of_store(shard, prev_seq, &kv);
         for w in 1..=12u64 {
             let seq = 8 + 8 * w;
@@ -1262,7 +1296,10 @@ mod tests {
             donor.retain_delta(delta, digest);
             if w == 6 {
                 // A full refresh at the current tip keeps the chain.
-                donor.retain(Arc::new(Snapshot::capture(shard, seq, &kv, 0, [0; 32])));
+                retain_full(
+                    &mut donor,
+                    Arc::new(Snapshot::capture(shard, seq, &kv, 0, [0; 32])),
+                );
                 assert!(donor.retained_delta_windows() > 0, "chain survives");
             }
             prev_seq = seq;
@@ -1270,5 +1307,67 @@ mod tests {
         }
         assert!(donor.retained_delta_windows() <= 8, "delta memory bounded");
         assert_eq!(donor.retained_seq(), Some(8 + 8 * 12));
+    }
+
+    #[test]
+    fn retention_drops_deltas_the_full_fallback_would_beat() {
+        let shard = ShardId(0);
+        let mut kv = store(8);
+        let mut donor = mgr(1, 64);
+        retain_full(
+            &mut donor,
+            Arc::new(Snapshot::capture(shard, 8, &kv, 0, [0; 32])),
+        );
+        let mut prev = (8u64, Snapshot::digest_of_store(shard, 8, &kv));
+        // Every window rewrites 5 of the 8 keys.
+        let mut window = |donor: &mut RecoveryManager, w: u64| {
+            let seq = 8 + 8 * w;
+            let dirty: Vec<u64> = (0..5).map(|i| (w + i) % 8).collect();
+            for &k in &dirty {
+                kv.put(k, w * 100 + k);
+            }
+            let delta = DeltaSnapshot::capture(shard, prev.0, prev.1, seq, dirty, &kv, w, [0; 32]);
+            let digest = Snapshot::digest_of_store(shard, seq, &kv);
+            donor.retain_delta(Arc::new(delta), digest);
+            prev = (seq, digest);
+            Snapshot::capture(shard, seq, &kv, w, [0; 32])
+        };
+        // Above the base nothing is dropped for size: the fallback
+        // chain from the base to the tip runs through every delta.
+        let mut last = None;
+        for w in 1..=4 {
+            last = Some(window(&mut donor, w));
+        }
+        assert_eq!(donor.retained_delta_windows(), 4);
+        // The full capture at window 4 puts all four deltas (20
+        // records) at or below an 8-record base: two of them already
+        // outweigh the base, so one stays.
+        retain_full(&mut donor, Arc::new(last.expect("four windows")));
+        assert_eq!(donor.retained_delta_windows(), 1);
+        for w in 5..=7 {
+            window(&mut donor, w);
+        }
+        assert_eq!(donor.retained_delta_windows(), 4);
+        // A blank laggard is still served up to the tip: base + 3.
+        let mut out = Outbox::new();
+        donor.on_message(
+            rep(2),
+            RecoveryMsg::StateRequest {
+                from_seq: 0,
+                base: None,
+            },
+            &mut out,
+        );
+        let plan = out.take().into_iter().find_map(|a| match a {
+            Action::Send {
+                msg:
+                    RecoveryMsg::StatePlan {
+                        target_seq, links, ..
+                    },
+                ..
+            } => Some((target_seq, links.len())),
+            _ => None,
+        });
+        assert_eq!(plan, Some((8 + 8 * 7, 4)));
     }
 }

@@ -1,12 +1,13 @@
 //! The checkpoint snapshot: one shard replica's application state at a
-//! stable checkpoint, plus the SHA-256 digest the PBFT checkpoint votes
-//! agree on — and the *delta* snapshot, the incremental-checkpoint
-//! optimization (Castro & Liskov §6.2): only the records written since
-//! the previous checkpoint, chained to that checkpoint's digest, so
-//! both the capture hot path and laggard state transfer are O(churn)
-//! instead of O(state).
+//! stable checkpoint, plus the state digest the PBFT checkpoint votes
+//! agree on (defined in [`crate::checkpoint`]) — and the *delta*
+//! snapshot, the incremental-checkpoint optimization (Castro & Liskov
+//! §6.2): only the records written since the previous checkpoint,
+//! chained to that checkpoint's digest, so both the capture hot path
+//! and laggard state transfer are O(churn) instead of O(state).
 
-use ringbft_crypto::{Digest, Sha256};
+use crate::checkpoint::{CheckpointStore, StateAcc};
+use ringbft_crypto::Digest;
 use ringbft_store::{KvStore, Record};
 use ringbft_types::txn::{Key, Value};
 use ringbft_types::ShardId;
@@ -23,6 +24,25 @@ pub struct RecordEntry {
     /// so the restored store is bit-identical to the donor's, version
     /// counters included).
     pub version: u64,
+}
+
+impl RecordEntry {
+    /// The entry carrying store record `r` of `key`.
+    pub(crate) fn of(key: Key, r: Record) -> RecordEntry {
+        RecordEntry {
+            key,
+            value: r.value,
+            version: r.version,
+        }
+    }
+
+    /// The store record this entry carries.
+    pub(crate) fn record(&self) -> Record {
+        Record {
+            value: self.value,
+            version: self.version,
+        }
+    }
 }
 
 /// A shard replica's state at a stable checkpoint.
@@ -58,14 +78,8 @@ impl Snapshot {
         ledger_height: u64,
         ledger_head: Digest,
     ) -> Snapshot {
-        let mut records: Vec<RecordEntry> = kv
-            .iter()
-            .map(|(key, r)| RecordEntry {
-                key,
-                value: r.value,
-                version: r.version,
-            })
-            .collect();
+        let mut records: Vec<RecordEntry> =
+            kv.iter().map(|(key, r)| RecordEntry::of(key, r)).collect();
         records.sort_unstable_by_key(|r| r.key);
         Snapshot {
             shard,
@@ -76,60 +90,33 @@ impl Snapshot {
         }
     }
 
-    /// The state digest the shard's `Checkpoint` votes carry: SHA-256
-    /// over the canonical encoding of `(shard, seq, records)`.
+    /// The state digest the shard's `Checkpoint` votes carry, computed
+    /// from scratch over `(shard, seq, records)`: one leaf hash per
+    /// record (see [`crate::checkpoint`] for the definition). Replicas
+    /// maintain the same digest incrementally in a
+    /// [`CheckpointStore`]; this is the verification path.
     ///
     /// The ledger fields are deliberately excluded: §7 lets replicas of
     /// one shard order non-conflicting cross-shard blocks differently,
     /// so chain heads are replica-local and must not block checkpoint
     /// agreement.
     pub fn digest(&self) -> Digest {
-        let mut h = Sha256::new();
-        h.update(b"ringbft-snapshot");
-        h.update(&self.shard.0.to_le_bytes());
-        h.update(&self.seq.to_le_bytes());
-        h.update(&(self.records.len() as u64).to_le_bytes());
-        for r in &self.records {
-            h.update(&r.key.to_le_bytes());
-            h.update(&r.value.to_le_bytes());
-            h.update(&r.version.to_le_bytes());
-        }
-        h.finalize()
+        StateAcc::of(self.records.iter().map(|r| (r.key, r.record()))).digest(self.shard, self.seq)
     }
 
     /// The digest [`Snapshot::capture`]`(shard, seq, kv, ..).digest()`
-    /// would produce, computed straight off the store — the checkpoint
-    /// hot path for *delta* windows, where no full record list is
-    /// materialized. Only the sorted key index (8 bytes/key, transient)
-    /// is allocated; record content is streamed into the hash.
+    /// would produce, computed straight off the store without
+    /// materializing a record list. O(keys): for verifying a store
+    /// that arrived from outside, never for the checkpoint path.
     pub fn digest_of_store(shard: ShardId, seq: u64, kv: &KvStore) -> Digest {
-        let mut keys: Vec<Key> = kv.iter().map(|(k, _)| k).collect();
-        keys.sort_unstable();
-        let mut h = Sha256::new();
-        h.update(b"ringbft-snapshot");
-        h.update(&shard.0.to_le_bytes());
-        h.update(&seq.to_le_bytes());
-        h.update(&(keys.len() as u64).to_le_bytes());
-        for k in keys {
-            let r = kv.get(k).expect("key from the store's own iterator");
-            h.update(&k.to_le_bytes());
-            h.update(&r.value.to_le_bytes());
-            h.update(&r.version.to_le_bytes());
-        }
-        h.finalize()
+        StateAcc::of(kv.iter()).digest(shard, seq)
     }
 
     /// Rebuilds the key-value store this snapshot captured.
     pub fn restore_store(&self) -> KvStore {
         let mut kv = KvStore::new();
         for r in &self.records {
-            kv.insert_record(
-                r.key,
-                Record {
-                    value: r.value,
-                    version: r.version,
-                },
-            );
+            kv.insert_record(r.key, r.record());
         }
         kv
     }
@@ -180,13 +167,7 @@ impl DeltaSnapshot {
     ) -> DeltaSnapshot {
         let mut records: Vec<RecordEntry> = dirty
             .into_iter()
-            .filter_map(|key| {
-                kv.get(key).map(|r| RecordEntry {
-                    key,
-                    value: r.value,
-                    version: r.version,
-                })
-            })
+            .filter_map(|key| kv.get(key).map(|r| RecordEntry::of(key, r)))
             .collect();
         records.sort_unstable_by_key(|r| r.key);
         records.dedup_by_key(|r| r.key);
@@ -199,12 +180,6 @@ impl DeltaSnapshot {
             ledger_height,
             ledger_head,
         }
-    }
-
-    /// Applies this delta's records onto `kv` (which must hold the base
-    /// state; the caller verifies digests via [`ChainTransfer`]).
-    pub fn fold_into(&self, kv: &mut KvStore) {
-        apply(&self.records, kv);
     }
 }
 
@@ -277,31 +252,31 @@ impl ChainTransfer {
     /// * A chain starting with a delta link folds onto `local_base`,
     ///   which must hold exactly the `(seq, digest)` state the link
     ///   names (the receiver's own last checkpoint store).
-    /// * After each link the full-state digest is recomputed and
-    ///   checked against the plan's claim, against `known_stable`
-    ///   (quorum-observed digests) where available, and — for the final
-    ///   link — against the quorum-stable target digest. A single
-    ///   flipped byte anywhere in any link's records therefore fails
-    ///   verification before anything is installed.
+    /// * After each link the full-state digest is read off the folded
+    ///   store's accumulator and checked against the plan's claim,
+    ///   against `known_stable` (quorum-observed digests) where
+    ///   available, and — for the final link — against the
+    ///   quorum-stable target digest. A single flipped byte anywhere in
+    ///   any link's records therefore fails verification before
+    ///   anything is installed.
+    ///
+    /// Cost is O(keys + Σ link records): the accumulator makes each
+    /// link's digest check independent of the store's size.
     pub fn fold_verified(
         &self,
         shard: ShardId,
-        local_base: Option<(u64, Digest, &KvStore)>,
+        local_base: Option<(u64, Digest, &CheckpointStore)>,
         known_stable: impl Fn(u64) -> Option<Digest>,
     ) -> Result<Snapshot, ChainError> {
         if self.links.is_empty() {
             return Err(ChainError::Empty);
         }
-        let mut store: Option<KvStore> = None;
+        let mut store: Option<CheckpointStore> = None;
         let mut folded: Option<(u64, Digest)> = None;
         for (link, records) in &self.links {
-            match link.base {
+            let store = match link.base {
                 // A full link (re)starts the fold from scratch.
-                None => {
-                    let mut kv = KvStore::new();
-                    apply(records, &mut kv);
-                    store = Some(kv);
-                }
+                None => store.insert(CheckpointStore::default()),
                 Some(base) => match store.as_mut() {
                     // The chain's first delta folds onto the local base.
                     None => {
@@ -311,21 +286,19 @@ impl ChainTransfer {
                         if base != (bseq, bdigest) {
                             return Err(ChainError::BaseMismatch);
                         }
-                        let mut kv = bstore.clone();
-                        apply(records, &mut kv);
-                        store = Some(kv);
+                        store.insert(bstore.clone())
                     }
                     // Later links must chain onto what we just folded.
-                    Some(kv) => {
+                    Some(store) => {
                         if Some(base) != folded {
                             return Err(ChainError::Discontinuity { seq: link.seq });
                         }
-                        apply(records, kv);
+                        store
                     }
                 },
-            }
-            let kv = store.as_ref().expect("just folded");
-            let digest = Snapshot::digest_of_store(shard, link.seq, kv);
+            };
+            store.apply_records(records);
+            let digest = store.digest(shard, link.seq);
             if digest != link.digest {
                 return Err(ChainError::LinkDigestMismatch { seq: link.seq });
             }
@@ -340,22 +313,10 @@ impl ChainTransfer {
         Ok(Snapshot::capture(
             shard,
             self.target_seq,
-            &store.expect("non-empty chain"),
+            store.expect("non-empty chain").kv(),
             self.ledger_height,
             self.ledger_head,
         ))
-    }
-}
-
-fn apply(records: &[RecordEntry], kv: &mut KvStore) {
-    for r in records {
-        kv.insert_record(
-            r.key,
-            Record {
-                value: r.value,
-                version: r.version,
-            },
-        );
     }
 }
 
@@ -421,10 +382,10 @@ mod tests {
         let delta =
             DeltaSnapshot::capture(ShardId(0), 4, base_digest, 8, [2u64, 2, 7], &kv, 1, [1; 32]);
         assert_eq!(delta.records.len(), 2, "dirty keys dedup");
-        let mut folded = base.restore_store();
-        delta.fold_into(&mut folded);
+        let mut folded = CheckpointStore::new(base.restore_store());
+        folded.apply_records(&delta.records);
         assert_eq!(
-            Snapshot::digest_of_store(ShardId(0), 8, &folded),
+            folded.digest(ShardId(0), 8),
             Snapshot::capture(ShardId(0), 8, &kv, 1, [1; 32]).digest()
         );
     }
@@ -469,7 +430,7 @@ mod tests {
             ledger_height: 2,
             ledger_head: [2; 32],
         };
-        let base_store = base.restore_store();
+        let base_store = CheckpointStore::new(base.restore_store());
         let folded = transfer
             .fold_verified(shard, Some((4, d0, &base_store)), |_| None)
             .expect("verified chain folds");
@@ -678,7 +639,7 @@ mod prop_tests {
                 ledger_height: windows as u64,
                 ledger_head: [windows as u8; 32],
             };
-            let base_store = base.restore_store();
+            let base_store = CheckpointStore::new(base.restore_store());
             let folded = transfer
                 .fold_verified(
                     ShardId(1),
@@ -728,7 +689,7 @@ mod prop_tests {
                 1 => r.value ^= mask,
                 _ => r.version ^= mask,
             }
-            let base_store = base.restore_store();
+            let base_store = CheckpointStore::new(base.restore_store());
             let verdict = transfer.fold_verified(
                 ShardId(1),
                 Some((base.seq, base.digest(), &base_store)),

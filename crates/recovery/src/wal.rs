@@ -31,10 +31,11 @@
 //! durable checkpoint is fetched from peers via the existing
 //! delta-chain transfer — O(gap), not O(state).
 
+use crate::checkpoint::CheckpointStore;
 use crate::snapshot::{DeltaSnapshot, Snapshot};
 use ringbft_crypto::Digest;
 use ringbft_store::wal::{Storage, WalRecord};
-use ringbft_store::{FileWal, KvStore, MemWal, MemWalHandle};
+use ringbft_store::{FileWal, MemWal, MemWalHandle};
 use ringbft_types::config::Durability;
 use ringbft_types::ShardId;
 use serde::{Deserialize, Serialize};
@@ -90,6 +91,16 @@ impl WalEntry {
 
 /// Frame kind of the [`WalEntry::Close`] marker.
 pub const CLOSE_KIND: u8 = 6;
+const FULL_KIND: u8 = 4;
+const DELTA_KIND: u8 = 5;
+
+/// The payload of the snapshot-carrying [`WalEntry`] variant of frame
+/// kind `kind`, encoded from a borrowed body: the variant tag (kinds
+/// are the variant indices plus one), then the body — byte-identical to
+/// serializing the owned entry, without cloning its record list.
+fn encode_borrowed<T: Serialize>(kind: u8, body: &T) -> Vec<u8> {
+    bincode::serialize(&(u32::from(kind) - 1, body)).expect("wal entries serialize")
+}
 
 /// What a replayed log recovers to.
 #[derive(Debug, Clone, Default)]
@@ -114,21 +125,34 @@ impl Recovered {
     /// sequence, state digest and ledger position the replica can
     /// restart from. `None` when no checkpoint survived (blank-restart
     /// semantics apply).
+    ///
+    /// Every delta must name, as its base, the digest of the state
+    /// folded so far; the first that does not (a log written under
+    /// another digest definition, a skipped window) ends the chain
+    /// there — the verified prefix is an older but valid restart point,
+    /// and the live top-up covers the difference. With the store's
+    /// accumulator each link's check is O(1), so the whole fold is
+    /// O(keys + Σ delta records).
     pub fn fold(&self, shard: ShardId) -> Option<RecoveredTip> {
         let full = self.full.as_ref()?;
-        let mut kv = full.restore_store();
-        let mut seq = full.seq;
+        let mut store = CheckpointStore::new(full.restore_store());
+        let mut tip = (full.seq, store.digest(shard, full.seq));
         let mut ledger = (full.ledger_height, full.ledger_head);
+        let mut chain = vec![tip.1];
         for d in &self.deltas {
-            d.fold_into(&mut kv);
-            seq = d.seq;
+            if (d.base_seq, d.base_digest) != tip {
+                break;
+            }
+            store.apply_records(&d.records);
+            tip = (d.seq, store.digest(shard, d.seq));
             ledger = (d.ledger_height, d.ledger_head);
+            chain.push(tip.1);
         }
-        let digest = Snapshot::digest_of_store(shard, seq, &kv);
         Some(RecoveredTip {
-            seq,
-            digest,
-            store: kv,
+            seq: tip.0,
+            digest: tip.1,
+            store,
+            chain,
             ledger_height: ledger.0,
             ledger_head: ledger.1,
         })
@@ -143,7 +167,11 @@ pub struct RecoveredTip {
     /// Full-state digest at the tip.
     pub digest: Digest,
     /// The store at the tip.
-    pub store: KvStore,
+    pub store: CheckpointStore,
+    /// Full-state digest after each verified link: the full snapshot's
+    /// first, then one per folded delta of [`Recovered::deltas`] (the
+    /// last equals `digest`).
+    pub chain: Vec<Digest>,
     /// Ledger height recorded at the tip.
     pub ledger_height: u64,
     /// Ledger head hash recorded at the tip.
@@ -240,7 +268,11 @@ impl ReplicaWal {
     /// [`ReplicaWal::flush`] / the host's flush timer).
     pub fn append(&mut self, entry: &WalEntry) -> std::io::Result<()> {
         let payload = bincode::serialize(entry).expect("wal entries serialize");
-        self.storage.append(entry.kind(), &payload)?;
+        self.append_payload(entry.kind(), &payload)
+    }
+
+    fn append_payload(&mut self, kind: u8, payload: &[u8]) -> std::io::Result<()> {
+        self.storage.append(kind, payload)?;
         if self.durability == Durability::Strict {
             self.storage.sync()?;
         }
@@ -251,9 +283,14 @@ impl ReplicaWal {
     /// hold exactly this snapshot (history before it is subsumed by the
     /// capture), atomically and durably.
     pub fn append_full(&mut self, snap: &Snapshot) -> std::io::Result<()> {
-        let entry = WalEntry::CheckpointFull(snap.clone());
-        let payload = bincode::serialize(&entry).expect("wal entries serialize");
-        self.storage.compact(&[(entry.kind(), payload)])
+        self.storage
+            .compact(&[(FULL_KIND, encode_borrowed(FULL_KIND, snap))])
+    }
+
+    /// Appends a delta checkpoint (a [`WalEntry::CheckpointDelta`])
+    /// without taking ownership of its record list.
+    pub fn append_delta(&mut self, delta: &DeltaSnapshot) -> std::io::Result<()> {
+        self.append_payload(DELTA_KIND, &encode_borrowed(DELTA_KIND, delta))
     }
 
     /// Forces buffered appends durable (the group-commit flush tick).
@@ -303,6 +340,7 @@ impl std::fmt::Debug for ReplicaWal {
 mod tests {
     use super::*;
     use ringbft_store::wal::scan;
+    use ringbft_store::KvStore;
 
     fn snap_at(seq: u64, kv: &KvStore) -> Snapshot {
         Snapshot::capture(ShardId(0), seq, kv, 0, [0; 32])
@@ -328,10 +366,14 @@ mod tests {
         wal.append_full(&full).unwrap();
         kv.put(3, 999);
         let delta = DeltaSnapshot::capture(ShardId(0), 8, d0, 16, [3u64], &kv, 1, [1; 32]);
-        wal.append(&WalEntry::CheckpointDelta(delta)).unwrap();
+        wal.append_delta(&delta).unwrap();
+        // The vote carries the digest the live replica maintained
+        // incrementally.
+        let mut live = CheckpointStore::new(store(8));
+        live.fold_window([(3, 999)]);
         wal.append(&WalEntry::CheckpointVote {
             seq: 16,
-            digest: Snapshot::digest_of_store(ShardId(0), 16, &kv),
+            digest: live.digest(ShardId(0), 16),
         })
         .unwrap();
         for seq in 17..=19 {
@@ -348,8 +390,61 @@ mod tests {
         assert!(!recovered.clean_close);
         let tip = recovered.fold(ShardId(0)).expect("chain survived");
         assert_eq!(tip.seq, 16);
-        assert_eq!(tip.store.state_fingerprint(), kv.state_fingerprint());
+        assert_eq!(tip.store.kv().state_fingerprint(), kv.state_fingerprint());
         assert_eq!(tip.digest, Snapshot::digest_of_store(ShardId(0), 16, &kv));
+        assert_eq!(
+            recovered.votes,
+            vec![(16, tip.digest)],
+            "the replayed tip carries the digest this replica voted"
+        );
+        assert_eq!(tip.chain, vec![d0, tip.digest]);
+    }
+
+    #[test]
+    fn borrowed_snapshot_appends_encode_like_owned_entries() {
+        let mut kv = store(5);
+        let full = snap_at(8, &kv);
+        kv.put(2, 7);
+        let delta =
+            DeltaSnapshot::capture(ShardId(0), 8, full.digest(), 16, [2u64], &kv, 1, [1; 32]);
+        for (entry, borrowed) in [
+            (
+                WalEntry::CheckpointFull(full.clone()),
+                encode_borrowed(FULL_KIND, &full),
+            ),
+            (
+                WalEntry::CheckpointDelta(delta.clone()),
+                encode_borrowed(DELTA_KIND, &delta),
+            ),
+        ] {
+            assert_eq!(bincode::serialize(&entry).unwrap(), borrowed);
+            assert_eq!(bincode::deserialize::<WalEntry>(&borrowed).unwrap(), entry);
+        }
+        assert_eq!(WalEntry::CheckpointFull(full).kind(), FULL_KIND);
+        assert_eq!(WalEntry::CheckpointDelta(delta).kind(), DELTA_KIND);
+    }
+
+    #[test]
+    fn delta_chained_to_another_digest_ends_the_fold() {
+        // A log whose links were chained under a different digest
+        // definition (or a corrupted base): the sequence numbers line
+        // up, so replay keeps the delta, but the fold refuses it.
+        let handle = MemWalHandle::new();
+        let (mut wal, _) = ReplicaWal::open_mem(handle.clone(), Durability::Strict);
+        let mut kv = store(4);
+        wal.append_full(&snap_at(8, &kv)).unwrap();
+        kv.put(1, 5);
+        let delta = DeltaSnapshot::capture(ShardId(0), 8, [7; 32], 16, [1u64], &kv, 0, [0; 32]);
+        wal.append_delta(&delta).unwrap();
+        let (_, recovered) = ReplicaWal::open_mem(handle, Durability::Strict);
+        assert_eq!(recovered.deltas.len(), 1);
+        let tip = recovered.fold(ShardId(0)).expect("full survives");
+        assert_eq!(tip.seq, 8);
+        assert_eq!(tip.chain.len(), 1);
+        assert_eq!(
+            tip.store.kv().state_fingerprint(),
+            store(4).state_fingerprint()
+        );
     }
 
     #[test]
@@ -431,7 +526,7 @@ mod tests {
         // A delta whose base is NOT the snapshot we hold: replay must
         // not fold it — the stale full stays the (older) restart point.
         let delta = DeltaSnapshot::capture(ShardId(0), 16, [7; 32], 24, [1u64], &kv, 0, [0; 32]);
-        wal.append(&WalEntry::CheckpointDelta(delta)).unwrap();
+        wal.append_delta(&delta).unwrap();
         let (_, recovered) = ReplicaWal::open_mem(handle, Durability::Strict);
         assert!(recovered.deltas.is_empty(), "broken link skipped");
         let tip = recovered.fold(ShardId(0)).expect("full survives");
@@ -443,6 +538,7 @@ mod tests {
 mod prop_tests {
     use super::*;
     use proptest::prelude::*;
+    use ringbft_store::KvStore;
 
     proptest! {
         /// Torn-tail, typed edition: flip any byte inside the final
@@ -485,7 +581,7 @@ mod prop_tests {
             );
             let tip = recovered.fold(ShardId(0)).expect("checkpoint survives");
             prop_assert_eq!(tip.seq, 8);
-            prop_assert_eq!(tip.store.state_fingerprint(), kv.state_fingerprint());
+            prop_assert_eq!(tip.store.kv().state_fingerprint(), kv.state_fingerprint());
         }
     }
 }

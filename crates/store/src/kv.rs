@@ -7,6 +7,7 @@
 
 use ringbft_types::txn::{Key, Operation, OperationKind, Transaction, Value};
 use ringbft_types::ShardId;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -81,19 +82,30 @@ impl KvStore {
 
     /// Installs a record verbatim, version included — used when
     /// restoring a checkpoint snapshot, where the donor's version
-    /// counters must be preserved exactly.
-    pub fn insert_record(&mut self, key: Key, record: Record) {
-        self.records.insert(key, record);
+    /// counters must be preserved exactly. Returns the record it
+    /// replaced, if the key was present.
+    pub fn insert_record(&mut self, key: Key, record: Record) -> Option<Record> {
+        self.records.insert(key, record)
     }
 
-    /// Writes a record, bumping its version. Inserts if missing.
-    pub fn put(&mut self, key: Key, value: Value) {
-        let rec = self.records.entry(key).or_insert(Record {
-            value: 0,
-            version: 0,
-        });
-        rec.value = value;
-        rec.version += 1;
+    /// Writes a record, bumping its version. Inserts if missing. Returns
+    /// the record it replaced (`None` for a key first written here), so
+    /// a caller maintaining a digest over the store can retire the old
+    /// record without a second lookup.
+    pub fn put(&mut self, key: Key, value: Value) -> Option<Record> {
+        match self.records.entry(key) {
+            Entry::Occupied(mut e) => {
+                let rec = e.get_mut();
+                let old = *rec;
+                rec.value = value;
+                rec.version += 1;
+                Some(old)
+            }
+            Entry::Vacant(e) => {
+                e.insert(Record { value, version: 1 });
+                None
+            }
+        }
     }
 
     /// Executes the fragment of `txn` owned by `shard`, deterministically.
@@ -193,13 +205,21 @@ mod tests {
     }
 
     #[test]
-    fn put_bumps_version() {
+    fn put_bumps_version_and_returns_the_replaced_record() {
         let mut kv = KvStore::init_partition(0..10);
         let before = kv.get(3).unwrap();
-        kv.put(3, 42);
+        assert_eq!(kv.put(3, 42), Some(before));
         let after = kv.get(3).unwrap();
         assert_eq!(after.value, 42);
         assert_eq!(after.version, before.version + 1);
+        // A key first written here replaces nothing and starts at 1.
+        assert_eq!(kv.put(77, 5), None);
+        let fresh = Record {
+            value: 5,
+            version: 1,
+        };
+        assert_eq!(kv.get(77), Some(fresh));
+        assert_eq!(kv.insert_record(77, before), Some(fresh));
     }
 
     #[test]
