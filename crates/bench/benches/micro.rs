@@ -1,7 +1,9 @@
 //! Criterion micro-benchmarks of the hot kernels behind every figure:
 //!
 //! * `crypto/*` — SHA-256, HMAC, signatures, Merkle roots (§3's
-//!   authenticated communication costs; the paper's MAC-vs-DS trade-off);
+//!   authenticated communication costs; the paper's MAC-vs-DS trade-off),
+//!   and a small frame's MAC between a pair seen before (`mac_small_warm`,
+//!   key schedule cached) and a pair never seen (`mac_small_cold`);
 //! * `lockmgr/*` — sequence-ordered lock admission (§4.3.5's π list);
 //! * `pbft/*` — a full intra-shard consensus round as a state-machine
 //!   cost (the engine every protocol embeds);
@@ -16,6 +18,7 @@
 //! * `simnet/*` — event-queue throughput (the simulator's own engine).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use ringbft_crypto::hmac::HmacKey;
 use ringbft_crypto::{sha256, KeyStore, MerkleTree};
 use ringbft_pbft::batch_digest;
 use ringbft_pbft::testing::{test_batch, TestCluster};
@@ -51,6 +54,26 @@ fn bench_crypto(c: &mut Criterion) {
             let sig = signer.sign(black_box(&payload));
             assert!(ks.verify(&payload, &sig));
         })
+    });
+
+    // A data frame's MAC as the codec computes it (domain tag, 9 address
+    // bytes, body), the body one SHA-256 block: repeated between one
+    // pair, and to a client never seen before, which derives and
+    // schedules the pair key first.
+    let (addr, body) = ([0u8; 9], [0x5au8; 64]);
+    g.bench_function("mac_small_warm", |b| {
+        b.iter(|| ks.mac_parts(me, peer, &[b"rbft-data", &addr, black_box(&body)]))
+    });
+    let mut client = 0u64;
+    g.bench_function("mac_small_cold", |b| {
+        b.iter(|| {
+            client += 1;
+            let to = NodeId::Client(ClientId(client));
+            ks.mac_parts(me, to, &[b"rbft-data", &addr, black_box(&body)])
+        })
+    });
+    g.bench_function("hmac_key_new", |b| {
+        b.iter(|| HmacKey::new(black_box(&[0x0bu8; 32])))
     });
 
     // Merkle root of a 100-transaction batch (§7's block root Δ).

@@ -187,13 +187,11 @@ mod tests {
         // Shard 0's fragment depends on a key owned by shard 2.
         let dep_key = key_in(&cfg, 2, 42);
         let mk = |id: u64| {
-            let mut t = cst(&cfg, id, &[0, 1, 2], 11);
-            t.remote_reads.push(RemoteRead {
+            cst(&cfg, id, &[0, 1, 2], 11).with_remote_reads(vec![RemoteRead {
                 reader: ShardId(0),
                 owner: ShardId(2),
                 key: dep_key,
-            });
-            t
+            }])
         };
         net.client_send(ClientId(1), mk(1));
         net.client_send(ClientId(2), mk(2));
@@ -418,12 +416,11 @@ mod tests {
         net.drop_filter = Some(Box::new(|_, _, m| matches!(m, RingMsg::Execute(_))));
         let dep_key = cfg.key_range(ShardId(2)).start + 42;
         for id in 1..=2u64 {
-            let mut t = cst(&cfg, id, &[0, 1, 2], 11);
-            t.remote_reads.push(RemoteRead {
+            let t = cst(&cfg, id, &[0, 1, 2], 11).with_remote_reads(vec![RemoteRead {
                 reader: ShardId(0),
                 owner: ShardId(2),
                 key: dep_key,
-            });
+            }]);
             net.client_send(ClientId(id), t);
         }
         net.settle();

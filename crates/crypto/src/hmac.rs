@@ -3,49 +3,81 @@
 //! HMACs back both authentication schemes in this reproduction: the
 //! pairwise MACs used for intra-shard messages and the deterministic
 //! signature scheme used for cross-shard messages (see [`crate::auth`]).
+//!
+//! A key is scheduled once: [`HmacKey`] holds the SHA-256 midstates after
+//! the padded key blocks `K ⊕ ipad` and `K ⊕ opad`, so a MAC under it
+//! hashes only the message blocks plus one outer block.
 
-use crate::sha256::{Digest, Sha256, DIGEST_LEN};
+use crate::sha256::{sha256, Digest, Sha256, DIGEST_LEN};
+use std::fmt;
 
 const BLOCK_LEN: usize = 64;
 
-/// Computes `HMAC-SHA256(key, msg)`.
-pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> Digest {
-    hmac_sha256_parts(key, &[msg])
+/// An HMAC-SHA256 key with its schedule precomputed. Building one costs
+/// two compressions (three when the key is longer than a block); every
+/// MAC under it then costs the message's blocks plus one, where a MAC
+/// from the raw key costs two more.
+#[derive(Clone)]
+pub struct HmacKey {
+    /// Midstate after absorbing `K ⊕ ipad`.
+    inner: [u32; 8],
+    /// Midstate after absorbing `K ⊕ opad`.
+    outer: [u32; 8],
 }
 
-/// Computes `HMAC-SHA256(key, msg₀ ‖ msg₁ ‖ …)` without concatenating.
-pub fn hmac_sha256_parts(key: &[u8], parts: &[&[u8]]) -> Digest {
-    // Keys longer than the block size are hashed first.
-    let mut k = [0u8; BLOCK_LEN];
-    if key.len() > BLOCK_LEN {
-        let kh = {
+impl HmacKey {
+    /// Schedules `key` (RFC 2104: keys longer than the block size are
+    /// hashed first, shorter ones zero-padded).
+    pub fn new(key: &[u8]) -> HmacKey {
+        let mut k = [0u8; BLOCK_LEN];
+        if key.len() > BLOCK_LEN {
+            k[..DIGEST_LEN].copy_from_slice(&sha256(key));
+        } else {
+            k[..key.len()].copy_from_slice(key);
+        }
+        let midstate = |pad: u8| {
+            let mut block = [pad; BLOCK_LEN];
+            for (b, k) in block.iter_mut().zip(k) {
+                *b ^= k;
+            }
             let mut h = Sha256::new();
-            h.update(key);
-            h.finalize()
+            h.update(&block);
+            h.midstate()
         };
-        k[..DIGEST_LEN].copy_from_slice(&kh);
-    } else {
-        k[..key.len()].copy_from_slice(key);
+        HmacKey {
+            inner: midstate(0x36),
+            outer: midstate(0x5c),
+        }
     }
 
-    let mut ipad = [0x36u8; BLOCK_LEN];
-    let mut opad = [0x5cu8; BLOCK_LEN];
-    for i in 0..BLOCK_LEN {
-        ipad[i] ^= k[i];
-        opad[i] ^= k[i];
+    /// `HMAC-SHA256(key, msg)`.
+    pub fn mac(&self, msg: &[u8]) -> Digest {
+        self.mac_parts(&[msg])
     }
 
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    for p in parts {
-        inner.update(p);
+    /// `HMAC-SHA256(key, msg₀ ‖ msg₁ ‖ …)` without concatenating.
+    pub fn mac_parts(&self, parts: &[&[u8]]) -> Digest {
+        let mut inner = Sha256::from_midstate(self.inner, BLOCK_LEN as u64);
+        for p in parts {
+            inner.update(p);
+        }
+        let mut outer = Sha256::from_midstate(self.outer, BLOCK_LEN as u64);
+        outer.update(&inner.finalize());
+        outer.finalize()
     }
-    let inner_digest = inner.finalize();
+}
 
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
+/// Key material stays out of logs.
+impl fmt::Debug for HmacKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("HmacKey").finish_non_exhaustive()
+    }
+}
+
+/// Computes `HMAC-SHA256(key, msg)` under a key used once; hold an
+/// [`HmacKey`] to MAC repeatedly.
+pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> Digest {
+    HmacKey::new(key).mac(msg)
 }
 
 /// Constant-time equality for digests. The simulator is not subject to real
@@ -63,6 +95,7 @@ pub fn digest_eq(a: &Digest, b: &Digest) -> bool {
 mod tests {
     use super::*;
     use crate::sha256::to_hex;
+    use proptest::prelude::*;
 
     /// RFC 4231 test case 1.
     #[test]
@@ -113,9 +146,9 @@ mod tests {
 
     #[test]
     fn parts_equal_concat() {
-        let key = b"secret";
-        let whole = hmac_sha256(key, b"hello world");
-        let split = hmac_sha256_parts(key, &[b"hello", b" ", b"world"]);
+        let key = HmacKey::new(b"secret");
+        let whole = hmac_sha256(b"secret", b"hello world");
+        let split = key.mac_parts(&[b"hello", b" ", b"world"]);
         assert!(digest_eq(&whole, &split));
     }
 
@@ -126,5 +159,48 @@ mod tests {
         assert!(digest_eq(&a, &b));
         b[31] ^= 1;
         assert!(!digest_eq(&a, &b));
+    }
+
+    /// RFC 2104 written out from scratch over one-shot SHA-256:
+    /// `H((K' ⊕ opad) ‖ H((K' ⊕ ipad) ‖ msg))`, with `K'` the key (hashed
+    /// when longer than a block) zero-padded to the block size.
+    fn reference_hmac(key: &[u8], msg: &[u8]) -> Digest {
+        let mut k = if key.len() > BLOCK_LEN {
+            sha256(key).to_vec()
+        } else {
+            key.to_vec()
+        };
+        k.resize(BLOCK_LEN, 0);
+        let padded = |pad: u8| k.iter().map(|b| b ^ pad).collect::<Vec<u8>>();
+        let mut inner = padded(0x36);
+        inner.extend_from_slice(msg);
+        let mut outer = padded(0x5c);
+        outer.extend_from_slice(&sha256(&inner));
+        sha256(&outer)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The scheduled key agrees with the reference for keys on both
+        /// sides of the block size and for any split of the message.
+        #[test]
+        fn scheduled_key_matches_rfc2104_reference(
+            key in proptest::collection::vec(any::<u8>(), 0..=200),
+            msg in proptest::collection::vec(any::<u8>(), 0..300),
+            cuts in proptest::collection::vec(0usize..300, 0..5),
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(msg.len())).collect();
+            cuts.sort_unstable();
+            let mut parts: Vec<&[u8]> = Vec::new();
+            let mut start = 0;
+            for c in cuts.into_iter().chain([msg.len()]) {
+                parts.push(&msg[start..c]);
+                start = c;
+            }
+            let expected = reference_hmac(&key, &msg);
+            prop_assert_eq!(HmacKey::new(&key).mac_parts(&parts), expected);
+            prop_assert_eq!(hmac_sha256(&key, &msg), expected);
+        }
     }
 }

@@ -54,6 +54,36 @@ impl Sha256 {
         }
     }
 
+    /// Resumes a hasher from a midstate captured by [`Sha256::midstate`]
+    /// after `len` bytes (a multiple of the 64-byte block) were absorbed.
+    /// HMAC keys store their post-ipad/post-opad midstates this way, so a
+    /// MAC skips re-hashing the padded key block.
+    ///
+    /// # Panics
+    /// If `len` is not a multiple of 64.
+    pub fn from_midstate(state: [u32; 8], len: u64) -> Self {
+        assert!(
+            len.is_multiple_of(64),
+            "midstate length is not a block multiple"
+        );
+        Sha256 {
+            state,
+            buf: [0u8; 64],
+            buf_len: 0,
+            total_len: len,
+        }
+    }
+
+    /// The chaining state after the whole blocks absorbed so far: the
+    /// value [`Sha256::from_midstate`] resumes from.
+    ///
+    /// # Panics
+    /// If the bytes absorbed so far do not end on a block boundary.
+    pub fn midstate(&self) -> [u32; 8] {
+        assert!(self.buf_len == 0, "midstate taken off a block boundary");
+        self.state
+    }
+
     /// Absorb `data`.
     pub fn update(&mut self, data: &[u8]) -> &mut Self {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
@@ -258,6 +288,24 @@ mod tests {
             assert_eq!(h.finalize(), oneshot, "chunk size {chunk}");
         }
         assert_eq!(sha256_concat(&[&data[..100], &data[100..]]), oneshot);
+    }
+
+    #[test]
+    fn resumed_midstate_equals_oneshot() {
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 7) as u8).collect();
+        let mut h = Sha256::new();
+        h.update(&data[..128]);
+        let mut resumed = Sha256::from_midstate(h.midstate(), 128);
+        resumed.update(&data[128..]);
+        assert_eq!(resumed.finalize(), sha256(&data));
+    }
+
+    #[test]
+    #[should_panic(expected = "block boundary")]
+    fn midstate_rejects_partial_block() {
+        let mut h = Sha256::new();
+        h.update(b"abc");
+        h.midstate();
     }
 
     #[test]

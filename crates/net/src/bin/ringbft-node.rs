@@ -462,13 +462,12 @@ fn main() {
         }
         for rt in &runtimes {
             let s = rt.stats();
-            let execs = rt.exec_log().len();
             let completions = rt.with_node(|n| match n {
                 AnyNode::Client(c) => c.completions.len(),
                 _ => 0,
             });
             let line = format!(
-                "[{}] sent={} recv={} dropped={} undeliverable={} reconnects={} timers={} bytes={} (model {}) execs={}",
+                "[{}] sent={} recv={} dropped={} undeliverable={} reconnects={} timers={} bytes={} (model {}) execs={} exec_txns={}",
                 rt.id(),
                 s.messages_sent,
                 s.messages_delivered,
@@ -478,7 +477,8 @@ fn main() {
                 s.timers_fired,
                 s.bytes_sent,
                 s.modeled_bytes_sent,
-                execs,
+                rt.executed_batches(),
+                rt.executed_txns(),
             );
             if completions > 0 {
                 let rate = (completions - last_completions) as f64 / interval.as_secs_f64();

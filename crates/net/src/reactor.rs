@@ -717,14 +717,12 @@ where
                     // Stale heap entries are skipped by the generation
                     // check at expiry.
                 }
-                Action::Executed { seq, txns } => {
-                    self.shared.exec_log.lock().expect("exec log").push(
-                        crate::runtime::ExecEvent {
-                            at: self.shared.clock.now(),
-                            seq,
-                            txns,
-                        },
-                    );
+                Action::Executed { txns, .. } => {
+                    let shared = &self.shared;
+                    shared.executed_batches.fetch_add(1, Ordering::Relaxed);
+                    shared
+                        .executed_txns
+                        .fetch_add(txns as u64, Ordering::Relaxed);
                 }
                 Action::ViewChanged { view } => {
                     self.shared

@@ -325,17 +325,6 @@ impl Default for NetObs {
     }
 }
 
-/// An `Executed` record observed by the runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecEvent {
-    /// When it happened (runtime timeline).
-    pub at: Instant,
-    /// Shard-local sequence number.
-    pub seq: u64,
-    /// Transactions in the executed batch.
-    pub txns: u32,
-}
-
 /// A telemetry route handler: maps a request path (`"/metrics"`,
 /// `"/trace"`) to `(content_type, body)`, or `None` for a 404.
 ///
@@ -417,7 +406,9 @@ pub(crate) struct Shared<M> {
     pub(crate) dirty: Vec<Mutex<HashSet<NodeId>>>,
     /// Accepted connections awaiting adoption by their reactor shard.
     pub(crate) handoff: Vec<Mutex<VecDeque<TcpStream>>>,
-    pub(crate) exec_log: Mutex<Vec<ExecEvent>>,
+    /// Batches and transactions the hosted node reported `Executed`.
+    pub(crate) executed_batches: AtomicU64,
+    pub(crate) executed_txns: AtomicU64,
     pub(crate) view_log: Mutex<Vec<(Instant, u64)>>,
     /// Content-aware inbound fault injection: a frame for which the
     /// filter returns true is counted and discarded before delivery —
@@ -698,7 +689,8 @@ where
             outq: Mutex::new(HashMap::new()),
             dirty: (0..nshards).map(|_| Mutex::new(HashSet::new())).collect(),
             handoff: (0..nshards).map(|_| Mutex::new(VecDeque::new())).collect(),
-            exec_log: Mutex::new(Vec::new()),
+            executed_batches: AtomicU64::new(0),
+            executed_txns: AtomicU64::new(0),
             view_log: Mutex::new(Vec::new()),
             inbound_filter: Mutex::new(None),
             inbound_filter_armed: AtomicBool::new(false),
@@ -880,9 +872,14 @@ where
         Ok(addr)
     }
 
-    /// Copy of the `Executed` log.
-    pub fn exec_log(&self) -> Vec<ExecEvent> {
-        self.shared.exec_log.lock().expect("exec log").clone()
+    /// Batches the hosted node has executed.
+    pub fn executed_batches(&self) -> u64 {
+        self.shared.executed_batches.load(Ordering::Relaxed)
+    }
+
+    /// Transactions in those batches.
+    pub fn executed_txns(&self) -> u64 {
+        self.shared.executed_txns.load(Ordering::Relaxed)
     }
 
     /// Copy of the view-change log.

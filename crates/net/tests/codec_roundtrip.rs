@@ -61,18 +61,19 @@ fn arb_txn(rng: &mut TestRng) -> Transaction {
     let ops = (0..1 + arb_u64(rng, 4))
         .map(|_| arb_operation(rng))
         .collect();
-    let mut t = Transaction::new(
+    let t = Transaction::new(
         TxnId(arb_u64(rng, u64::MAX - 1)),
         ClientId(arb_u64(rng, 1 << 40)),
         ops,
     );
-    for _ in 0..arb_u64(rng, 3) {
-        t.remote_reads.push(RemoteRead {
+    let remote_reads = (0..arb_u64(rng, 3))
+        .map(|_| RemoteRead {
             reader: ShardId(arb_u64(rng, 4) as u32),
             owner: ShardId(arb_u64(rng, 4) as u32),
             key: arb_u64(rng, 1_000),
-        });
-    }
+        })
+        .collect();
+    let mut t = t.with_remote_reads(remote_reads);
     t.trace = arb_trace(rng);
     t
 }

@@ -152,20 +152,19 @@ const DEADLINE: std::time::Duration = std::time::Duration::from_secs(60);
 fn two_shards_commit_all_transaction_classes_over_tcp() {
     let cfg = quick_cfg(2, 4);
     let mk_complex = |id: u64| {
-        let mut t = Transaction::new(
+        Transaction::new(
             TxnId(id),
             ClientId(id),
             ringbft_store::rmw_ops(&[
                 (ShardId(0), key_in(&cfg, 0, 30)),
                 (ShardId(1), key_in(&cfg, 1, 30)),
             ]),
-        );
-        t.remote_reads.push(RemoteRead {
+        )
+        .with_remote_reads(vec![RemoteRead {
             reader: ShardId(0),
             owner: ShardId(1),
             key: key_in(&cfg, 1, 77),
-        });
-        t
+        }])
     };
     let txns = vec![
         // Single-shard on shard 0.
@@ -233,7 +232,7 @@ fn two_shards_commit_all_transaction_classes_over_tcp() {
     // Both shards executed the cross-shard work.
     let executed_shards: HashSet<ShardId> = cluster
         .replica_runtimes()
-        .filter(|rt| !rt.exec_log().is_empty())
+        .filter(|rt| rt.executed_batches() > 0)
         .filter_map(|rt| rt.id().as_replica().map(|r| r.shard))
         .collect();
     assert!(
@@ -638,7 +637,7 @@ fn closed_loop_workload_sustains_throughput_over_tcp() {
     // or 2 executed (cross-shard traffic visits shards in ring order).
     let executed_shards: HashSet<ShardId> = cluster
         .replica_runtimes()
-        .filter(|rt| !rt.exec_log().is_empty())
+        .filter(|rt| rt.executed_batches() > 0)
         .filter_map(|rt| rt.id().as_replica().map(|r| r.shard))
         .collect();
     assert!(

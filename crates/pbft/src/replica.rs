@@ -21,7 +21,7 @@ use ringbft_types::txn::Batch;
 use ringbft_types::{
     Action, Duration, Instant, NodeId, Outbox, ReplicaId, SeqNum, TimerKind, ViewNum,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Timer token reserved for the view-change progress timer (sequence
@@ -123,8 +123,8 @@ struct Instance {
     digest: Option<Digest>,
     batch: Option<Arc<Batch>>,
     preprepared: bool,
-    prepares: HashMap<Digest, BTreeSet<u32>>,
-    commits: HashMap<Digest, BTreeSet<u32>>,
+    prepares: Votes,
+    commits: Votes,
     prepared: bool,
     committed: bool,
     /// When this replica first saw consensus traffic for the slot (the
@@ -133,6 +133,61 @@ struct Instance {
     /// anchor is its first received vote, a one-delay approximation that
     /// avoids threading wall time through `propose`.
     first_seen: Option<Instant>,
+}
+
+/// One kind of vote (prepare or commit) at one slot: the distinct
+/// replicas that voted for each digest. Honest traffic names one digest,
+/// so its voters are a bitmask behind the first digest seen; conflicting
+/// digests and replica indices past 63 go to a list. A slot of honest
+/// traffic in a shard of up to 64 replicas allocates nothing.
+#[derive(Debug, Default)]
+struct Votes {
+    first: Option<(Digest, u64)>,
+    rest: Vec<(Digest, u32)>,
+}
+
+impl Votes {
+    fn insert(&mut self, digest: Digest, voter: u32) {
+        if voter < 64 {
+            let (d, bits) = self.first.get_or_insert((digest, 0));
+            if *d == digest {
+                *bits |= 1 << voter;
+                return;
+            }
+        }
+        if !self.rest.contains(&(digest, voter)) {
+            self.rest.push((digest, voter));
+        }
+    }
+
+    /// Distinct voters for `digest`.
+    fn count(&self, digest: &Digest) -> usize {
+        let first = match &self.first {
+            Some((d, bits)) if d == digest => bits.count_ones() as usize,
+            _ => 0,
+        };
+        first + self.rest.iter().filter(|(d, _)| d == digest).count()
+    }
+
+    /// Voters for `digest`, ascending.
+    fn voters(&self, digest: &Digest) -> Vec<u32> {
+        let mut voters: Vec<u32> = match &self.first {
+            Some((d, bits)) if d == digest => (0..64).filter(|i| bits >> i & 1 == 1).collect(),
+            _ => Vec::new(),
+        };
+        voters.extend(
+            self.rest
+                .iter()
+                .filter(|(d, _)| d == digest)
+                .map(|&(_, v)| v),
+        );
+        voters.sort_unstable();
+        voters
+    }
+
+    fn clear(&mut self) {
+        *self = Votes::default();
+    }
 }
 
 /// The PBFT replica core for one shard member.
@@ -358,7 +413,7 @@ impl PbftCore {
         let inst = self.instances.get(&seq.0).filter(|i| i.committed)?;
         let digest = inst.digest?;
         let batch = inst.batch.clone()?;
-        let signers: Vec<u32> = inst.commits.get(&digest)?.iter().copied().collect();
+        let signers = inst.commits.voters(&digest);
         Some(ringbft_types::hole::HoleReply {
             cert: ringbft_types::hole::CommitCertificate {
                 view: inst.view,
@@ -399,10 +454,9 @@ impl PbftCore {
         inst.preprepared = true;
         inst.prepared = true;
         inst.committed = true;
-        inst.commits
-            .entry(digest)
-            .or_default()
-            .extend(reply.cert.signers.iter().copied());
+        for &signer in &reply.cert.signers {
+            inst.commits.insert(digest, signer);
+        }
         self.committed_batches += 1;
         self.max_seq_seen = self.max_seq_seen.max(seq.0);
         // A watchdog for this slot (armed if we saw its pre-prepare
@@ -455,10 +509,7 @@ impl PbftCore {
         inst.digest = Some(digest);
         inst.batch = Some(batch);
         inst.preprepared = true;
-        inst.prepares
-            .entry(digest)
-            .or_default()
-            .insert(self.me.index);
+        inst.prepares.insert(digest, self.me.index);
         out.set_timer(TimerKind::Local, seq.0, self.request_timeout());
         self.check_quorums(seq.0, out, events);
         Some(seq)
@@ -595,7 +646,7 @@ impl PbftCore {
         inst.batch = Some(batch);
         inst.preprepared = true;
         // Primary's pre-prepare counts as its prepare vote.
-        inst.prepares.entry(digest).or_default().insert(from.index);
+        inst.prepares.insert(digest, from.index);
         self.max_seq_seen = self.max_seq_seen.max(seq.0);
         // Broadcast our Prepare and count our own vote.
         let prep = PbftMsg::Prepare { view, seq, digest };
@@ -604,9 +655,7 @@ impl PbftCore {
             .get_mut(&seq.0)
             .expect("just inserted")
             .prepares
-            .entry(digest)
-            .or_default()
-            .insert(self.me.index);
+            .insert(digest, self.me.index);
         out.set_timer(TimerKind::Local, seq.0, self.request_timeout());
         self.check_quorums(seq.0, out, events);
     }
@@ -633,7 +682,7 @@ impl PbftCore {
         } else {
             &mut inst.prepares
         };
-        votes.entry(digest).or_default().insert(from.index);
+        votes.insert(digest, from.index);
         self.check_quorums(seq.0, out, events);
     }
 
@@ -648,27 +697,21 @@ impl PbftCore {
         let Some(digest) = inst.digest else {
             return; // votes arrived before the pre-prepare
         };
-        if inst.preprepared
-            && !inst.prepared
-            && inst.prepares.get(&digest).map_or(0, |s| s.len()) >= nf
-        {
+        if inst.preprepared && !inst.prepared && inst.prepares.count(&digest) >= nf {
             inst.prepared = true;
             let msg = PbftMsg::Commit {
                 view: inst.view,
                 seq: SeqNum(seq),
                 digest,
             };
-            inst.commits.entry(digest).or_default().insert(me);
+            inst.commits.insert(digest, me);
             out.multicast(others.iter().copied(), &msg);
         }
-        if inst.prepared
-            && !inst.committed
-            && inst.commits.get(&digest).map_or(0, |s| s.len()) >= nf
-        {
+        if inst.prepared && !inst.committed && inst.commits.count(&digest) >= nf {
             inst.committed = true;
             self.committed_batches += 1;
             self.backoff = 1; // progress: reset view-change backoff
-            let committers: Vec<u32> = inst.commits[&digest].iter().copied().collect();
+            let committers = inst.commits.voters(&digest);
             let batch = inst.batch.clone().expect("preprepared instance has batch");
             let view = inst.view;
             out.cancel_timer(TimerKind::Local, seq);
@@ -1055,9 +1098,7 @@ impl PbftCore {
             inst.commits.clear();
             // New primary's NewView counts as its prepare vote.
             inst.prepares
-                .entry(proof.digest)
-                .or_default()
-                .insert(view.primary_index(self.cfg.n));
+                .insert(proof.digest, view.primary_index(self.cfg.n));
             if !i_am_primary {
                 let prep = PbftMsg::Prepare {
                     view,
@@ -1065,10 +1106,7 @@ impl PbftCore {
                     digest: proof.digest,
                 };
                 out.multicast(others.iter().copied(), &prep);
-                inst.prepares
-                    .entry(proof.digest)
-                    .or_default()
-                    .insert(self.me.index);
+                inst.prepares.insert(proof.digest, self.me.index);
             }
             out.set_timer(TimerKind::Local, seq.0, self.request_timeout());
         }
@@ -1114,4 +1152,31 @@ pub fn step(
     let mut events = Vec::new();
     core.on_message(now, from, msg, &mut out, &mut events);
     (out.take(), events)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Votes;
+
+    #[test]
+    fn votes_count_distinct_voters_per_digest() {
+        let (a, b) = ([1u8; 32], [2u8; 32]);
+        let mut v = Votes::default();
+        for voter in [3, 0, 3, 70, 2, 70] {
+            v.insert(a, voter);
+        }
+        // A conflicting digest, including from replicas that voted `a`.
+        for voter in [1, 0, 65] {
+            v.insert(b, voter);
+        }
+        assert_eq!(v.count(&a), 4);
+        assert_eq!(v.voters(&a), vec![0, 2, 3, 70]);
+        assert_eq!(v.count(&b), 3);
+        assert_eq!(v.voters(&b), vec![0, 1, 65]);
+        assert_eq!(v.count(&[9u8; 32]), 0);
+        v.clear();
+        assert_eq!(v.count(&a), 0);
+        v.insert(b, 5);
+        assert_eq!(v.voters(&b), vec![5]);
+    }
 }

@@ -13,6 +13,7 @@ use crate::ids::{ClientId, ShardId};
 use crate::trace::TraceContext;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Deref;
 
 /// A 256-bit message digest. Produced by `ringbft-crypto`; carried here so
 /// message types do not depend on the crypto crate.
@@ -76,6 +77,70 @@ pub struct Operation {
     pub kind: OperationKind,
 }
 
+/// A transaction's declared operations, dereferencing to
+/// `[Operation]`. A workload transaction accesses one key per involved
+/// shard and most involve one shard, so a single operation is stored
+/// inline and longer lists are boxed: retained batches hold thousands of
+/// transactions, and the inline case saves a heap allocation each. The
+/// wire encoding is that of `Vec<Operation>`.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Ops(OpsRepr);
+
+/// Canonical: exactly one operation is always `One`, so the derived
+/// equality is slice equality.
+#[derive(Clone, PartialEq, Eq)]
+enum OpsRepr {
+    One(Operation),
+    Many(Box<[Operation]>),
+}
+
+impl From<Vec<Operation>> for Ops {
+    fn from(ops: Vec<Operation>) -> Ops {
+        Ops(match *ops {
+            [op] => OpsRepr::One(op),
+            _ => OpsRepr::Many(ops.into_boxed_slice()),
+        })
+    }
+}
+
+impl Deref for Ops {
+    type Target = [Operation];
+
+    fn deref(&self) -> &[Operation] {
+        match &self.0 {
+            OpsRepr::One(op) => std::slice::from_ref(op),
+            OpsRepr::Many(ops) => ops,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a Ops {
+    type Item = &'a Operation;
+    type IntoIter = std::slice::Iter<'a, Operation>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl fmt::Debug for Ops {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl Serialize for Ops {
+    fn serialize(&self, out: &mut Vec<u8>) {
+        (**self).serialize(out);
+    }
+}
+
+impl Deserialize for Ops {
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        Vec::<Operation>::deserialize(r).map(Ops::from)
+    }
+}
+
 /// A cross-shard read dependency of a *complex* cst: while executing its
 /// fragment, `reader` must see the value of `key` owned by `owner`. These
 /// are satisfied by the `Σ` write-set updates carried in Execute messages.
@@ -97,9 +162,12 @@ pub struct Transaction {
     /// Issuing client (signs the request with a digital signature, §4.3.1).
     pub client: ClientId,
     /// Declared data accesses, the transaction's read-write set.
-    pub ops: Vec<Operation>,
-    /// Cross-shard read dependencies (empty for simple transactions).
-    pub remote_reads: Vec<RemoteRead>,
+    pub ops: Ops,
+    /// Cross-shard read dependencies (empty for simple transactions). A
+    /// boxed slice, not a `Vec`: retained batches hold thousands of
+    /// these, and a box has no spare capacity and one word less (the
+    /// wire encoding is the same).
+    pub remote_reads: Box<[RemoteRead]>,
     /// Causal trace context, present only on sampled transactions. The
     /// client assigns it at issue time; it rides the transaction through
     /// batches, consensus, and ring Forwards so every replica can stamp
@@ -116,10 +184,17 @@ impl Transaction {
         Transaction {
             id,
             client,
-            ops,
-            remote_reads: Vec::new(),
+            ops: Ops::from(ops),
+            remote_reads: Box::default(),
             trace: None,
         }
+    }
+
+    /// This transaction with `remote_reads` as its cross-shard read
+    /// dependencies (making it complex when non-empty).
+    pub fn with_remote_reads(mut self, remote_reads: Vec<RemoteRead>) -> Self {
+        self.remote_reads = remote_reads.into_boxed_slice();
+        self
     }
 
     /// The set of involved shards `ℑ`, sorted by ring identifier,
@@ -330,14 +405,28 @@ mod tests {
 
     #[test]
     fn remote_reads_extend_involvement_and_mark_complex() {
-        let mut t = Transaction::new(TxnId(2), ClientId(1), vec![op(0, 1, OperationKind::Write)]);
-        t.remote_reads.push(RemoteRead {
-            reader: ShardId(0),
-            owner: ShardId(4),
-            key: 99,
-        });
+        let t = Transaction::new(TxnId(2), ClientId(1), vec![op(0, 1, OperationKind::Write)])
+            .with_remote_reads(vec![RemoteRead {
+                reader: ShardId(0),
+                owner: ShardId(4),
+                key: 99,
+            }]);
         assert!(t.is_complex());
         assert_eq!(t.involved_shards(), vec![ShardId(0), ShardId(4)]);
+    }
+
+    #[test]
+    fn ops_encode_like_a_vec_and_compare_as_slices() {
+        for n in 0..4u64 {
+            let list: Vec<Operation> = (0..n).map(|k| op(0, k, OperationKind::Write)).collect();
+            let ops = Ops::from(list.clone());
+            assert_eq!(*ops, *list);
+            let bytes = bincode::serialize(&list).expect("encodes");
+            assert_eq!(bincode::serialize(&ops).expect("encodes"), bytes);
+            let back: Ops = bincode::deserialize(&bytes).expect("decodes");
+            assert_eq!(back, ops);
+        }
+        assert!(std::mem::size_of::<Ops>() <= 24);
     }
 
     #[test]

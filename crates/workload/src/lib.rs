@@ -137,7 +137,8 @@ impl WorkloadGen {
                 kind: OperationKind::ReadModifyWrite,
             })
             .collect();
-        let mut txn = Transaction::new(id, client, ops);
+        let txn = Transaction::new(id, client, ops);
+        let mut remote_reads = Vec::new();
         // Remote reads: a random involved shard reads a key owned by a
         // different random involved shard ("distributed randomly across
         // shards", §8.8).
@@ -152,13 +153,13 @@ impl WorkloadGen {
             }
             let owner = shards[oi];
             let key = self.pick_key(owner);
-            txn.remote_reads.push(RemoteRead {
+            remote_reads.push(RemoteRead {
                 reader: shards[ri],
                 owner,
                 key,
             });
         }
-        txn
+        txn.with_remote_reads(remote_reads)
     }
 }
 

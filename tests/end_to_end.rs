@@ -100,12 +100,11 @@ fn complex_cst_dependency_values_agree_across_shards() {
     let mut net = RingNet::new(cfg.clone());
     let dep_key = cfg.key_range(ShardId(2)).start + 10;
     for id in 1..=2u64 {
-        let mut t = cst(&cfg, id, &[0, 1, 2], 20);
-        t.remote_reads.push(RemoteRead {
+        let t = cst(&cfg, id, &[0, 1, 2], 20).with_remote_reads(vec![RemoteRead {
             reader: ShardId(0),
             owner: ShardId(2),
             key: dep_key,
-        });
+        }]);
         net.client_send(ClientId(id), t);
     }
     net.settle();
