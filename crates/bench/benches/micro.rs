@@ -140,7 +140,8 @@ fn bench_pbft_round(c: &mut Criterion) {
 
 fn bench_codec(c: &mut Criterion) {
     use ringbft_net::codec::{
-        encode_body, encode_frame, frame_prefix, read_frame, Envelope, FrameAssembler, FrameAuth,
+        decode_raw_frame, encode_body, encode_frame, frame_prefix, Envelope, FrameAssembler,
+        FrameAuth,
     };
     use ringbft_pbft::{batch_digest as digest_of, PbftMsg};
     use ringbft_sim::AnyMsg;
@@ -211,11 +212,15 @@ fn bench_codec(c: &mut Criterion) {
         })
     });
     g.throughput(Throughput::Bytes(frame.len() as u64));
+    // MAC check + body decode of an extracted frame: the verify stage
+    // of the reactor's ingress path.
+    let raw = {
+        let mut asm = FrameAssembler::new();
+        asm.extend(&frame);
+        asm.next_raw_frame().expect("header").expect("whole frame")
+    };
     g.bench_function("decode_preprepare100", |b| {
-        b.iter(|| {
-            read_frame::<AnyMsg, _>(&mut black_box(frame.as_slice()), &auth, env.to)
-                .expect("decode")
-        })
+        b.iter(|| decode_raw_frame::<AnyMsg>(black_box(&raw), &auth, env.to).expect("decode"))
     });
     // Reassembly from segmented reads: the reactor's ingress path
     // (frames arrive in TCP-sized chunks, scratch buffers pooled).

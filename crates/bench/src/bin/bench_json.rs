@@ -82,7 +82,12 @@ use std::io::Write as _;
 /// comparison. The `net` section gains the serialize-once fan-out
 /// counters (`broadcasts`, `encodes_saved`, `encodes_per_broadcast`,
 /// gated ≤ 1 via `serialize_once_ok`).
-const SCHEMA_VERSION: u64 = 10;
+///
+/// v11: every gate is a `*_ok` flag that `bench_check` enforces —
+/// `phases_ok` on the RingBFT entry (per-phase timers present and
+/// populated) and `threads_ok` in `net` and `pipeline`
+/// (`threads_per_node ≤ reactor_shards + workers + 1`).
+const SCHEMA_VERSION: u64 = 11;
 
 fn quick_cfg(kind: ProtocolKind) -> SystemConfig {
     let (z, n) = if kind.is_sharded() { (3, 4) } else { (1, 4) };
@@ -176,9 +181,7 @@ fn main() {
                 )
             })
             .collect();
-        entries.push((
-            kind.name().to_string(),
-            serde_json::json!({
+        let mut entry = serde_json::json!({
                 "throughput_tps": report.throughput_tps,
                 "avg_latency_s": report.avg_latency_s,
                 "p50_latency_s": report.p50_latency_s,
@@ -189,8 +192,20 @@ fn main() {
                 "messages_sent": report.messages_sent,
                 "bytes_sent": report.bytes_sent,
                 "phases": serde_json::Value::Object(phases),
-            }),
-        ));
+        });
+        if kind == ProtocolKind::RingBft {
+            // The per-phase consensus timers are present and populated:
+            // a refactor that silently drops them must fail the gate,
+            // not regenerate an empty section.
+            let ok = report
+                .phases
+                .iter()
+                .any(|p| p.name == "phase.preprepare_commit" && p.count > 0);
+            if let serde_json::Value::Object(fields) = &mut entry {
+                fields.push(("phases_ok".to_string(), serde_json::Value::Bool(ok)));
+            }
+        }
+        entries.push((kind.name().to_string(), entry));
     }
 
     // Recovery scenario: a RingBFT replica crashes, restarts blank, and
@@ -411,6 +426,9 @@ fn main() {
             "broadcasts": broadcasts,
             "encodes_saved": encodes_saved,
             "encodes_per_broadcast": encodes_per_broadcast,
+            // A fixed thread count per hosted node, independent of how
+            // many peers and clients connect (no pipeline workers here).
+            "threads_ok": threads_per_node <= (reactor_shards + 1) as f64,
             // Broadcast fan-outs happened and each one skipped at least
             // one per-destination re-serialization (mean fan-out ≥ 2 on
             // this topology): losing this flag means egress fell back to
@@ -531,6 +549,9 @@ fn main() {
             "completed_txns": completed as u64,
             "reactor_shards": reactor_shards as u64,
             "threads_per_node": threads_per_node,
+            // The worker pool widens the per-node thread budget by
+            // exactly its own size.
+            "threads_ok": threads_per_node <= (reactor_shards + pipeline_workers + 1) as f64,
             "safety_ok": safety_ok,
             "liveness_ok": liveness_ok,
             // The tentpole gate: N workers buy at least 1.8x modeled

@@ -48,8 +48,8 @@ use ringbft_crypto::Digest;
 use ringbft_ledger::{BlockBody, Ledger};
 use ringbft_pbft::{PbftConfig, PbftCore, PbftEvent, PbftMsg};
 use ringbft_recovery::{
-    ChainTransfer, CheckpointStore, DeltaSnapshot, HoleFetcher, HoleStats, Recovered,
-    RecoveryEvent, RecoveryManager, RecoveryMsg, RecoveryStats, ReplicaWal, Snapshot, WalEntry,
+    ChainTransfer, Checkpointer, Durable, HoleFetcher, HoleStats, Recovered, RecoveryEvent,
+    RecoveryManager, RecoveryMsg, RecoveryStats, ReplicaWal, Snapshot, Stable, WalEntry,
     HOLE_PROBE_TOKEN, RECOVERY_PROBE_TOKEN,
 };
 use ringbft_store::{KvStore, LockManager, Record};
@@ -59,7 +59,7 @@ use ringbft_types::{
     Action, BatchId, ClientId, Duration, Instant, NodeId, Outbox, ReplicaId, RingOrder, SeqNum,
     ShardId, SystemConfig, TimerKind, TraceContext, TxnId,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 /// First token value used for RingBFT-level watchdogs, disjoint from PBFT
@@ -86,7 +86,6 @@ struct CstState {
     /// Locks held (rotation one passed through this shard).
     locked: bool,
     executed: bool,
-    replied: bool,
     /// Distinct previous-shard replica indices whose Forward we saw.
     forward_origins: HashSet<u32>,
     forward_processed: bool,
@@ -122,15 +121,27 @@ struct ClientReplyCache {
     reply: Option<(Digest, Vec<TxnId>)>,
 }
 
-/// A checkpoint this replica announced (voted) but whose quorum outcome
-/// is still pending: the voted digest, the O(churn) delta captured for
-/// the window, and — on the `full_snapshot_every` cadence — a full
-/// snapshot. Retained into the recovery manager once the vote wins.
-#[derive(Debug)]
-struct AnnouncedCheckpoint {
-    digest: Digest,
-    delta: Option<Arc<DeltaSnapshot>>,
-    full: Option<Arc<Snapshot>>,
+impl CstState {
+    fn new(batch: Arc<Batch>, involved: Vec<ShardId>, token: u64, proposed_here: bool) -> Self {
+        CstState {
+            batch,
+            involved,
+            local_seq: None,
+            committed_local: false,
+            locked: false,
+            executed: false,
+            forward_origins: HashSet::new(),
+            forward_processed: false,
+            forward_payload: None,
+            execute_origins: HashSet::new(),
+            execute_processed: false,
+            deps: Vec::new(),
+            sigma: Vec::new(),
+            token,
+            retransmits: 0,
+            proposed_here,
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -290,38 +301,9 @@ pub struct RingReplica {
     /// Digests whose complaints already forced a view change.
     remote_vc_done: HashSet<Digest>,
     // --- checkpointing & recovery (§5 A3, `ringbft-recovery`) ---
-    /// Highest sequence number such that *every* sequence up to it has
-    /// executed on this replica. Checkpoints wait for the watermark so
-    /// the state digest is replica-deterministic even though complex
-    /// csts may execute out of order.
-    exec_watermark: u64,
-    /// Executed sequence numbers above the watermark (out-of-order
-    /// executions waiting for the gap to close).
-    executed_ahead: BTreeSet<u64>,
-    /// Per-sequence write effects not yet folded into `stable`.
-    pending_effects: BTreeMap<u64, Vec<(Key, Value)>>,
-    /// Checkpoint boundaries PBFT declared due, awaiting the watermark.
-    pending_checkpoints: BTreeSet<u64>,
-    /// Checkpoints announced (voted) but not yet quorum-stable: the
-    /// voted digest plus the captured delta (every window) and full
-    /// snapshot (every `full_snapshot_every`-th window).
-    announced: BTreeMap<u64, AnnouncedCheckpoint>,
-    /// The store as of the last announced checkpoint: `kv` restricted to
-    /// sequences ≤ `stable_seq`, advanced strictly in sequence order so
-    /// its content is identical across replicas — with the digest
-    /// accumulator that makes each checkpoint O(writes).
-    stable: CheckpointStore,
-    /// Sequence `stable` reflects.
-    stable_seq: u64,
-    /// The full-state digest of `stable` at `stable_seq` (None until
-    /// the first checkpoint) — the chain base this replica advertises
-    /// in StateRequests and folds delta transfers onto.
-    stable_digest: Option<Digest>,
-    /// Checkpoint windows since the last full snapshot capture (paces
-    /// the `full_snapshot_every` cadence).
-    windows_since_full: u64,
-    /// The state-transfer state machine.
-    recovery: RecoveryManager,
+    /// Execution watermark, checkpoint store, announced windows and
+    /// divergence state, with the state-transfer machine they drive.
+    ckpt: Checkpointer,
     /// The durable write-ahead ledger, when the host attached one
     /// ([`RingReplica::attach_wal`]). `None` runs exactly the
     /// pre-durability replica (tests, ephemeral sims).
@@ -330,11 +312,6 @@ pub struct RingReplica {
     /// (armed lazily on the first unsynced append, re-armed by the
     /// next one after it fires).
     wal_timer_armed: bool,
-    /// Set when this replica's announced checkpoint digest *lost* a
-    /// quorum vote: every piece of local state is suspect, and the
-    /// install-admission checks (which protect healthy local progress)
-    /// stand down until verified quorum state is re-installed.
-    diverged: bool,
     /// The hole-fetch state machine: single-sequence commit-certificate
     /// recovery when the watermark stalls behind the commit frontier.
     hole: HoleFetcher,
@@ -408,15 +385,7 @@ impl RingReplica {
         } else {
             KvStore::new()
         };
-        let recovery = RecoveryManager::new(
-            me,
-            shard_n,
-            cfg.state_chunk_records,
-            // Probe after half a local timeout: long enough that a
-            // merely in-flight replica catches up by itself, short
-            // enough that a blank restart recovers within one timeout.
-            cfg.timers.local / 2,
-        );
+        let ckpt = Checkpointer::new(&cfg, me, kv.clone());
         // Slightly tighter than the state-transfer probe: the first
         // hole request goes out after a third of a timeout (in-flight
         // commits close transient gaps well before that), so a single
@@ -424,7 +393,6 @@ impl RingReplica {
         // transfer starts and before the per-request watchdog would
         // demand a (futile, solo) view change.
         let hole = HoleFetcher::new(me, shard_n, cfg.timers.local / 3);
-        let stable = CheckpointStore::new(kv.clone());
         let ring = cfg.ring_order();
         // Blocking mode keeps the observable event order identical to
         // the inline pipeline (the determinism twin test pins this);
@@ -456,19 +424,9 @@ impl RingReplica {
             last_view_entry: Instant::ZERO,
             remote_complaints: HashMap::new(),
             remote_vc_done: HashSet::new(),
-            exec_watermark: 0,
-            executed_ahead: BTreeSet::new(),
-            pending_effects: BTreeMap::new(),
-            pending_checkpoints: BTreeSet::new(),
-            announced: BTreeMap::new(),
-            stable,
-            stable_seq: 0,
-            stable_digest: None,
-            windows_since_full: 0,
-            recovery,
+            ckpt,
             wal: None,
             wal_timer_armed: false,
-            diverged: false,
             hole,
             pre_commit_vc_defer: None,
             obs_now: Instant::ZERO,
@@ -515,36 +473,33 @@ impl RingReplica {
     pub fn attach_wal(&mut self, wal: ReplicaWal, recovered: &Recovered) {
         assert!(self.wal.is_none(), "wal attached twice");
         assert!(
-            self.exec_watermark == 0 && self.work.is_empty(),
+            self.ckpt.watermark() == 0 && self.work.is_empty(),
             "wal attached after traffic"
         );
         if let Some(tip) = recovered.fold(self.me.shard) {
-            self.kv = tip.store.kv().clone();
-            self.stable = tip.store;
-            self.stable_seq = tip.seq;
-            self.stable_digest = Some(tip.digest);
-            self.windows_since_full = 0;
-            self.exec_watermark = tip.seq;
-            self.locks = LockManager::starting_at(tip.seq);
-            self.ledger =
-                Ledger::from_checkpoint(self.me.shard, tip.ledger_height, tip.ledger_head);
-            self.pbft.install_stable_floor(SeqNum(tip.seq));
-            self.recovery.set_local_base(tip.seq, tip.digest);
-            // Re-seed retention from the recovered chain so this replica
-            // is immediately servable to laggards and its own base is a
-            // valid fold target for inbound delta transfers.
-            let full = recovered.full.clone().expect("a tip folds from a full");
-            self.recovery.retain(Arc::new(full), tip.chain[0]);
-            for (d, digest) in recovered.deltas.iter().zip(&tip.chain[1..]) {
-                self.recovery.retain_delta(Arc::new(d.clone()), *digest);
-            }
+            let (seq, height, head) = (tip.seq, tip.ledger_height, tip.ledger_head);
+            let kv = self.ckpt.restore_log(tip, recovered);
+            self.restore_state(kv, seq, height, head);
             self.obs.trace.push(
                 self.obs_now.as_nanos(),
                 "wal_restore",
-                &[("seq", tip.seq), ("durable_seq", recovered.durable_seq)],
+                &[("seq", seq), ("durable_seq", recovered.durable_seq)],
             );
         }
         self.wal = Some(wal);
+    }
+
+    /// Moves the live state to checkpoint `seq` after the checkpoint
+    /// state was restored: the store copy, PBFT stable floor, lock
+    /// admission and ledger position.
+    fn restore_state(&mut self, kv: KvStore, seq: u64, ledger_height: u64, ledger_head: Digest) {
+        self.kv = kv;
+        // Sequences the checkpoint subsumes are settled: stand their
+        // PBFT watchdogs down (a weak-certificate install can land
+        // ahead of the engine's own stable observations).
+        self.pbft.install_stable_floor(SeqNum(seq));
+        self.locks = LockManager::starting_at(seq);
+        self.ledger = Ledger::from_checkpoint(self.me.shard, ledger_height, ledger_head);
     }
 
     /// The attached write-ahead ledger, for diagnostics (bytes, syncs).
@@ -555,31 +510,14 @@ impl RingReplica {
     /// True while this replica has rolled back a diverged checkpoint
     /// window and awaits quorum state.
     pub fn is_diverged(&self) -> bool {
-        self.diverged
-    }
-
-    /// Forces buffered WAL appends durable (driver-initiated group
-    /// commit, e.g. before an orderly process exit).
-    pub fn flush_wal(&mut self) {
-        if let Some(w) = self.wal.as_mut() {
-            if w.flush().is_err() {
-                self.obs
-                    .trace
-                    .push(self.obs_now.as_nanos(), "wal_error", &[]);
-            }
-        }
+        self.ckpt.is_diverged()
     }
 
     /// Clean shutdown: appends the close marker and syncs, so the next
-    /// open replays with `clean_close == true` and no torn tail.
+    /// open replays with `clean_close == true` and no torn tail (and no
+    /// flush tick to arm).
     pub fn close_wal(&mut self) {
-        if let Some(w) = self.wal.as_mut() {
-            if w.close().is_err() {
-                self.obs
-                    .trace
-                    .push(self.obs_now.as_nanos(), "wal_error", &[]);
-            }
-        }
+        self.wal_write(|w| w.close(), &mut Outbox::new());
     }
 
     /// Test hook: corrupts this replica's executed and checkpoint
@@ -587,13 +525,7 @@ impl RingReplica {
     /// so the next checkpoint window announces a diverging digest.
     pub fn corrupt_store_for_test(&mut self, key: Key) {
         self.kv.put(key, 0xDEAD_BEEF);
-        self.stable.fold_window([(key, 0xDEAD_BEEF)]);
-    }
-
-    /// Appends one entry to the durable log (no-op without one) and
-    /// arms the group-commit flush tick under batched durability.
-    fn wal_append(&mut self, entry: &WalEntry, out: &mut Outbox<RingMsg>) {
-        self.wal_write(|w| w.append(entry), out);
+        self.ckpt.corrupt_for_test(key, 0xDEAD_BEEF);
     }
 
     /// Runs one write against the durable log (no-op without one),
@@ -635,24 +567,6 @@ impl RingReplica {
         self.pbft.is_primary()
     }
 
-    /// Is the embedded PBFT engine mid view change? (diagnostics)
-    pub fn in_view_change(&self) -> bool {
-        self.pbft.in_view_change()
-    }
-
-    /// Live cross-shard transaction states held (diagnostics).
-    pub fn cst_count(&self) -> usize {
-        self.csts.len()
-    }
-
-    /// Csts seen via Forward but not yet locally committed (diagnostics).
-    pub fn stuck_cst_count(&self) -> usize {
-        self.csts
-            .values()
-            .filter(|c| c.forward_processed && !c.committed_local)
-            .count()
-    }
-
     /// The ledger (post-run inspection).
     pub fn ledger(&self) -> &Ledger {
         &self.ledger
@@ -671,7 +585,7 @@ impl RingReplica {
     /// Highest sequence number through which every sequence has executed
     /// (the checkpoint watermark).
     pub fn exec_watermark(&self) -> u64 {
-        self.exec_watermark
+        self.ckpt.watermark()
     }
 
     /// The last stable checkpoint sequence of the embedded PBFT engine.
@@ -682,19 +596,19 @@ impl RingReplica {
     /// The sequence of this replica's own checkpoint store (what its
     /// last announced checkpoint covered).
     pub fn checkpoint_seq(&self) -> u64 {
-        self.stable_seq
+        self.ckpt.seq()
     }
 
     /// Order-insensitive fingerprint of the checkpoint store — equal
     /// across replicas that announced the same checkpoint sequence
     /// (post-run convergence checks).
     pub fn checkpoint_fingerprint(&self) -> u64 {
-        self.stable.kv().state_fingerprint()
+        self.ckpt.store().state_fingerprint()
     }
 
     /// State-transfer counters (installs, transfers served, …).
     pub fn recovery_stats(&self) -> RecoveryStats {
-        self.recovery.stats
+        self.ckpt.recovery().stats
     }
 
     /// Hole-fetch counters (requests, certificates served, holes
@@ -731,18 +645,6 @@ impl RingReplica {
     /// The event-trace ring as JSON-lines (oldest first).
     pub fn trace_jsonl(&self) -> String {
         self.obs.trace.dump_jsonl()
-    }
-
-    /// Checkpoint/recovery diagnostics: `(executed ahead of the
-    /// watermark, committed-but-unexecuted work items, pending lock
-    /// admissions, batches the embedded PBFT committed)`.
-    pub fn recovery_diag(&self) -> (usize, usize, usize, u64) {
-        (
-            self.executed_ahead.len(),
-            self.work.len(),
-            self.locks.pending_len(),
-            self.pbft.committed_batches,
-        )
     }
 
     fn f(&self) -> usize {
@@ -785,8 +687,8 @@ impl RingReplica {
     /// is never "catching up", so bootstrap liveness — view-changing a
     /// dead initial primary — is unaffected.
     fn catching_up(&self) -> bool {
-        self.recovery.target().is_some()
-            || self.exec_watermark < self.pbft.last_stable().0
+        self.ckpt.recovery().target().is_some()
+            || self.ckpt.watermark() < self.pbft.last_stable().0
             || (self.pbft.committed_batches == 0 && self.pbft.last_stable().0 > 0)
     }
 
@@ -865,9 +767,7 @@ impl RingReplica {
                 }
                 self.drive_pbft(
                     now,
-                    |pbft, pout, events| {
-                        pbft.on_message(now, r, m, pout, events);
-                    },
+                    |pbft, pout, ev| pbft.on_message(now, r, m, pout, ev),
                     out,
                 );
             }
@@ -976,20 +876,12 @@ impl RingReplica {
                         self.token_txn.remove(&token);
                         self.txn_watchdogs.remove(&txn);
                         self.watched_txns.remove(&txn);
-                    } else if grace || self.pbft.in_view_change() {
-                        out.set_timer(TimerKind::Local, token, self.pbft.request_timeout());
                     } else {
                         // Keep watching: the re-relay on view entry (below)
                         // hands the request to the next primary.
                         out.set_timer(TimerKind::Local, token, self.pbft.request_timeout());
-                        if self.allow_solo_vc(now) {
-                            self.drive_pbft(
-                                now,
-                                |pbft, pout, events| {
-                                    pbft.force_view_change(pout, events);
-                                },
-                                out,
-                            );
+                        if !grace && !self.pbft.in_view_change() && self.allow_solo_vc(now) {
+                            self.force_view_change(now, out);
                         }
                     }
                     return;
@@ -1004,22 +896,14 @@ impl RingReplica {
                     if stalled && (grace || self.pbft.in_view_change()) {
                         out.set_timer(TimerKind::Local, token, self.pbft.request_timeout());
                     } else if stalled && self.allow_solo_vc(now) {
-                        self.drive_pbft(
-                            now,
-                            |pbft, pout, events| {
-                                pbft.force_view_change(pout, events);
-                            },
-                            out,
-                        );
+                        self.force_view_change(now, out);
                     }
                     return;
                 }
                 // PBFT-owned token (per-seq watchdog or view-change timer).
                 self.drive_pbft(
                     now,
-                    |pbft, pout, events| {
-                        pbft.on_timer(kind, token, pout, events);
-                    },
+                    |pbft, pout, ev| pbft.on_timer(kind, token, pout, ev),
                     out,
                 );
             }
@@ -1034,7 +918,7 @@ impl RingReplica {
                     // the tick was armed. The next unsynced append
                     // re-arms it.
                     self.wal_timer_armed = false;
-                    self.flush_wal();
+                    self.wal_write(|w| w.flush(), out);
                 } else if token == RECOVERY_PROBE_TOKEN {
                     self.drive_recovery(|mgr, rout| mgr.on_probe_timer(rout), out);
                 } else if token == HOLE_PROBE_TOKEN {
@@ -1067,7 +951,7 @@ impl RingReplica {
         // last one is answered from the reply cache (the client's reply
         // quorum may have been lost on the wire); anything older is a
         // superseded request and is dropped outright.
-        let watermark = self.exec_watermark;
+        let watermark = self.ckpt.watermark();
         if let Some(entry) = self.client_replies.get_mut(&txn.client) {
             if txn.id <= entry.last_id {
                 // The replay proves the client is alive: ratchet its GC
@@ -1271,34 +1155,11 @@ impl RingReplica {
         let involved = batch.involved_shards();
         if involved.len() > 1 {
             let token = self.alloc_token(digest);
-            self.csts.entry(digest).or_insert_with(|| CstState {
-                batch: Arc::clone(&batch),
-                involved,
-                local_seq: None,
-                committed_local: false,
-                locked: false,
-                executed: false,
-                replied: false,
-                forward_origins: HashSet::new(),
-                forward_processed: false,
-                forward_payload: None,
-                execute_origins: HashSet::new(),
-                execute_processed: false,
-                deps: Vec::new(),
-                sigma: Vec::new(),
-                token,
-                retransmits: 0,
-                proposed_here: true,
-            });
+            self.csts
+                .entry(digest)
+                .or_insert_with(|| CstState::new(Arc::clone(&batch), involved, token, true));
         }
-        let now = Instant::ZERO; // PBFT core does not use wall time
-        self.drive_pbft(
-            now,
-            |pbft, pout, events| {
-                pbft.propose(batch, pout, events);
-            },
-            out,
-        );
+        self.propose(batch, out);
     }
 
     // ------------------------------------------------------------------
@@ -1306,48 +1167,47 @@ impl RingReplica {
     // ------------------------------------------------------------------
 
     /// Runs a closure against the PBFT core, translating its actions into
-    /// `RingMsg`s and processing its events.
-    fn drive_pbft<F>(&mut self, now: Instant, f: F, out: &mut Outbox<RingMsg>)
+    /// `RingMsg`s and processing its events. Returns the closure's result.
+    fn drive_pbft<R, F>(&mut self, now: Instant, f: F, out: &mut Outbox<RingMsg>) -> R
     where
-        F: FnOnce(&mut PbftCore, &mut Outbox<PbftMsg>, &mut Vec<PbftEvent>),
+        F: FnOnce(&mut PbftCore, &mut Outbox<PbftMsg>, &mut Vec<PbftEvent>) -> R,
     {
         let mut pout = Outbox::new();
         let mut events = Vec::new();
-        f(&mut self.pbft, &mut pout, &mut events);
+        let result = f(&mut self.pbft, &mut pout, &mut events);
         // Preprepare acceptance is internal to the engine; its outward
-        // witness is the traffic: a primary multicasting Preprepare, a
-        // backup answering with Prepare. Log each ordered slot once.
-        let mut accepted: Vec<(u64, u64, Digest)> = Vec::new();
-        for action in pout.take() {
-            if self.wal.is_some() {
-                let sent = match &action {
-                    Action::Send { msg, .. } => Some(msg),
-                    Action::SendMany { msg, .. } => Some(msg),
-                    _ => None,
-                };
-                if let Some(msg) = sent {
-                    let slot = match msg {
-                        PbftMsg::Preprepare {
-                            view, seq, digest, ..
-                        }
-                        | PbftMsg::Prepare { view, seq, digest } => Some((view.0, seq.0, *digest)),
-                        _ => None,
-                    };
-                    if let Some(s) = slot {
-                        if !accepted.contains(&s) {
-                            accepted.push(s);
-                        }
-                    }
-                }
-            }
-            out_push(out, action);
-        }
+        // witness is the traffic. Log each ordered slot once.
+        let actions = pout.take();
+        let accepted = match self.wal {
+            Some(_) => accepted_slots(&actions),
+            None => Vec::new(),
+        };
+        lift(out, actions, RingMsg::Pbft);
         for (view, seq, digest) in accepted {
-            self.wal_append(&WalEntry::Preprepare { view, seq, digest }, out);
+            self.wal_write(
+                |w| w.append(&WalEntry::Preprepare { view, seq, digest }),
+                out,
+            );
         }
         for event in events {
             self.on_pbft_event(now, event, out);
         }
+        result
+    }
+
+    /// Proposes `batch` through the PBFT core (primary only).
+    fn propose(&mut self, batch: Arc<Batch>, out: &mut Outbox<RingMsg>) {
+        // The PBFT core does not use wall time.
+        self.drive_pbft(
+            Instant::ZERO,
+            |pbft, pout, ev| pbft.propose(batch, pout, ev),
+            out,
+        );
+    }
+
+    /// Demands a view change of the local PBFT instance.
+    fn force_view_change(&mut self, now: Instant, out: &mut Outbox<RingMsg>) {
+        self.drive_pbft(now, |pbft, pout, ev| pbft.force_view_change(pout, ev), out);
     }
 
     fn on_pbft_event(&mut self, now: Instant, event: PbftEvent, out: &mut Outbox<RingMsg>) {
@@ -1368,7 +1228,7 @@ impl RingReplica {
                 self.on_entered_view(out);
             }
             PbftEvent::CheckpointDue { seq } => {
-                self.pending_checkpoints.insert(seq.0);
+                self.ckpt.checkpoint_due(seq.0);
                 self.try_announce_checkpoints(out);
             }
             PbftEvent::StableCheckpoint { seq, state_digest } => {
@@ -1393,7 +1253,8 @@ impl RingReplica {
     /// never retransmitted, and without the weak path the replica
     /// would never learn a fetchable target.
     fn on_checkpoint_evidence(&mut self, seq: u64, digest: Digest, out: &mut Outbox<RingMsg>) {
-        if seq <= self.exec_watermark {
+        let watermark = self.ckpt.watermark();
+        if seq <= watermark {
             return;
         }
         self.obs.trace.push(
@@ -1401,20 +1262,19 @@ impl RingReplica {
             "checkpoint_evidence",
             &[("seq", seq)],
         );
-        if self.announced.get(&seq).is_some_and(|e| e.digest == digest) {
+        if self.ckpt.voted(seq) == Some(digest) {
             return; // our own state reaches it; no transfer needed
         }
         // Register the weakly-certified digest unconditionally: inbound
         // transfers are verified against it, and a donor whose *stable*
         // tip trails the evidenced boundary serves chains toward the
         // tip — those must stay admissible.
-        self.recovery.note_stable(seq, digest);
+        self.ckpt.recovery_mut().note_stable(seq, digest);
         // But only a full-window lag arms the transfer probe: closer
         // gaps are hole-fetchable (donors retain one extra window of
         // certificates), and a healthy mid-window replica must not
         // start transfers on every passing vote.
-        if seq - self.exec_watermark >= self.cfg.checkpoint_interval {
-            let watermark = self.exec_watermark;
+        if seq - watermark >= self.cfg.checkpoint_interval {
             self.drive_recovery(|mgr, rout| mgr.set_behind(seq, watermark, rout), out);
         }
     }
@@ -1430,27 +1290,18 @@ impl RingReplica {
         F: FnOnce(&mut RecoveryManager, &mut Outbox<RecoveryMsg>),
     {
         let mut rout = Outbox::new();
-        f(&mut self.recovery, &mut rout);
-        for action in rout.take() {
-            match action.map_msg(RingMsg::Recovery) {
-                Action::Send { to, msg } => out.send(to, msg),
-                Action::SendMany { tos, msg } => out.send_many(tos, msg),
-                Action::SetTimer { kind, token, after } => out.set_timer(kind, token, after),
-                Action::CancelTimer { kind, token } => out.cancel_timer(kind, token),
-                Action::Executed { .. } | Action::ViewChanged { .. } => {}
-            }
-        }
-        for event in self.recovery.take_events() {
+        f(self.ckpt.recovery_mut(), &mut rout);
+        lift(out, rout.take(), RingMsg::Recovery);
+        for event in self.ckpt.recovery_mut().take_events() {
             match event {
                 RecoveryEvent::InstallChain(transfer) => self.install_chain(transfer, out),
             }
         }
         // Mirror the transfer-byte accounting into the replica's own
         // gauges (full vs delta — surfaced by the bench harness).
-        self.obs.set_state_bytes(
-            self.recovery.stats.bytes_full,
-            self.recovery.stats.bytes_delta,
-        );
+        let stats = self.ckpt.recovery().stats;
+        self.obs
+            .set_state_bytes(stats.bytes_full, stats.bytes_delta);
     }
 
     // ------------------------------------------------------------------
@@ -1465,15 +1316,7 @@ impl RingReplica {
     {
         let mut hout = Outbox::new();
         f(&mut self.hole, &mut hout);
-        for action in hout.take() {
-            match action.map_msg(RingMsg::Recovery) {
-                Action::Send { to, msg } => out.send(to, msg),
-                Action::SendMany { tos, msg } => out.send_many(tos, msg),
-                Action::SetTimer { kind, token, after } => out.set_timer(kind, token, after),
-                Action::CancelTimer { kind, token } => out.cancel_timer(kind, token),
-                Action::Executed { .. } | Action::ViewChanged { .. } => {}
-            }
-        }
+        lift(out, hout.take(), RingMsg::Recovery);
     }
 
     /// The earliest *hole*: a sequence above the execution watermark
@@ -1504,7 +1347,7 @@ impl RingReplica {
         // when more than `f` replicas gape, no checkpoint can stabilize
         // to trigger state transfer, and hole fetch is the only way the
         // cadence deadlock unwinds.
-        let floor = self.exec_watermark.max(self.pbft.last_stable().0);
+        let floor = self.ckpt.watermark().max(self.pbft.last_stable().0);
         let candidate = self.pbft.committed_through().max(floor) + 1;
         (candidate < frontier).then_some(candidate)
     }
@@ -1529,20 +1372,7 @@ impl RingReplica {
     fn on_hole_request(&mut self, from: ReplicaId, req: HoleRequest, out: &mut Outbox<RingMsg>) {
         if let Some(reply) = self.pbft.commit_certificate(req.seq) {
             self.hole.stats.replies_served += 1;
-            // Correlate the repair with the victim's cst timeline when
-            // the served batch carries a sampled transaction.
-            match batch_trace(&reply.batch) {
-                Some(t) => self.obs.trace.push(
-                    self.obs_now.as_nanos(),
-                    "hole_serve",
-                    &[("seq", req.seq.0), ("trace", t.trace_id)],
-                ),
-                None => self.obs.trace.push(
-                    self.obs_now.as_nanos(),
-                    "hole_serve",
-                    &[("seq", req.seq.0)],
-                ),
-            }
+            self.trace_hole("hole_serve", req.seq.0, batch_trace(&reply.batch));
             out.send(
                 NodeId::Replica(from),
                 RingMsg::Recovery(RecoveryMsg::HoleReply(reply)),
@@ -1565,6 +1395,19 @@ impl RingReplica {
         }
     }
 
+    /// Traces a hole-fetch event at `seq`, correlated with the victim's
+    /// cst timeline when the batch carries a sampled transaction.
+    fn trace_hole(&mut self, event: &'static str, seq: u64, trace: Option<TraceContext>) {
+        let now = self.obs_now.as_nanos();
+        match trace {
+            Some(t) => self
+                .obs
+                .trace
+                .push(now, event, &[("seq", seq), ("trace", t.trace_id)]),
+            None => self.obs.trace.push(now, event, &[("seq", seq)]),
+        }
+    }
+
     /// A donor answered with a certificate + batch: verify the
     /// `nf`-strong certificate and the batch digest, then install the
     /// commit through the PBFT engine so the normal admission path
@@ -1583,28 +1426,14 @@ impl RingReplica {
         }
         let reply_seq = reply.cert.seq.0;
         let reply_trace = batch_trace(&reply.batch);
-        let mut installed = false;
-        self.drive_pbft(
+        let installed = self.drive_pbft(
             Instant::ZERO,
-            |pbft, pout, events| {
-                installed = pbft.install_certified_commit(reply, pout, events);
-            },
+            |pbft, pout, ev| pbft.install_certified_commit(reply, pout, ev),
             out,
         );
         if installed {
             self.hole.stats.holes_filled += 1;
-            match reply_trace {
-                Some(t) => self.obs.trace.push(
-                    self.obs_now.as_nanos(),
-                    "hole_filled",
-                    &[("seq", reply_seq), ("trace", t.trace_id)],
-                ),
-                None => self.obs.trace.push(
-                    self.obs_now.as_nanos(),
-                    "hole_filled",
-                    &[("seq", reply_seq)],
-                ),
-            }
+            self.trace_hole("hole_filled", reply_seq, reply_trace);
         }
         self.update_hole_probe(out);
         // Burst pacing: a multi-sequence gap (partitioned replica whose
@@ -1620,7 +1449,7 @@ impl RingReplica {
     /// the contiguous watermark, and releases any checkpoint waiting on
     /// it.
     fn mark_executed(&mut self, seq: u64, writes: Vec<(Key, Value)>, out: &mut Outbox<RingMsg>) {
-        if seq <= self.exec_watermark || self.executed_ahead.contains(&seq) {
+        if !self.ckpt.executed(seq, writes) {
             return;
         }
         if let Some(t0) = self.commit_at.remove(&seq) {
@@ -1632,97 +1461,34 @@ impl RingReplica {
         } else {
             self.commit_trace.remove(&seq);
         }
-        self.pending_effects.insert(seq, writes);
-        self.executed_ahead.insert(seq);
-        while self.executed_ahead.remove(&(self.exec_watermark + 1)) {
-            self.exec_watermark += 1;
-        }
-        // A diverged watermark counts corrupt executions — reporting it
-        // would cancel the very refetch that repairs the replica.
-        if !self.diverged {
-            self.recovery.caught_up_to(self.exec_watermark);
-        }
         self.try_announce_checkpoints(out);
     }
 
-    /// Announces every due checkpoint the watermark has reached: folds
-    /// the per-sequence effects into `stable` strictly in sequence
-    /// order (making its content replica-deterministic), keeps the
-    /// window's dirty records as its *delta* plus, on the
-    /// `full_snapshot_every` cadence, a full snapshot, and votes the
-    /// full-state digest via the PBFT engine. Folding and the digest
-    /// cost O(writes in the window); only the full capture reads the
-    /// whole store.
+    /// Announces every due checkpoint the watermark has reached and
+    /// votes its digest via the PBFT engine.
     fn try_announce_checkpoints(&mut self, out: &mut Outbox<RingMsg>) {
-        while let Some(&seq) = self.pending_checkpoints.iter().next() {
-            if seq > self.exec_watermark {
-                break;
-            }
+        loop {
             let started = std::time::Instant::now();
-            self.pending_checkpoints.remove(&seq);
-            let later = self.pending_effects.split_off(&(seq + 1));
-            let window = std::mem::replace(&mut self.pending_effects, later);
-            let records = self.stable.fold_window(window.into_values().flatten());
-            let dirty_keys = records.len() as u64;
-            let prev = self.stable_digest.map(|d| (self.stable_seq, d));
-            self.stable_seq = seq;
-            let digest = self.stable.digest(self.me.shard, seq);
-            self.stable_digest = Some(digest);
-            // The delta chains to the previous checkpoint; the very
-            // first checkpoint has no base and is captured full below.
-            let delta = prev.map(|(base_seq, base_digest)| {
-                Arc::new(DeltaSnapshot {
-                    shard: self.me.shard,
-                    base_seq,
-                    base_digest,
-                    seq,
-                    records,
-                    ledger_height: self.ledger.height() as u64,
-                    ledger_head: self.ledger.head_hash(),
-                })
-            });
-            self.windows_since_full += 1;
-            let full = if delta.is_none() || self.windows_since_full >= self.cfg.full_snapshot_every
-            {
-                self.windows_since_full = 0;
-                let full = Snapshot::capture(
-                    self.me.shard,
-                    seq,
-                    self.stable.kv(),
-                    self.ledger.height() as u64,
-                    self.ledger.head_hash(),
-                );
-                // The one place the whole store is in hand anyway:
-                // check the accumulator against a from-scratch digest,
-                // in every debug run of every scenario.
-                debug_assert_eq!(full.digest(), digest, "digest accumulator drifted");
-                Some(Arc::new(full))
-            } else {
-                None
+            let ledger = &self.ledger;
+            let Some(vote) = self
+                .ckpt
+                .announce_next(|| (ledger.height() as u64, ledger.head_hash()))
+            else {
+                return;
             };
-            self.recovery.set_local_base(seq, digest);
-            self.announced.insert(
-                seq,
-                AnnouncedCheckpoint {
-                    digest,
-                    delta,
-                    full,
-                },
-            );
+            let (seq, digest) = (vote.seq, vote.digest);
             self.obs
                 .trace
                 .push(self.obs_now.as_nanos(), "checkpoint_vote", &[("seq", seq)]);
             // Persist the vote (diagnostics: a diverged replica's log
             // shows exactly which window went wrong). The state itself
             // is persisted only once the window is quorum-stable.
-            self.wal_append(&WalEntry::CheckpointVote { seq, digest }, out);
+            self.wal_write(|w| w.append(&WalEntry::CheckpointVote { seq, digest }), out);
             self.obs
-                .checkpoint(started.elapsed().as_nanos() as u64, dirty_keys);
+                .checkpoint(started.elapsed().as_nanos() as u64, vote.dirty_keys);
             self.drive_pbft(
                 Instant::ZERO,
-                |pbft, pout, events| {
-                    pbft.announce_checkpoint(SeqNum(seq), digest, pout, events);
-                },
+                |pbft, pout, ev| pbft.announce_checkpoint(SeqNum(seq), digest, pout, ev),
                 out,
             );
         }
@@ -1736,43 +1502,24 @@ impl RingReplica {
         // quorum state (the engine refuses their install; state
         // transfer covers them) — re-point or stand down.
         self.update_hole_probe(out);
-        self.recovery.note_stable(seq, digest);
-        if let Some(entry) = self.announced.get(&seq) {
-            if entry.digest == digest {
-                // We are part of the quorum: everything announced at or
-                // below this point is a verified prefix of the quorum
-                // state (the digest chain is deterministic, so a match
-                // at `seq` vouches for every earlier window too). The
-                // deltas become the servable chain (O(churn) laggard
-                // transfers), the periodic full snapshots anchor blank
-                // restarts, and everything at or below `seq` is
-                // truncated. The replay-dedup map keeps two extra
-                // checkpoint windows of finished digests: peers' writer
-                // queues can redeliver a just-finished cst's Forward
-                // shortly after the boundary, and a fresh `done` map
-                // would let it re-enter consensus and re-execute.
-                let keep = self.announced.split_off(&(seq + 1));
-                for (_, e) in std::mem::replace(&mut self.announced, keep) {
-                    // Delta before full: a full capture at the same
-                    // window must not clear the chain it extends.
-                    // Quorum-verified state also goes durable here —
-                    // never at announce time, so a divergent window can
-                    // never poison the restart path. A full capture
-                    // compacts the log (and subsumes the same window's
-                    // delta); a delta-only window appends O(churn).
-                    if let Some(d) = e.delta {
-                        if e.full.is_none() {
-                            self.wal_write(|w| w.append_delta(&d), out);
-                        }
-                        self.recovery.retain_delta(d, e.digest);
-                    }
-                    if let Some(f) = e.full {
-                        self.wal_write(|w| w.append_full(&f), out);
-                        self.recovery.retain(f, e.digest);
+        match self.ckpt.on_stable(seq, digest) {
+            Stable::Won(windows) => {
+                // Quorum-verified state goes durable here — never at
+                // announce time, so a divergent window can never poison
+                // the restart path.
+                for window in windows {
+                    match window {
+                        Durable::Delta(d) => self.wal_write(|w| w.append_delta(&d), out),
+                        Durable::Full(f) => self.wal_write(|w| w.append_full(&f), out),
                     }
                 }
                 self.ledger.prune_through_seq(seq);
                 let horizon = seq.saturating_sub(2 * self.cfg.checkpoint_interval);
+                // The replay-dedup set keeps two extra checkpoint windows
+                // of finished digests: peers' writer queues can redeliver
+                // a just-finished cst's Forward shortly after the
+                // boundary, and a fresh set would let it re-enter
+                // consensus and re-execute.
                 self.done.rotate();
                 self.obs
                     .set_done_set(self.done.occupancy() as u64, self.done.overwrites());
@@ -1790,55 +1537,42 @@ impl RingReplica {
                 self.client_replies.retain(|_, e| e.seq > horizon);
                 self.obs
                     .reply_cache_evictions((before - self.client_replies.len()) as u64);
-                return;
             }
-            // Our digest lost the vote: this replica's executed state
-            // disagrees with the checkpoint quorum. Deterministic
-            // execution makes this unreachable for a correct replica,
-            // so *everything* local — the live store, the checkpoint
-            // store, every window announced since — is suspect. Roll
-            // back and refetch: settle the execution stage, discard the
-            // divergent window's bookkeeping (its snapshots chain into
-            // the losing digest and can never be retained or served),
-            // stop advertising the corrupt chain base, and force a
-            // full-snapshot transfer of the quorum state. `diverged`
-            // stands the install-admission checks down — they protect
-            // healthy local progress, which no longer exists — until
-            // the verified quorum snapshot lands and replaces the store
-            // wholesale.
-            self.flush_exec(out);
-            self.announced.clear();
-            self.pending_effects.clear();
-            self.pending_checkpoints.clear();
-            self.executed_ahead.clear();
-            self.diverged = true;
-            self.recovery.invalidate_base();
-            self.obs.checkpoint_divergences(1);
-            self.obs.trace.push(
-                self.obs_now.as_nanos(),
-                "checkpoint_divergence",
-                &[("seq", seq)],
-            );
-            // Arm the transfer with a floor just below the quorum
-            // checkpoint: the local watermark is meaningless now (it
-            // counts corrupt executions), and `mark_executed` stops
-            // reporting it while diverged so the catch-up race cannot
-            // cancel the refetch.
-            let floor = seq.saturating_sub(1);
-            self.drive_recovery(|mgr, rout| mgr.set_behind(seq, floor, rout), out);
-            return;
+            Stable::Lost => {
+                // Our digest lost the vote: this replica's executed state
+                // disagrees with the checkpoint quorum. Deterministic
+                // execution makes this unreachable for a correct replica,
+                // so *everything* local is suspect. Settle the execution
+                // stage, roll the checkpoint state back, and force a
+                // full-snapshot transfer of the quorum state that replaces
+                // the store wholesale.
+                self.flush_exec(out);
+                self.ckpt.roll_back();
+                self.obs.checkpoint_divergences(1);
+                self.obs.trace.push(
+                    self.obs_now.as_nanos(),
+                    "checkpoint_divergence",
+                    &[("seq", seq)],
+                );
+                // Arm the transfer with a floor just below the quorum
+                // checkpoint: the local watermark is meaningless now (it
+                // counts corrupt executions), and it stops being reported
+                // while diverged so the catch-up race cannot cancel the
+                // refetch.
+                let floor = seq.saturating_sub(1);
+                self.drive_recovery(|mgr, rout| mgr.set_behind(seq, floor, rout), out);
+            }
+            // In the dark (blank restart, long partition): arm the probe.
+            // The delay gives an in-flight replica time to catch up by
+            // itself before any state is moved. A *small* hole above the
+            // new stable floor stays with the hole fetcher (cheaper
+            // repair); it races this state transfer and whichever
+            // finishes first cancels the other.
+            Stable::Behind(watermark) => {
+                self.drive_recovery(|mgr, rout| mgr.set_behind(seq, watermark, rout), out);
+            }
+            Stable::Current => {} // a vote we did not join; state is current
         }
-        if self.exec_watermark >= seq {
-            return; // merely a vote we did not join; state is current
-        }
-        // In the dark (blank restart, long partition): arm the probe.
-        // The delay gives an in-flight replica time to catch up by
-        // itself before any state is moved. A *small* hole above the
-        // new stable floor stays with the hole fetcher (cheaper repair);
-        // it races this state transfer and whichever finishes first
-        // cancels the other.
-        let watermark = self.exec_watermark;
-        self.drive_recovery(|mgr, rout| mgr.set_behind(seq, watermark, rout), out);
     }
 
     /// A state transfer finished reassembly: fold the chain onto this
@@ -1851,47 +1585,14 @@ impl RingReplica {
         // Settle the execution stage before judging the transfer: an
         // in-flight job may close the very gap this chain targets.
         self.flush_exec(out);
-        if !self.diverged && transfer.target_seq <= self.exec_watermark {
-            return; // raced our own catch-up
-        }
-        // Quorum-stable digests for per-link verification (collected
-        // first so the fold can borrow the stable store).
-        let known: Vec<(u64, Digest)> = transfer
-            .links
-            .iter()
-            .filter_map(|(l, _)| self.recovery.stable_digest(l.seq).map(|d| (l.seq, d)))
-            .collect();
-        // A diverged replica's own checkpoint store is corrupt — never
-        // fold a delta chain onto it (the forced-full request means the
-        // chain should not need a base anyway).
-        let local_base = if self.diverged {
-            None
-        } else {
-            self.stable_digest
-                .map(|d| (self.stable_seq, d, &self.stable))
+        let Some(snap) = self.ckpt.fold_chain(&transfer) else {
+            return;
         };
-        let folded = transfer.fold_verified(self.me.shard, local_base, |s| {
-            known.iter().find(|(ks, _)| *ks == s).map(|(_, d)| *d)
-        });
-        match folded {
-            Ok(snap) => {
-                let delta_only = transfer.is_delta_only();
-                if self.install_snapshot(snap, transfer.target_digest, out) {
-                    self.recovery.confirm_install(delta_only);
-                } else {
-                    self.recovery.verified_not_installed();
-                }
-            }
-            // A delta chain whose base we no longer hold (our own
-            // checkpoint advanced while the chunks were in flight) is
-            // an honest race, not corruption: nothing folds, and the
-            // next request advertises the fresh base. Digest and
-            // continuity failures are integrity violations and force
-            // the full-snapshot fallback.
-            Err(
-                ringbft_recovery::ChainError::BaseMismatch | ringbft_recovery::ChainError::Empty,
-            ) => self.recovery.chain_stale(),
-            Err(_) => self.recovery.chain_rejected(),
+        let delta_only = transfer.is_delta_only();
+        if self.install_snapshot(snap, transfer.target_digest, out) {
+            self.ckpt.recovery_mut().confirm_install(delta_only);
+        } else {
+            self.ckpt.recovery_mut().verified_not_installed();
         }
     }
 
@@ -1909,51 +1610,24 @@ impl RingReplica {
         // In-flight exec jobs hold base snapshots of the store this
         // install is about to replace: settle them first.
         self.flush_exec(out);
-        // A diverged replica takes the quorum snapshot unconditionally —
-        // the local progress these checks protect is corrupt, and the
-        // install may legitimately move the watermark *backward*.
-        if !self.diverged {
-            if snap.seq <= self.exec_watermark {
-                return false; // raced our own catch-up
-            }
-            // Refuse while state *beyond* the snapshot exists locally —
-            // the install would erase effects later sequences already
-            // derived from. State at or below the snapshot (including
-            // complex csts wedged holding locks because their ring
-            // partners moved on — the exact laggards A3 is about) is
-            // superseded by the snapshot and installs over it.
-            if self.executed_ahead.iter().any(|s| *s > snap.seq)
-                || self.locks.max_held_seq().is_some_and(|s| s > snap.seq)
-            {
-                return false;
-            }
+        // Refuse while local progress reaches the snapshot or state
+        // *beyond* it exists locally — the install would erase effects
+        // later sequences already derived from. State at or below the
+        // snapshot (including complex csts wedged holding locks because
+        // their ring partners moved on — the exact laggards A3 is
+        // about) is superseded and installs over it. A diverged replica
+        // takes the quorum snapshot unconditionally: the progress these
+        // checks protect is corrupt, and the install may legitimately
+        // move the watermark *backward*.
+        if !self.ckpt.is_diverged()
+            && (self.ckpt.reached(snap.seq)
+                || self.locks.max_held_seq().is_some_and(|s| s > snap.seq))
+        {
+            return false;
         }
         let seq = snap.seq;
-        self.kv = snap.restore_store();
-        self.stable = CheckpointStore::new(self.kv.clone());
-        self.stable_seq = seq;
-        self.stable_digest = Some(digest);
-        self.windows_since_full = 0;
-        self.recovery.set_local_base(seq, digest);
-        // Sequences the snapshot subsumes are settled: stand their
-        // PBFT watchdogs down (a weak-certificate install can land
-        // ahead of the engine's own stable observations).
-        self.pbft.install_stable_floor(SeqNum(seq));
-        self.exec_watermark = seq;
-        self.executed_ahead.clear();
-        if self.diverged {
-            // Effects and announcements recorded since the rollback
-            // were computed on the corrupt store; only what re-executes
-            // on the fresh quorum state counts.
-            self.pending_effects.clear();
-            self.announced.clear();
-        } else {
-            self.pending_effects = self.pending_effects.split_off(&(seq + 1));
-            self.announced.retain(|s, _| *s > seq);
-        }
-        self.pending_checkpoints.retain(|s| *s > seq);
-        self.locks = LockManager::starting_at(seq);
-        self.ledger = Ledger::from_checkpoint(self.me.shard, snap.ledger_height, snap.ledger_head);
+        let kv = self.ckpt.restore_snapshot(&snap, digest);
+        self.restore_state(kv, seq, snap.ledger_height, snap.ledger_head);
         // Cst state at or below the checkpoint is superseded. Forward
         // state never committed locally (`local_seq` None, no locks) is
         // dropped too, watchdogs included: it usually describes work the
@@ -2006,13 +1680,15 @@ impl RingReplica {
                 self.on_admitted(a, out);
             }
         }
-        if self.diverged {
+        // The installed snapshot becomes servable to the next laggard (a
+        // fresh chain base — future deltas chain onto it).
+        let snap = Arc::new(snap);
+        if self.ckpt.finish_install(Arc::clone(&snap), digest) {
             // Quorum state replaced the corrupt store wholesale: the
             // rollback is complete and normal admission resumes. The
             // window between the old (corrupt) frontier and this
             // checkpoint re-enters via the next stable window's delta
             // transfer, like any laggard.
-            self.diverged = false;
             self.obs.trace.push(
                 self.obs_now.as_nanos(),
                 "divergence_repaired",
@@ -2022,10 +1698,6 @@ impl RingReplica {
         // A verified quorum snapshot is the strongest restart point the
         // log can hold: compact down to it.
         self.wal_write(|w| w.append_full(&snap), out);
-        // The installed snapshot is servable to the next laggard (as a
-        // fresh chain base — future deltas chain onto it).
-        self.recovery.retain(Arc::new(snap), digest);
-        self.recovery.caught_up_to(self.exec_watermark);
         self.try_announce_checkpoints(out);
         true
     }
@@ -2040,7 +1712,7 @@ impl RingReplica {
     ) {
         // The durable tail: a restart replays these markers to learn how
         // far past its last checkpoint this replica had committed.
-        self.wal_append(&WalEntry::Commit { seq: seq.0, digest }, out);
+        self.wal_write(|w| w.append(&WalEntry::Commit { seq: seq.0, digest }), out);
         // Cancel A1 watchdogs for the ordered transactions and advance
         // the per-client replay horizon.
         for t in &batch.txns {
@@ -2090,24 +1762,8 @@ impl RingReplica {
                 Some(c) => c.token,
                 None => self.alloc_token(digest),
             };
-            let state = self.csts.entry(digest).or_insert_with(|| CstState {
-                batch: Arc::clone(&batch),
-                involved: involved.clone(),
-                local_seq: None,
-                committed_local: false,
-                locked: false,
-                executed: false,
-                replied: false,
-                forward_origins: HashSet::new(),
-                forward_processed: false,
-                forward_payload: None,
-                execute_origins: HashSet::new(),
-                execute_processed: false,
-                deps: Vec::new(),
-                sigma: Vec::new(),
-                token,
-                retransmits: 0,
-                proposed_here: true,
+            let state = self.csts.entry(digest).or_insert_with(|| {
+                CstState::new(Arc::clone(&batch), involved.clone(), token, true)
             });
             state.local_seq = Some(seq.0);
             state.committed_local = true;
@@ -2146,10 +1802,7 @@ impl RingReplica {
                 // No new effects at this sequence; it still advances the
                 // checkpoint watermark.
                 self.mark_executed(seq, Vec::new(), out);
-                let admitted = self.locks.release(seq);
-                for s in admitted.acquired {
-                    self.on_admitted(s, out);
-                }
+                self.release(seq, out);
             }
             Work::Cst(digest) => {
                 // Defensive: a cst whose fragment already executed (late
@@ -2157,10 +1810,7 @@ impl RingReplica {
                 if self.csts.get(&digest).is_none_or(|s| s.executed) {
                     self.work.remove(&seq);
                     self.mark_executed(seq, Vec::new(), out);
-                    let admitted = self.locks.release(seq);
-                    for s in admitted.acquired {
-                        self.on_admitted(s, out);
-                    }
+                    self.release(seq, out);
                     return;
                 }
                 let simple = self
@@ -2181,6 +1831,15 @@ impl RingReplica {
                 }
                 self.send_forward(digest, out);
             }
+        }
+    }
+
+    /// `seq` is done with its locks: drop its work item, release them,
+    /// and act on the sequences that acquire them next.
+    fn release(&mut self, seq: u64, out: &mut Outbox<RingMsg>) {
+        self.work.remove(&seq);
+        for s in self.locks.release(seq).acquired {
+            self.on_admitted(s, out);
         }
     }
 
@@ -2222,11 +1881,7 @@ impl RingReplica {
         // already measures from the same commit instant — opening
         // `executed_at` too would double-report the identical sample
         // under a second name.
-        self.work.remove(&seq);
-        let admitted = self.locks.release(seq);
-        for s in admitted.acquired {
-            self.on_admitted(s, out);
-        }
+        self.release(seq, out);
     }
 
     /// Hands an admitted single-shard batch to the execution stage:
@@ -2278,7 +1933,23 @@ impl RingReplica {
         let ps = self.exec_pipeline.stats();
         self.obs
             .set_pipeline_pool(self.exec_pipeline.workers() as u64, ps.busy_ns, ps.idle_ns);
-        for o in self.exec_pipeline.drain() {
+        let done = self.exec_pipeline.drain();
+        self.apply_in_order(done, out);
+    }
+
+    /// Blocks until the execution stage is empty and applies everything
+    /// — state-install paths must not race in-flight jobs whose base
+    /// snapshots came from the store they are about to replace.
+    fn flush_exec(&mut self, out: &mut Outbox<RingMsg>) {
+        while !self.exec_inflight.is_empty() {
+            let done = self.exec_pipeline.flush();
+            self.apply_in_order(done, out);
+        }
+    }
+
+    /// Queues finished outcomes and applies those whose turn has come.
+    fn apply_in_order(&mut self, done: Vec<ExecOutcome>, out: &mut Outbox<RingMsg>) {
+        for o in done {
             self.exec_ready.insert(o.seq, o);
         }
         while let Some(&seq) = self.exec_inflight.front() {
@@ -2287,24 +1958,6 @@ impl RingReplica {
             };
             self.exec_inflight.pop_front();
             self.apply_exec_outcome(outcome, out);
-        }
-    }
-
-    /// Blocks until the execution stage is empty and applies everything
-    /// — state-install paths must not race in-flight jobs whose base
-    /// snapshots came from the store they are about to replace.
-    fn flush_exec(&mut self, out: &mut Outbox<RingMsg>) {
-        while !self.exec_inflight.is_empty() {
-            for o in self.exec_pipeline.flush() {
-                self.exec_ready.insert(o.seq, o);
-            }
-            while let Some(&seq) = self.exec_inflight.front() {
-                let Some(outcome) = self.exec_ready.remove(&seq) else {
-                    break;
-                };
-                self.exec_inflight.pop_front();
-                self.apply_exec_outcome(outcome, out);
-            }
         }
     }
 
@@ -2332,11 +1985,7 @@ impl RingReplica {
             self.executed_at.insert(o.digest, t0);
         }
         self.reply_clients(o.digest, &o.batch, out);
-        self.work.remove(&o.seq);
-        let admitted = self.locks.release(o.seq);
-        for s in admitted.acquired {
-            self.on_admitted(s, out);
-        }
+        self.release(o.seq, out);
     }
 
     /// Drives the execution stage outside a message delivery: the real
@@ -2370,7 +2019,7 @@ impl RingReplica {
             // out-of-order execution clobber the reply for a *newer*
             // committed request.
             let newest = txn_ids.iter().copied().max().expect("non-empty");
-            let fallback_seq = self.exec_watermark;
+            let fallback_seq = self.ckpt.watermark();
             let entry = self
                 .client_replies
                 .entry(client)
@@ -2444,23 +2093,23 @@ impl RingReplica {
             hop,
         };
         let token = state.token;
-        if self.cfg.ablation_quadratic_forward {
-            // Ablation: all-to-all cross-shard fan-out (what SharPer-style
-            // protocols pay and RingBFT's primitive avoids).
-            let msg = RingMsg::Forward(fwd);
-            let dsts: Vec<NodeId> = self
-                .cfg
-                .shard(next)
-                .replicas()
-                .map(NodeId::Replica)
-                .collect();
-            out.multicast(dsts, &msg);
-            self.obs.forwards_sent(self.cfg.shard(next).n as u64);
-        } else {
-            out.send(self.counterpart(next), RingMsg::Forward(fwd));
-            self.obs.forwards_sent(1);
-        }
+        let sent = self.send_to_shard(next, RingMsg::Forward(fwd), out);
+        self.obs.forwards_sent(sent);
         out.set_timer(TimerKind::Transmit, token, self.cfg.timers.transmit);
+    }
+
+    /// Sends `msg` to shard `next` over the linear primitive (our
+    /// counterpart there) and returns the number of copies sent. The
+    /// quadratic ablation fans out all-to-all instead — what
+    /// SharPer-style protocols pay and RingBFT's primitive avoids.
+    fn send_to_shard(&self, next: ShardId, msg: RingMsg, out: &mut Outbox<RingMsg>) -> u64 {
+        if !self.cfg.ablation_quadratic_forward {
+            out.send(self.counterpart(next), msg);
+            return 1;
+        }
+        let shard = self.cfg.shard(next);
+        out.multicast(shard.replicas().map(NodeId::Replica), &msg);
+        shard.n as u64
     }
 
     fn on_forward(
@@ -2512,25 +2161,10 @@ impl RingReplica {
             Some(c) => c.token,
             None => self.alloc_token(digest),
         };
-        let state = self.csts.entry(digest).or_insert_with(|| CstState {
-            batch: Arc::clone(&fwd.batch),
-            involved,
-            local_seq: None,
-            committed_local: false,
-            locked: false,
-            executed: false,
-            replied: false,
-            forward_origins: HashSet::new(),
-            forward_processed: false,
-            forward_payload: None,
-            execute_origins: HashSet::new(),
-            execute_processed: false,
-            deps: Vec::new(),
-            sigma: Vec::new(),
-            token,
-            retransmits: 0,
-            proposed_here: false,
-        });
+        let state = self
+            .csts
+            .entry(digest)
+            .or_insert_with(|| CstState::new(Arc::clone(&fwd.batch), involved, token, false));
         state.forward_origins.insert(from.index);
         if state.forward_payload.is_none() {
             state.forward_payload = Some(fwd.clone());
@@ -2551,10 +2185,9 @@ impl RingReplica {
         if fwd.deps.len() > state.deps.len() {
             state.deps = fwd.deps.clone();
         }
-        let (locked, executed, replied, proposed_here, tok, batch) = (
+        let (locked, executed, proposed_here, tok, batch) = (
             state.locked,
             state.executed,
-            state.replied,
             state.proposed_here,
             state.token,
             Arc::clone(&state.batch),
@@ -2579,13 +2212,8 @@ impl RingReplica {
             // that every involved shard ordered (and hence executed) the
             // transaction — one rotation completes it (§4.2.1).
             let involved = fwd.batch.involved_shards();
-            if self.ring.first(&involved) == self.me.shard && !replied {
-                if let Some(s) = self.csts.get_mut(&digest) {
-                    s.replied = true;
-                }
-                self.finish_cst(digest, tok);
-                self.reply_clients(digest, &batch, out);
-                out.cancel_timer(TimerKind::Transmit, tok);
+            if self.ring.first(&involved) == self.me.shard {
+                self.finish_cst(digest, tok, &batch, out);
             }
         } else if !proposed_here {
             if self.pbft.is_primary() {
@@ -2593,14 +2221,7 @@ impl RingReplica {
                 if let Some(s) = self.csts.get_mut(&digest) {
                     s.proposed_here = true;
                 }
-                let now = Instant::ZERO;
-                self.drive_pbft(
-                    now,
-                    |pbft, pout, events| {
-                        pbft.propose(batch, pout, events);
-                    },
-                    out,
-                );
+                self.propose(batch, out);
             } else {
                 // Watch the primary: it must propose this cst.
                 out.set_timer(TimerKind::Local, tok, self.pbft.request_timeout());
@@ -2676,11 +2297,7 @@ impl RingReplica {
             self.executed_at.insert(digest, self.obs_now);
         }
         // Release locks (Fig 5 line 35) and admit successors.
-        self.work.remove(&seq);
-        let admitted = self.locks.release(seq);
-        for s in admitted.acquired {
-            self.on_admitted(s, out);
-        }
+        self.release(seq, out);
         // Forward the Execute to the next shard (line 36–37).
         let next = self.ring.next(&involved, me_shard);
         let ex = ExecuteMsg {
@@ -2688,20 +2305,8 @@ impl RingReplica {
             from_shard: me_shard,
             sigma,
         };
-        if self.cfg.ablation_quadratic_forward {
-            let msg = RingMsg::Execute(ex);
-            let dsts: Vec<NodeId> = self
-                .cfg
-                .shard(next)
-                .replicas()
-                .map(NodeId::Replica)
-                .collect();
-            out.multicast(dsts, &msg);
-            self.obs.executes_sent(self.cfg.shard(next).n as u64);
-        } else {
-            out.send(self.counterpart(next), RingMsg::Execute(ex));
-            self.obs.executes_sent(1);
-        }
+        let sent = self.send_to_shard(next, RingMsg::Execute(ex), out);
+        self.obs.executes_sent(sent);
         out.cancel_timer(TimerKind::Transmit, token);
         out.set_timer(TimerKind::Transmit, token, self.cfg.timers.transmit);
     }
@@ -2743,9 +2348,8 @@ impl RingReplica {
         if ex.sigma.len() > state.sigma.len() {
             state.sigma = ex.sigma.clone();
         }
-        let (executed, replied, token, batch, involved_first) = (
+        let (executed, token, batch, involved_first) = (
             state.executed,
-            state.replied,
             state.token,
             Arc::clone(&state.batch),
             self.ring.first(&state.involved),
@@ -2753,13 +2357,8 @@ impl RingReplica {
         if executed {
             // Fig 5 lines 41–42: the Execute wrapped around the ring —
             // every shard executed; the initiator answers the client.
-            if involved_first == self.me.shard && !replied {
-                if let Some(s) = self.csts.get_mut(&digest) {
-                    s.replied = true;
-                }
-                self.finish_cst(digest, token);
-                self.reply_clients(digest, &batch, out);
-                out.cancel_timer(TimerKind::Transmit, token);
+            if involved_first == self.me.shard {
+                self.finish_cst(digest, token, &batch, out);
             }
         } else {
             // Fig 5 lines 43–44: execute our fragment and keep rotating.
@@ -2767,7 +2366,9 @@ impl RingReplica {
         }
     }
 
-    fn finish_cst(&mut self, digest: Digest, token: u64) {
+    /// The initiator learned a cst's fate from the wrap-around: drop its
+    /// state and answer the client.
+    fn finish_cst(&mut self, digest: Digest, token: u64, batch: &Batch, out: &mut Outbox<RingMsg>) {
         self.token_digest.remove(&token);
         self.csts.remove(&digest);
         // Late messages hit the `done` filter until its rotating windows
@@ -2779,6 +2380,8 @@ impl RingReplica {
         // wrap-arounds, retransmission races).
         self.cst_commit_at.remove(&digest);
         self.cst_fwd_at.remove(&digest);
+        self.reply_clients(digest, batch, out);
+        out.cancel_timer(TimerKind::Transmit, token);
     }
 
     // ------------------------------------------------------------------
@@ -2889,13 +2492,7 @@ impl RingReplica {
         if !grace && self.remote_vc_done.insert(digest) {
             // Fig 6 lines 5–6: f+1 complaints about a transaction this
             // shard failed to replicate force a local view change.
-            self.drive_pbft(
-                now,
-                |pbft, pout, events| {
-                    pbft.force_view_change(pout, events);
-                },
-                out,
-            );
+            self.force_view_change(now, out);
         }
     }
 
@@ -2930,14 +2527,7 @@ impl RingReplica {
             })
             .collect();
         for batch in stalled_proposals {
-            let now = Instant::ZERO;
-            self.drive_pbft(
-                now,
-                |pbft, pout, events| {
-                    pbft.propose(batch, pout, events);
-                },
-                out,
-            );
+            self.propose(batch, out);
         }
         let resend: Vec<Digest> = self
             .csts
@@ -2951,14 +2541,40 @@ impl RingReplica {
     }
 }
 
-/// Maps a PBFT action into the RingBFT message space.
-fn out_push(out: &mut Outbox<RingMsg>, action: Action<PbftMsg>) {
-    match action.map_msg(RingMsg::Pbft) {
-        Action::Send { to, msg } => out.send(to, msg),
-        Action::SendMany { tos, msg } => out.send_many(tos, msg),
-        Action::SetTimer { kind, token, after } => out.set_timer(kind, token, after),
-        Action::CancelTimer { kind, token } => out.cancel_timer(kind, token),
-        Action::Executed { seq, txns } => out.executed(seq, txns),
-        Action::ViewChanged { view } => out.view_changed(view),
+/// The `(view, seq, digest)` slots PBFT traffic shows this replica
+/// accepted — a primary multicasting Preprepare, a backup answering
+/// with Prepare — each once, in order.
+fn accepted_slots(actions: &[Action<PbftMsg>]) -> Vec<(u64, u64, Digest)> {
+    let mut slots = Vec::new();
+    for action in actions {
+        let (Action::Send { msg, .. } | Action::SendMany { msg, .. }) = action else {
+            continue;
+        };
+        if let PbftMsg::Preprepare {
+            view, seq, digest, ..
+        }
+        | PbftMsg::Prepare { view, seq, digest } = msg
+        {
+            let slot = (view.0, seq.0, *digest);
+            if !slots.contains(&slot) {
+                slots.push(slot);
+            }
+        }
+    }
+    slots
+}
+
+/// Lifts a sub-machine's actions (PBFT, state transfer, hole fetch) into
+/// the RingBFT message space, in order.
+fn lift<M>(out: &mut Outbox<RingMsg>, actions: Vec<Action<M>>, wrap: fn(M) -> RingMsg) {
+    for action in actions {
+        match action.map_msg(wrap) {
+            Action::Send { to, msg } => out.send(to, msg),
+            Action::SendMany { tos, msg } => out.send_many(tos, msg),
+            Action::SetTimer { kind, token, after } => out.set_timer(kind, token, after),
+            Action::CancelTimer { kind, token } => out.cancel_timer(kind, token),
+            Action::Executed { seq, txns } => out.executed(seq, txns),
+            Action::ViewChanged { view } => out.view_changed(view),
+        }
     }
 }

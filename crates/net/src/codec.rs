@@ -45,7 +45,6 @@ use ringbft_crypto::KeyStore;
 use ringbft_types::wire;
 use ringbft_types::{ClientId, NodeId, ReplicaId, ShardId, TraceContext};
 use serde::{Deserialize, Serialize};
-use std::io::{Read, Write};
 use std::sync::Arc;
 
 /// Frame magic: `"RBFT"` little-endian.
@@ -296,8 +295,6 @@ pub enum Frame<M> {
 /// Decoding/encoding failures.
 #[derive(Debug)]
 pub enum CodecError {
-    /// The underlying transport failed.
-    Io(std::io::Error),
     /// The peer sent a frame with the wrong magic.
     BadMagic(u32),
     /// The peer speaks a frame version we do not.
@@ -316,7 +313,6 @@ pub enum CodecError {
 impl std::fmt::Display for CodecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CodecError::Io(e) => write!(f, "frame i/o: {e}"),
             CodecError::BadMagic(m) => write!(f, "bad frame magic {m:#010x}"),
             CodecError::BadVersion(v) => write!(f, "unsupported frame version {v}"),
             CodecError::Oversized(n) => write!(f, "frame body of {n} bytes exceeds cap"),
@@ -328,23 +324,9 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-impl From<std::io::Error> for CodecError {
-    fn from(e: std::io::Error) -> CodecError {
-        CodecError::Io(e)
-    }
-}
-
-impl CodecError {
-    /// True when the error is a clean end-of-stream (peer closed between
-    /// frames) rather than corruption.
-    pub fn is_clean_eof(&self) -> bool {
-        matches!(self, CodecError::Io(e) if e.kind() == std::io::ErrorKind::UnexpectedEof)
-    }
-}
-
-/// Decodes and MAC-verifies one complete frame body. Shared by the
-/// blocking reader ([`read_any_frame`]) and the reactor's incremental
-/// [`FrameAssembler`] so both paths enforce identical authentication.
+/// Decodes and MAC-verifies one complete frame body. Shared by
+/// [`FrameAssembler::next_frame`] and [`decode_raw_frame`] so both
+/// enforce identical authentication.
 fn decode_body<M: Deserialize>(
     flags: u16,
     addr: &[u8; ADDR_BYTES],
@@ -441,7 +423,7 @@ fn parse_header(bytes: &[u8]) -> Result<(u16, usize), CodecError> {
 /// half a header, a header plus part of a body, or several frames at
 /// once — the assembler buffers until a complete
 /// `header + MAC + body` is present, then decodes and verifies it with
-/// the exact same rules as the blocking [`read_any_frame`]. The header
+/// the exact same rules as [`decode_raw_frame`]. The header
 /// is validated as soon as it is complete, so a corrupt peer is
 /// rejected before its declared body length allocates anything.
 #[derive(Debug, Default)]
@@ -573,7 +555,7 @@ fn frame_with(
 }
 
 /// Encodes one data frame (header + address + MAC + body) into a fresh
-/// contiguous buffer. Convenience for unicast/blocking paths and tests;
+/// contiguous buffer. Convenience for unicast paths and tests;
 /// the reactor's broadcast path uses [`encode_body`] + [`frame_prefix`]
 /// to share the body bytes across destinations.
 pub fn encode_frame<M: Serialize>(
@@ -605,54 +587,6 @@ pub fn encode_hello_frame(
     frame_with(FLAG_HELLO, addr, mac, body)
 }
 
-/// Writes one frame to `w` (flushes).
-pub fn write_frame<M: Serialize, W: Write>(
-    w: &mut W,
-    env: &Envelope<M>,
-    auth: &FrameAuth,
-) -> Result<usize, CodecError> {
-    let frame = encode_frame(env, auth)?;
-    w.write_all(&frame)?;
-    w.flush()?;
-    Ok(frame.len())
-}
-
-/// Reads one frame (data or control) from `r`, blocking until a full
-/// frame arrives, and verifies its authenticator. `local` is the
-/// reading node's identity (Hello MACs bind to the receiver; data MACs
-/// bind to the envelope's own endpoints).
-pub fn read_any_frame<M: Deserialize, R: Read>(
-    r: &mut R,
-    auth: &FrameAuth,
-    local: NodeId,
-) -> Result<Frame<M>, CodecError> {
-    let mut header = [0u8; HEADER_BYTES];
-    r.read_exact(&mut header)?;
-    let (flags, len) = parse_header(&header)?;
-    let mut addr = [0u8; ADDR_BYTES];
-    r.read_exact(&mut addr)?;
-    let mut mac = [0u8; FRAME_MAC_BYTES];
-    r.read_exact(&mut mac)?;
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    decode_body(flags, &addr, &mac, &body, auth, local)
-}
-
-/// Reads one *data* frame from `r`; control frames are an error. Kept
-/// for callers that only speak protocol traffic (tests, tools).
-pub fn read_frame<M: Deserialize, R: Read>(
-    r: &mut R,
-    auth: &FrameAuth,
-    local: NodeId,
-) -> Result<Envelope<M>, CodecError> {
-    match read_any_frame(r, auth, local)? {
-        Frame::Data(env) => Ok(env),
-        Frame::Hello(_) => Err(CodecError::Body(bincode::Error::from(
-            serde::Error::invalid("unexpected control frame"),
-        ))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -668,6 +602,13 @@ mod tests {
 
     fn receiver() -> NodeId {
         NodeId::Replica(ReplicaId::new(ShardId(0), 0))
+    }
+
+    /// Feeds `bytes` to a fresh assembler and decodes the first frame.
+    fn decode(bytes: &[u8], local: NodeId) -> Result<Option<Frame<AnyMsg>>, CodecError> {
+        let mut asm = FrameAssembler::new();
+        asm.extend(bytes);
+        asm.next_frame(&auth(), local)
     }
 
     fn sample_env() -> Envelope<AnyMsg> {
@@ -695,9 +636,8 @@ mod tests {
     fn frame_round_trips() {
         let env = sample_env();
         let frame = encode_frame(&env, &auth()).unwrap();
-        let decoded: Envelope<AnyMsg> =
-            read_frame(&mut frame.as_slice(), &auth(), receiver()).unwrap();
-        assert_eq!(decoded, env);
+        let decoded = decode(&frame, receiver()).unwrap();
+        assert!(matches!(decoded, Some(Frame::Data(d)) if d == env));
     }
 
     #[test]
@@ -705,12 +645,12 @@ mod tests {
         let env = sample_env();
         let mut frame = encode_frame(&env, &auth()).unwrap();
         frame[4] = 99; // version
-        let err = read_frame::<AnyMsg, _>(&mut frame.as_slice(), &auth(), receiver()).unwrap_err();
+        let err = decode(&frame, receiver()).unwrap_err();
         assert!(matches!(err, CodecError::BadVersion(99)));
 
         let mut frame = encode_frame(&env, &auth()).unwrap();
         frame[0] ^= 0xff; // magic
-        let err = read_frame::<AnyMsg, _>(&mut frame.as_slice(), &auth(), receiver()).unwrap_err();
+        let err = decode(&frame, receiver()).unwrap_err();
         assert!(matches!(err, CodecError::BadMagic(_)));
     }
 
@@ -719,7 +659,7 @@ mod tests {
         let env = sample_env();
         let mut frame = encode_frame(&env, &auth()).unwrap();
         frame[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
-        let err = read_frame::<AnyMsg, _>(&mut frame.as_slice(), &auth(), receiver()).unwrap_err();
+        let err = decode(&frame[..PREFIX_BYTES], receiver()).unwrap_err();
         assert!(matches!(err, CodecError::Oversized(_)));
     }
 
@@ -729,18 +669,18 @@ mod tests {
         // Flip one bit of the MAC.
         let mut frame = encode_frame(&env, &auth()).unwrap();
         frame[HEADER_BYTES + ADDR_BYTES] ^= 1;
-        let err = read_frame::<AnyMsg, _>(&mut frame.as_slice(), &auth(), receiver()).unwrap_err();
+        let err = decode(&frame, receiver()).unwrap_err();
         assert!(matches!(err, CodecError::BadMac));
         // Flip one bit of the destination address: the MAC covers it.
         let mut frame = encode_frame(&env, &auth()).unwrap();
         frame[HEADER_BYTES + 1] ^= 1;
-        let err = read_frame::<AnyMsg, _>(&mut frame.as_slice(), &auth(), receiver()).unwrap_err();
+        let err = decode(&frame, receiver()).unwrap_err();
         assert!(matches!(err, CodecError::BadMac | CodecError::Body(_)));
         // Flip one bit of the body.
         let mut frame = encode_frame(&env, &auth()).unwrap();
         let last = frame.len() - 1;
         frame[last] ^= 1;
-        let err = read_frame::<AnyMsg, _>(&mut frame.as_slice(), &auth(), receiver()).unwrap_err();
+        let err = decode(&frame, receiver()).unwrap_err();
         assert!(matches!(err, CodecError::BadMac | CodecError::Body(_)));
     }
 
@@ -752,8 +692,7 @@ mod tests {
         let env = sample_env();
         let mut frame = encode_frame(&env, &auth()).unwrap();
         frame[6] |= FLAG_HELLO as u8;
-        let err =
-            read_any_frame::<AnyMsg, _>(&mut frame.as_slice(), &auth(), receiver()).unwrap_err();
+        let err = decode(&frame, receiver()).unwrap_err();
         assert!(matches!(err, CodecError::BadMac | CodecError::Body(_)));
     }
 
@@ -761,7 +700,7 @@ mod tests {
     fn wrong_auth_seed_is_rejected() {
         let env = sample_env();
         let frame = encode_frame(&env, &FrameAuth::from_seed(1)).unwrap();
-        let err = read_frame::<AnyMsg, _>(&mut frame.as_slice(), &auth(), receiver()).unwrap_err();
+        let err = decode(&frame, receiver()).unwrap_err();
         assert!(matches!(err, CodecError::BadMac));
     }
 
@@ -773,18 +712,25 @@ mod tests {
             listen_port: 4242,
         };
         let frame = encode_hello_frame(&hello, &auth(), receiver()).unwrap();
-        let decoded = read_any_frame::<AnyMsg, _>(&mut frame.as_slice(), &auth(), receiver());
-        assert!(matches!(decoded, Ok(Frame::Hello(h)) if h == hello));
+        let decoded = decode(&frame, receiver());
+        assert!(matches!(decoded, Ok(Some(Frame::Hello(h))) if h == hello));
         // A different receiver must not accept it (wrong pair key).
         let other = NodeId::Replica(ReplicaId::new(ShardId(2), 3));
-        let err = read_any_frame::<AnyMsg, _>(&mut frame.as_slice(), &auth(), other).unwrap_err();
+        let err = decode(&frame, other).unwrap_err();
         assert!(matches!(err, CodecError::BadMac));
     }
 
     #[test]
-    fn truncated_stream_is_clean_eof_between_frames() {
-        let err = read_frame::<AnyMsg, _>(&mut [].as_slice(), &auth(), receiver()).unwrap_err();
-        assert!(err.is_clean_eof());
+    fn truncated_frames_wait_for_more_bytes() {
+        // Every strict prefix — the empty stream included — is an
+        // incomplete frame, never an error or a decoded message.
+        let frame = encode_frame(&sample_env(), &auth()).unwrap();
+        for cut in 0..frame.len() {
+            assert!(
+                decode(&frame[..cut], receiver()).unwrap().is_none(),
+                "cut {cut}"
+            );
+        }
     }
 
     #[test]
@@ -922,8 +868,9 @@ mod tests {
         assert_ne!(prefix[HEADER_BYTES..], prefix2[HEADER_BYTES..]);
         let mut frame2 = prefix2.to_vec();
         frame2.extend_from_slice(&body);
-        let decoded: Envelope<AnyMsg> =
-            read_frame(&mut frame2.as_slice(), &auth(), receiver()).unwrap();
+        let Some(Frame::Data(decoded)) = decode(&frame2, receiver()).unwrap() else {
+            panic!("a data frame");
+        };
         assert_eq!(decoded.to, other);
         assert_eq!(decoded.msg, env.msg);
     }

@@ -11,8 +11,8 @@ use proptest::TestRng;
 use ringbft_baselines::ShardedMsg;
 use ringbft_core::{ExecuteMsg, ForwardMsg, RingMsg};
 use ringbft_net::codec::{
-    encode_body, encode_frame, frame_prefix, read_frame, Envelope, FrameAuth, ADDR_BYTES,
-    HEADER_BYTES,
+    decode_raw_frame, encode_body, encode_frame, frame_prefix, CodecError, Envelope, Frame,
+    FrameAssembler, FrameAuth, ADDR_BYTES, HEADER_BYTES,
 };
 use ringbft_pbft::{PbftMsg, PreparedProof};
 use ringbft_protocols::SsMsg;
@@ -24,6 +24,30 @@ use ringbft_types::{
     BatchId, ClientId, NodeId, ReplicaId, SeqNum, ShardId, TraceContext, TxnId, ViewNum,
 };
 use std::sync::Arc;
+
+/// Decodes the first frame in `bytes` the way the reactor does: header
+/// validation on extraction, then the deferred MAC check and decode.
+/// `Ok(None)` when the bytes hold no complete frame.
+fn decode(
+    bytes: &[u8],
+    auth: &FrameAuth,
+    local: NodeId,
+) -> Result<Option<Frame<AnyMsg>>, CodecError> {
+    let mut asm = FrameAssembler::new();
+    asm.extend(bytes);
+    match asm.next_raw_frame()? {
+        Some(raw) => decode_raw_frame(&raw, auth, local).map(Some),
+        None => Ok(None),
+    }
+}
+
+/// The data envelope of a complete, authentic frame.
+fn decode_data(bytes: &[u8], auth: &FrameAuth, local: NodeId) -> Envelope<AnyMsg> {
+    match decode(bytes, auth, local).expect("decode") {
+        Some(Frame::Data(env)) => env,
+        other => panic!("expected a data frame, got {other:?}"),
+    }
+}
 
 fn arb_u64(rng: &mut TestRng, bound: u64) -> u64 {
     Strategy::generate(&(0..bound), rng)
@@ -364,8 +388,7 @@ proptest! {
             trace: arb_trace(&mut rng),
         };
         let frame = encode_frame(&env, &auth).expect("encode");
-        let decoded: Envelope<AnyMsg> =
-            read_frame(&mut frame.as_slice(), &auth, env.to).expect("decode");
+        let decoded = decode_data(&frame, &auth, env.to);
         prop_assert_eq!(&decoded, &env);
 
         // Re-encoding is deterministic (stable bytes for dedup/signing).
@@ -385,8 +408,7 @@ proptest! {
             trace: arb_trace(&mut rng),
         };
         let frame = encode_frame(&env, &auth).expect("encode");
-        let decoded: Envelope<AnyMsg> =
-            read_frame(&mut frame.as_slice(), &auth, env.to).expect("decode");
+        let decoded = decode_data(&frame, &auth, env.to);
         prop_assert_eq!(&decoded, &env);
     }
 
@@ -425,8 +447,7 @@ proptest! {
             trace: arb_trace(&mut rng),
         };
         let frame = encode_frame(&env, &auth).expect("encode");
-        let decoded: Envelope<AnyMsg> =
-            read_frame(&mut frame.as_slice(), &auth, env.to).expect("decode");
+        let decoded = decode_data(&frame, &auth, env.to);
         prop_assert_eq!(&decoded, &env);
     }
 
@@ -458,8 +479,7 @@ proptest! {
             trace: arb_trace(&mut rng),
         };
         let frame = encode_frame(&env, &auth).expect("encode");
-        let decoded: Envelope<AnyMsg> =
-            read_frame(&mut frame.as_slice(), &auth, env.to).expect("decode");
+        let decoded = decode_data(&frame, &auth, env.to);
         prop_assert_eq!(&decoded, &env);
     }
 
@@ -487,8 +507,7 @@ proptest! {
             trace,
         };
         let frame = encode_frame(&env, &auth).expect("encode");
-        let decoded: Envelope<AnyMsg> =
-            read_frame(&mut frame.as_slice(), &auth, env.to).expect("decode");
+        let decoded = decode_data(&frame, &auth, env.to);
         prop_assert_eq!(decoded.trace, trace);
         // Saturating the hop counter must be a fixed point, so relay
         // loops cannot overflow it back to a plausible small value.
@@ -520,8 +539,7 @@ proptest! {
             let env = Envelope { from, to, msg: msg.clone(), trace };
             let unicast = encode_frame(&env, &auth).expect("encode frame");
             prop_assert_eq!(&shared, &unicast, "fan-out frame diverged for {:?}", to);
-            let decoded: Envelope<AnyMsg> =
-                read_frame(&mut shared.as_slice(), &auth, to).expect("decode");
+            let decoded = decode_data(&shared, &auth, to);
             prop_assert_eq!(decoded, env);
         }
     }
@@ -549,13 +567,14 @@ proptest! {
         let mut forged = frame_a;
         forged[HEADER_BYTES..HEADER_BYTES + ADDR_BYTES]
             .copy_from_slice(&frame_b[HEADER_BYTES..HEADER_BYTES + ADDR_BYTES]);
-        let r = read_frame::<AnyMsg, _>(&mut forged.as_slice(), &auth, to_b);
+        let r = decode(&forged, &auth, to_b);
         prop_assert!(r.is_err(), "re-addressed frame accepted by {:?}", to_b);
     }
 
-    /// Truncating a frame anywhere is detected, never mis-decoded.
+    /// Truncating a frame anywhere is detected, never mis-decoded: the
+    /// assembler reports every strict prefix as incomplete.
     #[test]
-    fn truncation_always_detected(seed in 0u64..u64::MAX, cut_frac in 0u64..1000) {
+    fn truncation_always_detected(seed in 0u64..u64::MAX) {
         let mut rng = proptest::rng_for(&format!("codec-trunc-{seed}"));
         let auth = FrameAuth::from_seed(0);
         let env = Envelope {
@@ -565,10 +584,13 @@ proptest! {
             trace: arb_trace(&mut rng),
         };
         let frame = encode_frame(&env, &auth).expect("encode");
-        let cut = (frame.len() as u64 * cut_frac / 1000) as usize;
-        prop_assume!(cut < frame.len());
-        let r = read_frame::<AnyMsg, _>(&mut frame[..cut].as_ref(), &auth, env.to);
-        prop_assert!(r.is_err(), "truncated frame decoded at {} bytes", cut);
+        let mut asm = FrameAssembler::new();
+        for (cut, byte) in frame.iter().enumerate() {
+            let r = asm.next_frame::<AnyMsg>(&auth, env.to);
+            prop_assert!(matches!(r, Ok(None)), "truncated frame decoded at {} bytes", cut);
+            asm.extend(std::slice::from_ref(byte));
+        }
+        prop_assert!(matches!(asm.next_frame::<AnyMsg>(&auth, env.to), Ok(Some(_))));
     }
 
     /// Flipping any single byte of a frame is detected: the header
@@ -592,14 +614,13 @@ proptest! {
         let pos = (frame.len() as u64 * pos_frac / 1000) as usize;
         prop_assume!(pos < frame.len());
         frame[pos] ^= 1 << bit;
-        match read_frame::<AnyMsg, _>(&mut frame.as_slice(), &auth, env.to) {
-            Err(_) => {}
-            Ok(decoded) => {
-                // A flip inside a length prefix can re-frame the body;
-                // but an *accepted* frame must only ever be the
-                // original (the MAC covers the body bytes).
-                prop_assert_eq!(decoded, env);
-            }
+        match decode(&frame, &auth, env.to) {
+            // A flip inside the length field can leave the frame
+            // incomplete; that is a stall, not an acceptance.
+            Err(_) | Ok(None) => {}
+            // An *accepted* frame must only ever be the original (the
+            // MAC covers address and body).
+            Ok(Some(decoded)) => prop_assert_eq!(decoded, Frame::Data(env)),
         }
     }
 }

@@ -16,6 +16,9 @@
 //!   the accumulator that maintains that digest incrementally, so a
 //!   checkpoint costs O(writes in the window), not O(state); the digest
 //!   itself is defined in [`checkpoint`].
+//! * [`Checkpointer`] — a replica's checkpoint state around that store:
+//!   execution watermark, window folding and votes, quorum outcomes,
+//!   divergence rollback, and installs. It owns the [`RecoveryManager`].
 //! * [`DeltaSnapshot`] — the incremental checkpoint (Castro & Liskov
 //!   §6.2): only the records written since the previous checkpoint,
 //!   chained to that checkpoint's digest, so per-window capture and
@@ -46,12 +49,14 @@
 //! against the digest `nf` replicas voted for.
 
 pub mod checkpoint;
+pub mod checkpointer;
 pub mod hole;
 pub mod manager;
 pub mod snapshot;
 pub mod wal;
 
 pub use checkpoint::CheckpointStore;
+pub use checkpointer::{Checkpointer, Durable, Stable, Vote};
 pub use hole::{DonorRotation, HoleFetcher, HoleStats, HOLE_PROBE_TOKEN};
 pub use manager::{
     RecoveryEvent, RecoveryManager, RecoveryMsg, RecoveryStats, RECOVERY_PROBE_TOKEN,

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Bench regression gate: regenerates BENCH_ringbft.json into a scratch
-# file and compares it against the committed snapshot. Fails when any
-# protocol loses more than 20% throughput, or when any fault scenario
-# loses a safety/liveness flag (`*_ok` keys) that the committed file
-# holds — so a PR cannot silently break hole-fetch or blank-restart
-# recovery while the happy-path tests stay green.
+# file and compares it against the committed snapshot with bench_check,
+# which fails when any protocol loses more than BENCH_TOLERANCE of its
+# throughput, grows its p99 by more than BENCH_P99_TOLERANCE, or loses
+# (or drops) any `*_ok` flag the committed file holds true — safety and
+# liveness of every fault scenario, delta recovery, tracing, pipeline
+# scaling and thread budgets, durable restart, serialize-once egress,
+# the open-loop knee, and the per-phase timers.
 #
 # Used by CI; runnable locally:
 #   cargo build --release && scripts/check_bench.sh
@@ -20,168 +22,8 @@ set -euo pipefail
 
 BASELINE="${BENCH_BASELINE:-BENCH_ringbft.json}"
 OUT="${BENCH_OUT:-target/bench/BENCH_ringbft.json}"
-TOLERANCE="${BENCH_TOLERANCE:-0.20}"
-P99_TOLERANCE="${BENCH_P99_TOLERANCE:-0.50}"
-
-if [[ ! -f "$BASELINE" ]]; then
-    echo "check_bench: committed baseline $BASELINE not found" >&2
-    exit 2
-fi
 
 mkdir -p "$(dirname "$OUT")"
-
-echo "check_bench: regenerating bench snapshot -> $OUT"
 cargo run --release -p ringbft-bench --bin bench_json -- "$OUT"
-
-echo "check_bench: comparing against $BASELINE (tolerance ${TOLERANCE}, p99 ${P99_TOLERANCE})"
-cargo run --release -p ringbft-bench --bin bench_check -- \
-    "$BASELINE" "$OUT" --tolerance "$TOLERANCE" --p99-tolerance "$P99_TOLERANCE"
-
-# Schema-v6 shape gate: the per-phase consensus-latency section must be
-# present and populated for RingBFT — a refactor that silently drops the
-# phase timers (so the section regenerates empty) should fail here, not
-# slip through as an "empty but valid" snapshot.
-if ! grep -q '"phase.preprepare_commit":' "$OUT"; then
-    echo "check_bench: FAIL RingBFT per-phase latency section missing from $OUT" >&2
-    exit 1
-fi
-if ! grep -q '"p99_latency_s":' "$OUT"; then
-    echo "check_bench: FAIL p99_latency_s missing from $OUT" >&2
-    exit 1
-fi
-echo "check_bench: per-phase latency section present"
-
-# Delta-recovery gate: a laggard's catch-up must move less data than a
-# full-snapshot transfer would (the point of delta checkpointing).
-# bench_json emits the flag after comparing the victim's accepted
-# transfer bytes against the modeled full-snapshot baseline; bench_check
-# already fails if a formerly-true flag turns false, but this check also
-# refuses a regenerated snapshot that silently *dropped* the scenario.
-if ! grep -q '"delta_vs_full_ok": true' "$OUT"; then
-    echo "check_bench: FAIL delta recovery moved >= full-snapshot bytes (delta_vs_full_ok not true in $OUT)" >&2
-    exit 1
-fi
-echo "check_bench: delta recovery moves less data than full recovery"
-
-# Tracing overhead gate: causal tracing at the default 1/64 sample rate
-# must cost < 3% throughput vs the identical untraced workload (both in
-# deterministic simulated time — bench_json emits the flag). bench_check
-# already fails a formerly-true flag turning false; this check also
-# refuses a regenerated snapshot that silently dropped the scenario.
-if ! grep -q '"tracing_overhead_ok": true' "$OUT"; then
-    echo "check_bench: FAIL tracing at 1/64 sampling costs >= 3% throughput (tracing_overhead_ok not true in $OUT)" >&2
-    exit 1
-fi
-if ! grep -q '"timelines_ok": true' "$OUT"; then
-    echo "check_bench: FAIL no sampled cst timelines assembled (timelines_ok not true in $OUT)" >&2
-    exit 1
-fi
-echo "check_bench: tracing overhead < 3% and cst timelines assemble"
-
-# Reactor thread gate: a running node must use a fixed thread count —
-# at most reactor_shards + pipeline_workers + 1 per hosted node (its
-# reactor shards, its share of the verify/exec worker pool, plus
-# amortized process overhead) — independent of how many peers/clients
-# are connected. The thread-per-connection runtime this replaced would
-# blow straight through this bound under the bench's 32-client load.
-read -r THREADS_PER_NODE REACTOR_SHARDS PIPE_WORKERS < <(awk '
-    /"net": {/      { in_net = 1 }
-    in_net && /"threads_per_node":/   { gsub(/[",]/, ""); t = $2 }
-    in_net && /"reactor_shards":/     { gsub(/[",]/, ""); s = $2 }
-    in_net && /"pipeline_workers":/   { gsub(/[",]/, ""); p = $2 }
-    in_net && /^  }/ { in_net = 0 }
-    END { print t, s, p }
-' "$OUT")
-if [[ -z "$THREADS_PER_NODE" || -z "$REACTOR_SHARDS" || -z "$PIPE_WORKERS" ]]; then
-    echo "check_bench: FAIL net section missing threads_per_node/reactor_shards/pipeline_workers in $OUT" >&2
-    exit 1
-fi
-if ! awk -v t="$THREADS_PER_NODE" -v s="$REACTOR_SHARDS" -v p="$PIPE_WORKERS" \
-        'BEGIN { exit !(t <= s + p + 1) }'; then
-    echo "check_bench: FAIL net threads_per_node $THREADS_PER_NODE exceeds reactor_shards + pipeline_workers + 1 (= $((REACTOR_SHARDS + PIPE_WORKERS + 1)))" >&2
-    exit 1
-fi
-echo "check_bench: reactor thread count fixed ($THREADS_PER_NODE threads/node, $REACTOR_SHARDS shard(s), $PIPE_WORKERS worker(s))"
-
-# Pipeline gates (schema v8): the multi-core pipeline must buy its keep.
-# `scaling_ok` folds the ≥ 1.8x modeled scaling knee at N workers over 1
-# plus the loopback run's safety (replica stores converge under the
-# parallel exec stage) and liveness (progress + clean shutdown); the
-# worker-pool cluster must also respect the widened thread budget.
-if ! grep -q '"scaling_ok": true' "$OUT"; then
-    echo "check_bench: FAIL pipeline scaling gate (scaling_ok not true in $OUT)" >&2
-    exit 1
-fi
-read -r P_THREADS P_SHARDS P_WORKERS < <(awk '
-    /"pipeline": {/ { in_p = 1 }
-    in_p && /"threads_per_node":/ { gsub(/[",]/, ""); t = $2 }
-    in_p && /"reactor_shards":/   { gsub(/[",]/, ""); s = $2 }
-    in_p && /"workers":/          { gsub(/[",]/, ""); w = $2 }
-    in_p && /^  }/ { in_p = 0 }
-    END { print t, s, w }
-' "$OUT")
-if [[ -z "$P_THREADS" || -z "$P_SHARDS" || -z "$P_WORKERS" ]]; then
-    echo "check_bench: FAIL pipeline section missing threads_per_node/reactor_shards/workers in $OUT" >&2
-    exit 1
-fi
-if ! awk -v t="$P_THREADS" -v s="$P_SHARDS" -v w="$P_WORKERS" \
-        'BEGIN { exit !(t <= s + w + 1) }'; then
-    echo "check_bench: FAIL pipeline threads_per_node $P_THREADS exceeds reactor_shards + workers + 1 (= $((P_SHARDS + P_WORKERS + 1)))" >&2
-    exit 1
-fi
-echo "check_bench: pipeline scales ($P_WORKERS workers, $P_THREADS threads/node within budget)"
-
-# Durability gate (schema v9): a kill -9'd replica restarting from its
-# write-ahead ledger must replay a durable checkpoint locally and top up
-# only the committed tail over the wire — < 25 % of the full-snapshot
-# bytes a blank restart would have moved, with a quorum-matching store
-# fingerprint at the end. bench_json folds all of that into
-# `durable_restart_ok`; bench_check fails a formerly-true flag turning
-# false, and this check also refuses a regenerated snapshot that
-# silently dropped the scenario.
-if ! grep -q '"durable_restart_ok": true' "$OUT"; then
-    echo "check_bench: FAIL durable WAL restart gate (durable_restart_ok not true in $OUT)" >&2
-    exit 1
-fi
-echo "check_bench: durable restart replays locally and beats the blank-restart transfer"
-
-# Serialize-once egress gate (schema v10): broadcast fan-out on the
-# loopback cluster must encode each payload exactly once and share the
-# bytes across peers. bench_json folds the counter invariants into
-# `serialize_once_ok`; this check additionally bounds the derived
-# encodes-per-broadcast at 1 so a fallback to per-destination encoding
-# cannot hide behind a missing flag.
-if ! grep -q '"serialize_once_ok": true' "$OUT"; then
-    echo "check_bench: FAIL broadcast egress re-encodes per destination (serialize_once_ok not true in $OUT)" >&2
-    exit 1
-fi
-ENCODES_PER_BCAST=$(awk '
-    /"net": {/ { in_net = 1 }
-    in_net && /"encodes_per_broadcast":/ { gsub(/[",]/, ""); e = $2 }
-    in_net && /^  }/ { in_net = 0 }
-    END { print e }
-' "$OUT")
-if [[ -z "$ENCODES_PER_BCAST" ]] || \
-   ! awk -v e="$ENCODES_PER_BCAST" 'BEGIN { exit !(e <= 1.0) }'; then
-    echo "check_bench: FAIL encodes_per_broadcast '$ENCODES_PER_BCAST' exceeds 1 in $OUT" >&2
-    exit 1
-fi
-echo "check_bench: broadcast egress serializes once ($ENCODES_PER_BCAST encodes/broadcast)"
-
-# Open-loop knee gate (schema v10): the Poisson-arrival sweep must
-# anchor at the lowest offered rate and place the saturation knee at or
-# above 20 k tps on the quick scale — a throughput regression that the
-# closed-loop runs absorb as latency shows up here as a knee shift.
-if ! grep -q '"knee_ok": true' "$OUT"; then
-    echo "check_bench: FAIL open-loop saturation knee regressed (knee_ok not true in $OUT)" >&2
-    exit 1
-fi
-KNEE_TPS=$(awk '
-    /"open_loop": {/ { in_ol = 1 }
-    in_ol && /"knee_tps":/ { gsub(/[",]/, ""); k = $2 }
-    in_ol && /^  }/ { in_ol = 0 }
-    END { print k }
-' "$OUT")
-echo "check_bench: open-loop knee located at ${KNEE_TPS} offered tps"
-
-echo "check_bench: OK"
+cargo run --release -p ringbft-bench --bin bench_check -- "$BASELINE" "$OUT" \
+    --tolerance "${BENCH_TOLERANCE:-0.20}" --p99-tolerance "${BENCH_P99_TOLERANCE:-0.50}"
