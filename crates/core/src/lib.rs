@@ -8,6 +8,7 @@
 //! state machine and `crates/sim` for the WAN harness that drives it.
 
 pub mod dedup;
+mod intake;
 pub mod messages;
 pub mod node;
 pub mod obs;
@@ -248,6 +249,56 @@ mod tests {
         );
         net.settle();
         assert_eq!(net.completed_digests(ClientId(1), 2).len(), 1);
+    }
+
+    /// A primary that is deposed drops its pool. Here a request pooled at
+    /// r0 in view 0 is broadcast by its client, commits through r1 in
+    /// view 1, and views advance until r0 is primary again (view 4): the
+    /// stale pool must not be proposed, or the request executes twice.
+    #[test]
+    fn deposed_primary_does_not_repropose_its_pool() {
+        let mut cfg = SystemConfig::uniform(ProtocolKind::RingBft, 1, 4);
+        cfg.num_keys = 100;
+        cfg.batch_size = 2;
+        let mut net = RingNet::new(cfg.clone());
+        let r = |i: u64| ReplicaId::new(ShardId(0), (i % 4) as u32);
+        // A commit in view 0, so the watchdogs below may demand view
+        // changes.
+        net.client_send(ClientId(10), single(&cfg, 10, 0, 10));
+        net.client_send(ClientId(11), single(&cfg, 11, 0, 11));
+        net.settle();
+        // Request 1 reaches only r0 and waits in its pool.
+        net.client_send_to(ClientId(1), r(0), single(&cfg, 1, 0, 1));
+        net.deliver_all();
+        // Each view's request is broadcast to the backups while the
+        // primary hears none of it: their watches depose the primary and
+        // the next one commits the re-relayed request.
+        for view in 1..=4u64 {
+            let deposed = NodeId::Replica(r(view - 1));
+            net.drop_filter = Some(Box::new(move |_, to, m| {
+                to == deposed && matches!(m, RingMsg::Request { .. })
+            }));
+            for i in view..view + 3 {
+                net.client_send_to(ClientId(view), r(i), single(&cfg, view, 0, view));
+            }
+            net.deliver_all();
+            net.fire_all_timers(TimerKind::Local);
+            net.deliver_all();
+            net.drop_filter = None;
+            net.settle();
+            assert!(
+                net.replicas.values().all(|x| x.view().0 == view),
+                "view {view} not entered: {:?}",
+                net.view_log
+            );
+            assert_eq!(net.completed_digests(ClientId(view), 2).len(), 1);
+        }
+        assert!(net.replicas[&r(0)].is_primary());
+        let key = key_in(&cfg, 0, 1);
+        for x in net.replicas.values() {
+            let version = x.store().get(key).map(|rec| rec.version);
+            assert_eq!(version, Some(1), "{} executed request 1 twice", x.id());
+        }
     }
 
     #[test]

@@ -41,6 +41,7 @@
 //!   (A1); non-primary replicas relay to the primary and watchdog it.
 
 use crate::dedup::WindowedDigestSet;
+use crate::intake::{Admission, Batcher, ClientTable, WatchExpiry};
 use crate::messages::{batch_trace, ExecuteMsg, ForwardMsg, RingMsg};
 use crate::obs::{Phase, ReplicaObs};
 use crate::pipeline::{InlinePipeline, Pipeline, PipelineJob, ThreadedPipeline};
@@ -56,20 +57,18 @@ use ringbft_store::{KvStore, LockManager, Record};
 use ringbft_types::hole::{HoleReply, HoleRequest};
 use ringbft_types::txn::{Batch, Key, Transaction, Value};
 use ringbft_types::{
-    Action, BatchId, ClientId, Duration, Instant, NodeId, Outbox, ReplicaId, RingOrder, SeqNum,
-    ShardId, SystemConfig, TimerKind, TraceContext, TxnId,
+    Action, Duration, Instant, NodeId, Outbox, ReplicaId, RingOrder, SeqNum, ShardId, SystemConfig,
+    TimerKind, TraceContext,
 };
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 /// First token value used for RingBFT-level watchdogs, disjoint from PBFT
 /// sequence-number tokens.
-const TOKEN_BASE: u64 = 1 << 62;
-/// Token of the batch-pool flush timer.
-const POOL_FLUSH_TOKEN: u64 = TOKEN_BASE - 1;
+pub(crate) const TOKEN_BASE: u64 = 1 << 62;
 /// Token of the write-ahead-ledger group-commit flush timer (batched
-/// durability). `TOKEN_BASE - 2` and `- 3` belong to the recovery and
-/// hole-fetch probes.
+/// durability). `TOKEN_BASE - 1` is the batch-pool flush timer, `- 2` and
+/// `- 3` belong to the recovery and hole-fetch probes.
 const WAL_FLUSH_TOKEN: u64 = TOKEN_BASE - 4;
 /// Maximum Forward/Execute retransmissions (the paper retransmits until
 /// fate is known; we cap to bound simulated traffic — see DESIGN.md).
@@ -102,23 +101,13 @@ struct CstState {
     token: u64,
     retransmits: u32,
     proposed_here: bool,
-}
-
-/// One client's replay/reply state (Castro & Liskov §4.1).
-#[derive(Debug, Clone)]
-struct ClientReplyCache {
-    /// Highest request (transaction) id a local commit covered for this
-    /// client. Anything at or below it is a replay.
-    last_id: TxnId,
-    /// Highest local sequence one of the client's commits finished at —
-    /// the GC horizon: a client idle for two whole checkpoint windows
-    /// is evicted (and counted) by the checkpoint backstop.
-    seq: u64,
-    /// The reply this replica sent for `last_id`'s batch, if it has
-    /// executed: the batch digest and the client's transaction ids in
-    /// it. A replayed request is answered from here without touching
-    /// consensus.
-    reply: Option<(Digest, Vec<TxnId>)>,
+    /// Phase clocks, which end with the state: local commit at the
+    /// initiator (`phase.cst_forward`), Forward evidence complete
+    /// (`phase.cst_execute`), and a complex cst's execution at the
+    /// initiator (`phase.execute_reply`).
+    committed_at: Option<Instant>,
+    forwarded_at: Option<Instant>,
+    executed_at: Option<Instant>,
 }
 
 impl CstState {
@@ -140,6 +129,9 @@ impl CstState {
             token,
             retransmits: 0,
             proposed_here,
+            committed_at: None,
+            forwarded_at: None,
+            executed_at: None,
         }
     }
 }
@@ -174,30 +166,31 @@ pub struct ExecJob {
     /// Primary index captured at submit: the ledger block records the
     /// proposer of the view the batch committed in.
     proposer: u32,
+    /// Submission time: the execute→reply clock closes when the applied
+    /// outcome's replies go out, so an async stage's latency shows.
+    submitted: Instant,
 }
 
-/// Result of an [`ExecJob`]: the batch digest (hashed off-thread) and
-/// the ordered write effects to replay onto the authoritative store.
+/// Result of an [`ExecJob`]: the job (its snapshot consumed), the batch
+/// digest (hashed off-thread) and the ordered write effects to replay
+/// onto the authoritative store.
 pub struct ExecOutcome {
-    seq: u64,
+    job: ExecJob,
     digest: Digest,
-    batch: Arc<Batch>,
-    proposer: u32,
     writes: Vec<(Key, Value)>,
-    txn_count: u32,
 }
 
 impl PipelineJob for ExecJob {
     type Output = ExecOutcome;
-    fn run(self) -> ExecOutcome {
+    fn run(mut self) -> ExecOutcome {
         let digest = ringbft_pbft::batch_digest(&self.batch);
         // A private store seeded with the snapshot: reads (including the
         // read half of RMW ops) observe exactly what inline execution
         // would, and the write effects replay onto the real store in
         // order — `put` bumps versions identically in both places.
         let mut kv = KvStore::new();
-        for (k, r) in &self.base {
-            kv.insert_record(*k, *r);
+        for (k, r) in std::mem::take(&mut self.base) {
+            kv.insert_record(k, r);
         }
         let mut writes = Vec::new();
         for txn in &self.batch.txns {
@@ -205,11 +198,8 @@ impl PipelineJob for ExecJob {
             writes.extend(result.writes);
         }
         ExecOutcome {
-            seq: self.seq,
+            job: self,
             digest,
-            txn_count: self.batch.len() as u32,
-            batch: self.batch,
-            proposer: self.proposer,
             writes,
         }
     }
@@ -258,12 +248,10 @@ pub struct RingReplica {
     locks: LockManager,
     kv: KvStore,
     ledger: Ledger,
-    /// Batching pools keyed by involved-shard set.
-    pools: BTreeMap<Vec<ShardId>, Vec<Transaction>>,
-    /// Ids currently pooled (dedups re-relays after view changes).
-    pooled: HashSet<TxnId>,
-    pool_timer_armed: bool,
-    next_batch_id: u64,
+    /// Batching pools (primary only).
+    batcher: Batcher,
+    /// Per-client reply caches and the A1 watches on relayed requests.
+    clients: ClientTable,
     /// Locally committed work by sequence number.
     work: BTreeMap<u64, Work>,
     /// Cross-shard transaction state by digest.
@@ -276,22 +264,8 @@ pub struct RingReplica {
     done: WindowedDigestSet,
     /// Watchdog token → digest.
     token_digest: HashMap<u64, Digest>,
+    /// Token allocator shared by cst watchdogs and client watches.
     next_token: u64,
-    /// Client-relay watchdogs: txn → token (A1).
-    txn_watchdogs: HashMap<TxnId, u64>,
-    token_txn: HashMap<u64, TxnId>,
-    /// Payloads of watched transactions, re-relayed to the new primary
-    /// after a view change (the dead primary's pool is gone with it).
-    watched_txns: HashMap<TxnId, Arc<Transaction>>,
-    /// Per-client reply caches (Castro & Liskov §4.1): the last
-    /// committed request id and — once executed — the reply sent for
-    /// it, keyed by client. This is the transaction-level replay dedup:
-    /// O(active clients), not O(transactions in the window). Replays of
-    /// the cached request re-send the reply without re-entering
-    /// consensus; older requests are dropped outright (request ids are
-    /// monotone per client — closed-loop clients never reissue a
-    /// superseded request).
-    client_replies: HashMap<ClientId, ClientReplyCache>,
     /// When this replica last installed a view (suppresses watchdog-driven
     /// view-change churn: give each new primary a grace period).
     last_view_entry: Instant,
@@ -324,29 +298,9 @@ pub struct RingReplica {
     /// PBFT with `Instant::ZERO`) can stamp phase timers without
     /// threading `now` through every signature.
     obs_now: Instant,
-    /// Commit time per locally committed sequence (commit→execute).
-    commit_at: HashMap<u64, Instant>,
-    /// Trace context per locally committed sequence whose batch carries
-    /// a sampled transaction: consumed with `commit_at` so the
-    /// commit→execute span can be stamped without re-deriving the batch.
-    commit_trace: HashMap<u64, TraceContext>,
-    /// Arrival time of the oldest request pooled per batching pool
-    /// (admission phase; primary only).
-    pool_first: BTreeMap<Vec<ShardId>, Instant>,
-    /// Execution time per batch this replica will answer the client for
-    /// (execute→reply): single-shard batches stamp their execution-stage
-    /// submit time (via `exec_submit_at`), complex csts their initiator-
-    /// shard execution. Simple csts stamp nothing — their reply interval
-    /// is exactly `phase.cst_forward` and must not be double-counted.
-    executed_at: HashMap<Digest, Instant>,
-    /// Submission time per in-flight single-shard execution job, keyed
-    /// by sequence (the digest is only known once the stage hashes it).
-    exec_submit_at: HashMap<u64, Instant>,
-    /// Local-commit time per cst at its initiator shard (cst-forward
-    /// phase: commit → ring-rotation-one wrap-around).
-    cst_commit_at: HashMap<Digest, Instant>,
-    /// Forward-evidence time per cst (cst-execute phase).
-    cst_fwd_at: HashMap<Digest, Instant>,
+    /// Commit time per locally committed sequence (commit→execute), with
+    /// the batch's sampled trace context at this shard's ring position.
+    commit_at: HashMap<u64, (Instant, Option<TraceContext>)>,
     /// Registry counters/gauges, phase histograms, and the trace ring.
     obs: ReplicaObs,
     // --- execution pipeline (`crate::pipeline`) ---
@@ -408,19 +362,13 @@ impl RingReplica {
             locks: LockManager::new(),
             kv,
             ledger: Ledger::new(me.shard),
-            pools: BTreeMap::new(),
-            pooled: HashSet::new(),
-            pool_timer_armed: false,
-            next_batch_id: (me.shard.0 as u64) << 40,
+            batcher: Batcher::new(&cfg, me.shard),
+            clients: ClientTable::default(),
             work: BTreeMap::new(),
             csts: BTreeMap::new(),
             done: WindowedDigestSet::with_window(cfg.checkpoint_interval),
             token_digest: HashMap::new(),
             next_token: TOKEN_BASE,
-            txn_watchdogs: HashMap::new(),
-            token_txn: HashMap::new(),
-            watched_txns: HashMap::new(),
-            client_replies: HashMap::new(),
             last_view_entry: Instant::ZERO,
             remote_complaints: HashMap::new(),
             remote_vc_done: HashSet::new(),
@@ -431,12 +379,6 @@ impl RingReplica {
             pre_commit_vc_defer: None,
             obs_now: Instant::ZERO,
             commit_at: HashMap::new(),
-            commit_trace: HashMap::new(),
-            pool_first: BTreeMap::new(),
-            executed_at: HashMap::new(),
-            exec_submit_at: HashMap::new(),
-            cst_commit_at: HashMap::new(),
-            cst_fwd_at: HashMap::new(),
             obs: ReplicaObs::new(),
             exec_pipeline,
             exec_inflight: VecDeque::new(),
@@ -647,23 +589,12 @@ impl RingReplica {
         self.obs.trace.dump_jsonl()
     }
 
-    fn f(&self) -> usize {
-        self.cfg.shard(self.me.shard).f()
-    }
-
     fn shard_replicas(&self) -> impl Iterator<Item = NodeId> + '_ {
         let me = self.me;
         let n = self.cfg.shard(me.shard).n as u32;
         (0..n)
             .filter(move |i| *i != me.index)
             .map(move |i| NodeId::Replica(ReplicaId::new(me.shard, i)))
-    }
-
-    fn primary_of(&self, shard: ShardId) -> NodeId {
-        // Cross-shard senders do not track remote views; they address the
-        // view-0 primary and rely on relays (a well-known simplification:
-        // any replica relays client requests to its current primary).
-        NodeId::Replica(ReplicaId::new(shard, 0))
     }
 
     /// Counterpart of this replica in `shard` under the linear
@@ -758,43 +689,30 @@ impl RingReplica {
         out: &mut Outbox<RingMsg>,
     ) {
         self.obs_now = now;
+        let msg = match msg {
+            RingMsg::Request { txn, relayed } => return self.on_request(txn, relayed, out),
+            RingMsg::RemoteViewShare { digest, origin, .. } => {
+                return self.on_remote_view(now, digest, origin, out);
+            }
+            RingMsg::Reply { .. } => return, // replicas ignore client replies
+            m => m,
+        };
+        let NodeId::Replica(r) = from else { return };
+        // PBFT, local shares and state transfer are intra-shard only.
+        let local = r.shard == self.me.shard;
         match msg {
-            RingMsg::Request { txn, relayed } => self.on_request(txn, relayed, out),
-            RingMsg::Pbft(m) => {
-                let NodeId::Replica(r) = from else { return };
-                if r.shard != self.me.shard {
-                    return; // PBFT is intra-shard only
-                }
+            RingMsg::Pbft(m) if local => {
                 self.drive_pbft(
                     now,
                     |pbft, pout, ev| pbft.on_message(now, r, m, pout, ev),
                     out,
                 );
             }
-            RingMsg::Forward(fwd) => {
-                let NodeId::Replica(r) = from else { return };
-                self.on_forward(r, fwd, true, out);
-            }
-            RingMsg::ForwardShare(fwd) => {
-                let NodeId::Replica(r) = from else { return };
-                if r.shard != self.me.shard {
-                    return;
-                }
-                self.on_forward(r, fwd, false, out);
-            }
-            RingMsg::Execute(ex) => {
-                let NodeId::Replica(r) = from else { return };
-                self.on_execute(r, ex, true, out);
-            }
-            RingMsg::ExecuteShare(ex) => {
-                let NodeId::Replica(r) = from else { return };
-                if r.shard != self.me.shard {
-                    return;
-                }
-                self.on_execute(r, ex, false, out);
-            }
+            RingMsg::Forward(fwd) => self.on_forward(r, fwd, true, out),
+            RingMsg::ForwardShare(fwd) if local => self.on_forward(r, fwd, false, out),
+            RingMsg::Execute(ex) => self.on_execute(r, ex, true, out),
+            RingMsg::ExecuteShare(ex) if local => self.on_execute(r, ex, false, out),
             RingMsg::RemoteView { digest, from_shard } => {
-                let NodeId::Replica(r) = from else { return };
                 // Locally share the complaint (Fig 6 lines 3–4).
                 let share = RingMsg::RemoteViewShare {
                     digest,
@@ -804,40 +722,24 @@ impl RingReplica {
                 out.multicast(self.shard_replicas(), &share);
                 self.on_remote_view(now, digest, r.index, out);
             }
-            RingMsg::RemoteViewShare { digest, origin, .. } => {
-                self.on_remote_view(now, digest, origin, out);
-            }
-            RingMsg::Recovery(m) => {
-                let NodeId::Replica(r) = from else { return };
-                if r.shard != self.me.shard || r == self.me {
-                    return; // state transfer is intra-shard only
-                }
-                match m {
-                    RecoveryMsg::HoleRequest(req) => self.on_hole_request(r, req, out),
-                    RecoveryMsg::HoleReply(reply) => self.on_hole_reply(reply, out),
-                    other => {
-                        if matches!(other, RecoveryMsg::StateRequest { .. }) {
-                            // Attach our stable-checkpoint vote to the
-                            // answer: a requester that slept through the
-                            // original vote traffic collects a weak
-                            // certificate (§6.2.2) for the target we can
-                            // actually serve as its rotating probe hits
-                            // f + 1 donors — without it, a transfer
-                            // toward our stable tip would never pass its
-                            // quorum-anchor admission check.
-                            if let Some((seq, state_digest)) = self.pbft.stable_checkpoint_revote()
-                            {
-                                out.send(
-                                    NodeId::Replica(r),
-                                    RingMsg::Pbft(PbftMsg::Checkpoint { seq, state_digest }),
-                                );
-                            }
-                        }
-                        self.drive_recovery(|mgr, rout| mgr.on_message(r, other, rout), out)
+            RingMsg::Recovery(m) if local && r != self.me => match m {
+                RecoveryMsg::HoleRequest(req) => self.on_hole_request(r, req, out),
+                RecoveryMsg::HoleReply(reply) => self.on_hole_reply(reply, out),
+                other => {
+                    if matches!(other, RecoveryMsg::StateRequest { .. }) {
+                        // Attach our stable-checkpoint vote to the answer:
+                        // a requester that slept through the original vote
+                        // traffic collects a weak certificate (§6.2.2) for
+                        // the target we can actually serve as its rotating
+                        // probe hits f + 1 donors — without it, a transfer
+                        // toward our stable tip would never pass its
+                        // quorum-anchor admission check.
+                        self.revote_checkpoint(r, out);
                     }
+                    self.drive_recovery(|mgr, rout| mgr.on_message(r, other, rout), out)
                 }
-            }
-            RingMsg::Reply { .. } => {} // replicas ignore client replies
+            },
+            _ => {}
         }
     }
 
@@ -861,30 +763,19 @@ impl RingReplica {
                 let grace = (self.last_view_entry > Instant::ZERO
                     && now.since(self.last_view_entry) < self.pbft.request_timeout())
                     || self.catching_up();
-                if let Some(txn) = self.token_txn.get(&token).copied() {
-                    // A1: the primary never ordered a relayed request.
-                    // "Committed" here includes being *superseded* by a
-                    // later request from the same client — the client
-                    // has moved on, so the watch (payload included)
-                    // must be dropped entirely or the dead request
-                    // would be re-relayed to every new primary forever.
-                    let committed = self
-                        .watched_txns
-                        .get(&txn)
-                        .is_some_and(|t| self.client_committed(t.client, txn));
-                    if committed {
-                        self.token_txn.remove(&token);
-                        self.txn_watchdogs.remove(&txn);
-                        self.watched_txns.remove(&txn);
-                    } else {
-                        // Keep watching: the re-relay on view entry (below)
-                        // hands the request to the next primary.
+                match self.clients.watch_expired(token) {
+                    WatchExpiry::NotWatched => {}
+                    WatchExpiry::Settled => return,
+                    WatchExpiry::Stuck => {
+                        // A1: the primary never ordered a relayed
+                        // request. Keep watching: the re-relay on view
+                        // entry hands it to the next primary.
                         out.set_timer(TimerKind::Local, token, self.pbft.request_timeout());
                         if !grace && !self.pbft.in_view_change() && self.allow_solo_vc(now) {
                             self.force_view_change(now, out);
                         }
+                        return;
                     }
-                    return;
                 }
                 if let Some(digest) = self.token_digest.get(&token).copied() {
                     // A forwarded cst the primary failed to propose.
@@ -910,8 +801,7 @@ impl RingReplica {
             TimerKind::Transmit => self.on_transmit_timer(token, out),
             TimerKind::Remote => self.on_remote_timer(token, out),
             TimerKind::Client => {
-                if token == POOL_FLUSH_TOKEN {
-                    self.pool_timer_armed = false;
+                if self.batcher.on_timer(token) {
                     self.flush_pools(true, out);
                 } else if token == WAL_FLUSH_TOKEN {
                     // Group commit: one sync covers every append since
@@ -946,125 +836,61 @@ impl RingReplica {
     // ------------------------------------------------------------------
 
     fn on_request(&mut self, txn: Arc<Transaction>, relayed: bool, out: &mut Outbox<RingMsg>) {
-        // Per-client replay protection (C&L §4.1): requests at or below
-        // the client's last committed id never re-enter consensus. The
-        // last one is answered from the reply cache (the client's reply
-        // quorum may have been lost on the wire); anything older is a
-        // superseded request and is dropped outright.
-        let watermark = self.ckpt.watermark();
-        if let Some(entry) = self.client_replies.get_mut(&txn.client) {
-            if txn.id <= entry.last_id {
-                // The replay proves the client is alive: ratchet its GC
-                // horizon so the 2-window idle backstop cannot evict an
-                // actively retransmitting client — eviction would let
-                // this committed request re-enter consensus and
-                // execute twice.
-                entry.seq = entry.seq.max(watermark);
-            }
-            if txn.id < entry.last_id {
-                return;
-            }
-            if txn.id == entry.last_id {
-                if let Some((digest, txn_ids)) = entry.reply.clone() {
-                    out.send(
-                        NodeId::Client(txn.client),
-                        RingMsg::Reply {
-                            client: txn.client,
-                            digest,
-                            txn_ids,
-                        },
-                    );
-                    self.obs.replies_sent(1);
-                }
+        // Per-client replay protection (C&L §4.1): a committed request
+        // never re-enters consensus; the last one is answered from the
+        // reply cache (the client's reply quorum may have been lost).
+        match self.clients.admit(&txn, self.ckpt.watermark()) {
+            Admission::New => {}
+            Admission::Stale | Admission::Replay(None) => return,
+            Admission::Replay(Some((digest, txn_ids))) => {
+                let client = txn.client;
+                let reply = RingMsg::Reply {
+                    client,
+                    digest,
+                    txn_ids,
+                };
+                out.send(NodeId::Client(client), reply);
+                self.obs.replies_sent(1);
                 return;
             }
         }
         let involved = txn.involved_shards();
         let first = self.ring.first(&involved);
         if first != self.me.shard {
-            // Fig 5 line 9: route to the first shard in ring order.
+            // Fig 5 line 9: route to the first shard in ring order, at
+            // its view-0 primary — cross-shard senders do not track remote
+            // views and rely on relays (any replica relays client requests
+            // to its current primary).
             if !relayed {
-                out.send(
-                    self.primary_of(first),
-                    RingMsg::Request { txn, relayed: true },
-                );
+                relay(out, ReplicaId::new(first, 0), &txn);
             }
             return;
         }
         if self.pbft.is_primary() {
-            if !self.pooled.insert(txn.id) {
-                return; // already pooled (duplicate relay)
-            }
-            self.pool_first
-                .entry(involved.clone())
-                .or_insert(self.obs_now);
-            self.pools.entry(involved).or_default().push((*txn).clone());
-            self.flush_pools(false, out);
-            if !self.pool_timer_armed && self.pools.values().any(|p| !p.is_empty()) {
-                self.pool_timer_armed = true;
-                out.set_timer(
-                    TimerKind::Client,
-                    POOL_FLUSH_TOKEN,
-                    self.cfg.timers.local / 4,
-                );
+            if self.batcher.push(&txn, involved, self.obs_now) {
+                self.flush_pools(false, out);
+                self.batcher.arm_timer(out);
             }
         } else {
             // A1: relay to the primary and watch it.
-            let primary = ReplicaId::new(self.me.shard, self.pbft.primary_index());
-            out.send(
-                NodeId::Replica(primary),
-                RingMsg::Request {
-                    txn: Arc::clone(&txn),
-                    relayed: true,
-                },
+            relay(
+                out,
+                ReplicaId::new(self.me.shard, self.pbft.primary_index()),
+                &txn,
             );
-            if !self.txn_watchdogs.contains_key(&txn.id) {
-                let token = self.next_token;
-                self.next_token += 1;
-                self.txn_watchdogs.insert(txn.id, token);
-                self.token_txn.insert(token, txn.id);
-                self.watched_txns.insert(txn.id, txn);
+            if let Some(token) = self.clients.watch(&txn, &mut self.next_token) {
                 out.set_timer(TimerKind::Local, token, self.pbft.request_timeout());
             }
         }
     }
 
-    /// True when a local commit already covers `(client, id)` — used by
-    /// the A1 watchdog to stand down.
-    fn client_committed(&self, client: ClientId, id: TxnId) -> bool {
-        self.client_replies
-            .get(&client)
-            .is_some_and(|e| e.last_id >= id)
-    }
-
-    /// Advances `client`'s reply-cache entry to a newly committed
-    /// request. A newer id invalidates the cached reply (it answered an
-    /// older request); `seq` only ratchets up, so the GC horizon tracks
-    /// the client's most recent activity.
-    fn note_client_commit(&mut self, client: ClientId, id: TxnId, seq: u64) {
-        let entry = self
-            .client_replies
-            .entry(client)
-            .or_insert(ClientReplyCache {
-                last_id: id,
-                seq,
-                reply: None,
-            });
-        if id > entry.last_id {
-            entry.last_id = id;
-            entry.reply = None;
-        }
-        entry.seq = entry.seq.max(seq);
-    }
-
-    /// Stamps a causal span when `trace` marks the batch as sampled, at
-    /// this replica's ring position `hop` (0 = initiator/single-shard).
-    fn stamp_span(&mut self, trace: Option<TraceContext>, hop: u32, p: Phase, d: Duration) {
+    /// Records a phase sample `d`, and a causal span when `trace` marks
+    /// the batch as sampled, at this replica's ring position `hop`
+    /// (0 = initiator/single-shard).
+    fn record_phase(&mut self, p: Phase, d: Duration, trace: Option<TraceContext>, hop: u32) {
+        self.obs.phase(p, d);
         if let Some(t) = trace {
-            let ctx = TraceContext {
-                trace_id: t.trace_id,
-                hop,
-            };
+            let ctx = TraceContext { hop, ..t };
             self.obs
                 .span(self.obs_now, ctx, p, self.me.shard.0, self.me.index, d);
         }
@@ -1089,77 +915,27 @@ impl RingReplica {
             .unwrap_or(0)
     }
 
-    /// Builds batches from pools. `force` flushes partial pools (timer).
-    ///
-    /// With `adaptive_batching` on, a partial pool is also cut when the
-    /// consensus pipe is idle (no PBFT instance in flight and no batch
-    /// queued for execution): batching exists to amortise per-batch
-    /// protocol cost while the pipe is busy, so holding requests back
-    /// when nothing is ahead of them only adds latency. Under backlog
-    /// the `batch_size` threshold reasserts itself unchanged.
+    /// Proposes the batches the batcher cuts (primary only). `force`
+    /// flushes partial pools (timer).
     fn flush_pools(&mut self, force: bool, out: &mut Outbox<RingMsg>) {
         if !self.pbft.is_primary() {
             return;
         }
-        let batch_size = self.cfg.batch_size;
-        let adaptive_cut = self.cfg.adaptive_batching
-            && !force
-            && self.pbft.in_flight() == 0
-            && self.exec_inflight.is_empty();
-        let effective = if adaptive_cut { 1 } else { batch_size };
-        let keys: Vec<Vec<ShardId>> = self
-            .pools
-            .iter()
-            .filter(|(_, p)| p.len() >= effective || (force && !p.is_empty()))
-            .map(|(k, _)| k.clone())
-            .collect();
-        for key in keys {
-            loop {
-                let pool = self.pools.get_mut(&key).expect("pool exists");
-                if pool.is_empty() || (pool.len() < effective && !force) {
-                    break;
-                }
-                let take = pool.len().min(batch_size);
-                let txns: Vec<Transaction> = pool.drain(..take).collect();
-                if adaptive_cut && txns.len() < batch_size {
-                    self.obs.batch_adaptive_flushes(1);
-                }
-                let drained_all = pool.is_empty();
-                // Admission: how long the oldest pooled request waited
-                // for its batch. Later batches from the same flush reuse
-                // the restarted clock, so the sample tracks head-of-pool
-                // wait rather than per-transaction wait.
-                if let Some(t0) = self.pool_first.get(&key).copied() {
-                    let d = self.obs_now.since(t0);
-                    self.obs.phase(Phase::Admission, d);
-                    self.stamp_span(txns.iter().find_map(|t| t.trace), 0, Phase::Admission, d);
-                    if drained_all {
-                        self.pool_first.remove(&key);
-                    } else {
-                        self.pool_first.insert(key.clone(), self.obs_now);
-                    }
-                }
-                let id = BatchId(self.next_batch_id);
-                self.next_batch_id += 1;
-                let batch = Arc::new(Batch::new(id, txns));
-                self.propose_batch(batch, out);
-                if force {
-                    continue;
-                }
+        let pipe_idle = self.pbft.in_flight() == 0 && self.exec_inflight.is_empty();
+        for cut in self.batcher.cut(force, pipe_idle, self.obs_now) {
+            if cut.adaptive {
+                self.obs.batch_adaptive_flushes(1);
             }
+            self.record_phase(Phase::Admission, cut.wait, batch_trace(&cut.batch), 0);
+            let involved = cut.batch.involved_shards();
+            if involved.len() > 1 {
+                let digest = ringbft_pbft::batch_digest(&cut.batch);
+                let token = self.alloc_token(digest);
+                let state = CstState::new(Arc::clone(&cut.batch), involved, token, true);
+                self.csts.entry(digest).or_insert(state);
+            }
+            self.propose(cut.batch, out);
         }
-    }
-
-    fn propose_batch(&mut self, batch: Arc<Batch>, out: &mut Outbox<RingMsg>) {
-        let digest = ringbft_pbft::batch_digest(&batch);
-        let involved = batch.involved_shards();
-        if involved.len() > 1 {
-            let token = self.alloc_token(digest);
-            self.csts
-                .entry(digest)
-                .or_insert_with(|| CstState::new(Arc::clone(&batch), involved, token, true));
-        }
-        self.propose(batch, out);
     }
 
     // ------------------------------------------------------------------
@@ -1213,12 +989,8 @@ impl RingReplica {
     fn on_pbft_event(&mut self, now: Instant, event: PbftEvent, out: &mut Outbox<RingMsg>) {
         match event {
             PbftEvent::Committed {
-                seq,
-                digest,
-                batch,
-                committers,
-                ..
-            } => self.on_local_commit(seq, digest, batch, committers, out),
+                seq, digest, batch, ..
+            } => self.on_local_commit(seq, digest, batch, out),
             PbftEvent::EnteredView { view } => {
                 self.last_view_entry = now;
                 self.obs
@@ -1386,12 +1158,16 @@ impl RingReplica {
             // (§6.2.2) to anchor a state transfer on — without this, a
             // shard whose cadence wedged (crash + laggard exhausting
             // `f`) leaves the laggard dark forever.
-            if let Some((seq, state_digest)) = self.pbft.stable_checkpoint_revote() {
-                out.send(
-                    NodeId::Replica(from),
-                    RingMsg::Pbft(PbftMsg::Checkpoint { seq, state_digest }),
-                );
-            }
+            self.revote_checkpoint(from, out);
+        }
+    }
+
+    /// Re-sends our stable-checkpoint vote to `to` (votes are never
+    /// retransmitted on their own).
+    fn revote_checkpoint(&self, to: ReplicaId, out: &mut Outbox<RingMsg>) {
+        if let Some((seq, state_digest)) = self.pbft.stable_checkpoint_revote() {
+            let vote = PbftMsg::Checkpoint { seq, state_digest };
+            out.send(NodeId::Replica(to), RingMsg::Pbft(vote));
         }
     }
 
@@ -1452,14 +1228,9 @@ impl RingReplica {
         if !self.ckpt.executed(seq, writes) {
             return;
         }
-        if let Some(t0) = self.commit_at.remove(&seq) {
-            let d = self.obs_now.since(t0);
-            self.obs.phase(Phase::CommitExecute, d);
-            if let Some(t) = self.commit_trace.remove(&seq) {
-                self.stamp_span(Some(t), t.hop, Phase::CommitExecute, d);
-            }
-        } else {
-            self.commit_trace.remove(&seq);
+        if let Some((t0, trace)) = self.commit_at.remove(&seq) {
+            let hop = trace.map_or(0, |t| t.hop);
+            self.record_phase(Phase::CommitExecute, self.obs_now.since(t0), trace, hop);
         }
         self.try_announce_checkpoints(out);
     }
@@ -1514,7 +1285,6 @@ impl RingReplica {
                     }
                 }
                 self.ledger.prune_through_seq(seq);
-                let horizon = seq.saturating_sub(2 * self.cfg.checkpoint_interval);
                 // The replay-dedup set keeps two extra checkpoint windows
                 // of finished digests: peers' writer queues can redeliver
                 // a just-finished cst's Forward shortly after the
@@ -1533,10 +1303,9 @@ impl RingReplica {
                 // id ranges rotating) would still accrete entries —
                 // evict clients idle for two whole windows and count
                 // the reclaims.
-                let before = self.client_replies.len();
-                self.client_replies.retain(|_, e| e.seq > horizon);
-                self.obs
-                    .reply_cache_evictions((before - self.client_replies.len()) as u64);
+                let horizon = seq.saturating_sub(2 * self.cfg.checkpoint_interval);
+                let evicted = self.clients.evict_idle(horizon);
+                self.obs.reply_cache_evictions(evicted as u64);
             }
             Stable::Lost => {
                 // Our digest lost the vote: this replica's executed state
@@ -1634,26 +1403,19 @@ impl RingReplica {
         // shard finished while this replica was dark — and a watchdog
         // for it would demand a view change no healthy peer joins. A
         // genuinely live cst is rebuilt by the sender's retransmission.
-        let stale: Vec<Digest> = self
-            .csts
-            .iter()
-            .filter(|(_, c)| {
-                c.local_seq.is_some_and(|s| s <= seq)
-                    || (c.local_seq.is_none() && !c.locked && !c.executed)
-            })
-            .map(|(d, _)| *d)
-            .collect();
-        for d in stale {
-            if let Some(c) = self.csts.remove(&d) {
-                if c.local_seq.is_some() {
-                    // Finished work: keep the replay-dedup entry.
-                    self.done.insert(&d);
-                }
-                self.token_digest.remove(&c.token);
-                out.cancel_timer(TimerKind::Local, c.token);
-                out.cancel_timer(TimerKind::Remote, c.token);
-                out.cancel_timer(TimerKind::Transmit, c.token);
+        let stale = self.csts.extract_if(.., |_, c| {
+            c.local_seq.is_some_and(|s| s <= seq)
+                || (c.local_seq.is_none() && !c.locked && !c.executed)
+        });
+        for (d, c) in stale {
+            if c.local_seq.is_some() {
+                // Finished work: keep the replay-dedup entry.
+                self.done.insert(&d);
             }
+            self.token_digest.remove(&c.token);
+            out.cancel_timer(TimerKind::Local, c.token);
+            out.cancel_timer(TimerKind::Remote, c.token);
+            out.cancel_timer(TimerKind::Transmit, c.token);
         }
         self.work.retain(|s, _| *s > seq);
         // Commit→execute clocks for subsumed sequences never close.
@@ -1707,7 +1469,6 @@ impl RingReplica {
         seq: SeqNum,
         digest: Digest,
         batch: Arc<Batch>,
-        committers: Vec<u32>,
         out: &mut Outbox<RingMsg>,
     ) {
         // The durable tail: a restart replays these markers to learn how
@@ -1716,38 +1477,24 @@ impl RingReplica {
         // Cancel A1 watchdogs for the ordered transactions and advance
         // the per-client replay horizon.
         for t in &batch.txns {
-            self.note_client_commit(t.client, t.id, seq.0);
-            self.pooled.remove(&t.id);
-            self.watched_txns.remove(&t.id);
-            if let Some(token) = self.txn_watchdogs.remove(&t.id) {
-                self.token_txn.remove(&token);
+            self.batcher.committed(t.id);
+            if let Some(token) = self.clients.commit(t.client, t.id, seq.0) {
                 out.cancel_timer(TimerKind::Local, token);
             }
         }
         // Consensus latency for this slot: first preprepare/vote seen →
         // local commit; the commit→execute clock starts here.
         if let Some(t0) = self.pbft.consensus_started_at(seq) {
-            let d = self.obs_now.since(t0);
-            self.obs.phase(Phase::PreprepareCommit, d);
-            self.stamp_span(
-                batch_trace(&batch),
-                self.cst_hop(&digest),
-                Phase::PreprepareCommit,
-                d,
-            );
+            let (d, hop) = (self.obs_now.since(t0), self.cst_hop(&digest));
+            self.record_phase(Phase::PreprepareCommit, d, batch_trace(&batch), hop);
         }
-        self.commit_at.insert(seq.0, self.obs_now);
-        if let Some(t) = batch_trace(&batch) {
-            // Remember the sampled context (at this shard's ring
-            // position) so `mark_executed` can stamp commit→execute.
-            self.commit_trace.insert(
-                seq.0,
-                TraceContext {
-                    trace_id: t.trace_id,
-                    hop: self.cst_hop(&digest),
-                },
-            );
-        }
+        // The sampled context (at this shard's ring position) rides with
+        // the clock so `mark_executed` can stamp commit→execute.
+        let trace = batch_trace(&batch).map(|t| TraceContext {
+            hop: self.cst_hop(&digest),
+            ..t
+        });
+        self.commit_at.insert(seq.0, (self.obs_now, trace));
         let involved = batch.involved_shards();
         if involved.len() <= 1 {
             self.work.insert(seq.0, Work::Single(Arc::clone(&batch)));
@@ -1767,15 +1514,14 @@ impl RingReplica {
             });
             state.local_seq = Some(seq.0);
             state.committed_local = true;
-            let _ = committers; // certificate modeled by index set size
-                                // Cancel the forwarded-request watchdog (primary proposed it).
-            out.cancel_timer(TimerKind::Local, state.token);
-            self.work.insert(seq.0, Work::Cst(digest));
             // Cst-forward clock (initiator only: the first shard is the
             // one whose commit opens the ring rotation).
             if self.ring.first(&involved) == self.me.shard {
-                self.cst_commit_at.insert(digest, self.obs_now);
+                state.committed_at = Some(self.obs_now);
             }
+            // Cancel the forwarded-request watchdog (primary proposed it).
+            out.cancel_timer(TimerKind::Local, state.token);
+            self.work.insert(seq.0, Work::Cst(digest));
         }
         let (reads, writes) = self.lock_keys(&batch);
         let admitted = self.locks.commit_rw(seq.0, reads, writes);
@@ -1848,7 +1594,6 @@ impl RingReplica {
     /// cannot be affected by other shards, and holding locks through the
     /// ring rotation would only cause needless π-list stalls.
     fn execute_simple_fragment(&mut self, digest: Digest, out: &mut Outbox<RingMsg>) {
-        let me_shard = self.me.shard;
         let Some(state) = self.csts.get_mut(&digest) else {
             return;
         };
@@ -1857,31 +1602,47 @@ impl RingReplica {
         }
         state.executed = true;
         state.locked = false;
-        let batch = Arc::clone(&state.batch);
-        let involved = state.involved.clone();
+        let (seq, writes) = self.run_fragment(digest, &HashMap::new(), out);
+        self.mark_executed(seq, writes, out);
+        self.release(seq, out);
+    }
+
+    /// Executes this shard's fragment of cst `digest` (locked here),
+    /// reading remote keys from `resolved`, and books it: counters, the
+    /// ledger block and the `Executed` action. Returns the sequence and
+    /// the fragment's writes.
+    fn run_fragment(
+        &mut self,
+        digest: Digest,
+        resolved: &HashMap<Key, Value>,
+        out: &mut Outbox<RingMsg>,
+    ) -> (u64, Vec<(Key, Value)>) {
+        let me_shard = self.me.shard;
+        let state = &self.csts[&digest];
+        let (batch, involved) = (Arc::clone(&state.batch), state.involved.clone());
         let seq = state.local_seq.expect("locked implies committed locally");
-        let mut effects = Vec::new();
+        let mut writes = Vec::new();
         for txn in &batch.txns {
-            let result = self.kv.execute_fragment(txn, me_shard, &[]);
-            effects.extend(result.writes);
-            self.obs.executed_txns(1);
+            let remote: Vec<(Key, Value)> = txn
+                .remote_reads
+                .iter()
+                .filter(|rr| rr.reader == me_shard)
+                .map(|rr| (rr.key, resolved.get(&rr.key).copied().unwrap_or_default()))
+                .collect();
+            writes.extend(self.kv.execute_fragment(txn, me_shard, &remote).writes);
         }
+        let txns = batch.len() as u32;
+        self.obs.executed_txns(txns as u64);
         self.obs.executed_batches(1);
         self.ledger.append(BlockBody {
             seq: SeqNum(seq),
             merkle_root: digest,
             proposer: ReplicaId::new(me_shard, self.pbft.primary_index()),
-            txn_count: batch.len() as u32,
+            txn_count: txns,
             involved,
         });
-        out.executed(seq, batch.len() as u32);
-        self.mark_executed(seq, effects, out);
-        // No execute→reply clock here: a simple cst's initiator replies
-        // on the wrap-around Forward, an interval `phase.cst_forward`
-        // already measures from the same commit instant — opening
-        // `executed_at` too would double-report the identical sample
-        // under a second name.
-        self.release(seq, out);
+        out.executed(seq, txns);
+        (seq, writes)
     }
 
     /// Hands an admitted single-shard batch to the execution stage:
@@ -1909,10 +1670,6 @@ impl RingReplica {
             // manager guarantees their write sets cannot conflict.
             self.obs.exec_parallel_batches(1);
         }
-        // Execute→reply clock: opens when the job enters the execution
-        // stage, closes in `reply_clients` once the applied outcome's
-        // replies go out — the stage latency an async pipeline adds.
-        self.exec_submit_at.insert(seq, self.obs_now);
         self.exec_inflight.push_back(seq);
         self.exec_pipeline.submit(ExecJob {
             seq,
@@ -1920,6 +1677,7 @@ impl RingReplica {
             shard: self.me.shard,
             base,
             proposer: self.pbft.primary_index(),
+            submitted: self.obs_now,
         });
         self.pump_exec(out);
     }
@@ -1950,7 +1708,7 @@ impl RingReplica {
     /// Queues finished outcomes and applies those whose turn has come.
     fn apply_in_order(&mut self, done: Vec<ExecOutcome>, out: &mut Outbox<RingMsg>) {
         for o in done {
-            self.exec_ready.insert(o.seq, o);
+            self.exec_ready.insert(o.job.seq, o);
         }
         while let Some(&seq) = self.exec_inflight.front() {
             let Some(outcome) = self.exec_ready.remove(&seq) else {
@@ -1965,27 +1723,28 @@ impl RingReplica {
     /// authoritative store, appends the ledger block, replies to the
     /// clients, and releases the sequence's locks (admitting successors).
     fn apply_exec_outcome(&mut self, o: ExecOutcome, out: &mut Outbox<RingMsg>) {
-        for (k, v) in &o.writes {
+        let ExecOutcome {
+            job,
+            digest,
+            writes,
+        } = o;
+        let txns = job.batch.len() as u32;
+        for (k, v) in &writes {
             self.kv.put(*k, *v);
         }
-        self.obs.executed_txns(o.txn_count as u64);
+        self.obs.executed_txns(txns as u64);
         self.obs.executed_batches(1);
         self.ledger.append(BlockBody {
-            seq: SeqNum(o.seq),
-            merkle_root: o.digest,
-            proposer: ReplicaId::new(self.me.shard, o.proposer),
-            txn_count: o.txn_count,
+            seq: SeqNum(job.seq),
+            merkle_root: digest,
+            proposer: ReplicaId::new(self.me.shard, job.proposer),
+            txn_count: txns,
             involved: vec![self.me.shard],
         });
-        out.executed(o.seq, o.txn_count);
-        self.mark_executed(o.seq, o.writes, out);
-        // Hand the submit-time clock to `reply_clients` under the digest
-        // it closes by (the digest only exists once the stage hashed it).
-        if let Some(t0) = self.exec_submit_at.remove(&o.seq) {
-            self.executed_at.insert(o.digest, t0);
-        }
-        self.reply_clients(o.digest, &o.batch, out);
-        self.release(o.seq, out);
+        out.executed(job.seq, txns);
+        self.mark_executed(job.seq, writes, out);
+        self.reply_clients(digest, &job.batch, Some(job.submitted), out);
+        self.release(job.seq, out);
     }
 
     /// Drives the execution stage outside a message delivery: the real
@@ -2003,43 +1762,27 @@ impl RingReplica {
         self.flush_exec(out);
     }
 
-    fn reply_clients(&mut self, digest: Digest, batch: &Batch, out: &mut Outbox<RingMsg>) {
-        if let Some(t0) = self.executed_at.remove(&digest) {
+    /// Replies to the clients of executed `batch`, closing the
+    /// execute→reply clock opened at `executed_at` (none for simple
+    /// csts, whose reply interval `phase.cst_forward` already times).
+    fn reply_clients(
+        &mut self,
+        digest: Digest,
+        batch: &Batch,
+        executed_at: Option<Instant>,
+        out: &mut Outbox<RingMsg>,
+    ) {
+        if let Some(t0) = executed_at {
             let d = self.obs_now.since(t0);
-            self.obs.phase(Phase::ExecuteReply, d);
-            self.stamp_span(batch_trace(batch), 0, Phase::ExecuteReply, d);
+            self.record_phase(Phase::ExecuteReply, d, batch_trace(batch), 0);
         }
-        let mut by_client: BTreeMap<ClientId, Vec<TxnId>> = BTreeMap::new();
-        for t in &batch.txns {
-            by_client.entry(t.client).or_default().push(t.id);
-        }
-        for (client, txn_ids) in by_client {
-            // Cache the reply (C&L §4.1) so a replayed request can be
-            // answered without re-entering consensus — but never let an
-            // out-of-order execution clobber the reply for a *newer*
-            // committed request.
-            let newest = txn_ids.iter().copied().max().expect("non-empty");
-            let fallback_seq = self.ckpt.watermark();
-            let entry = self
-                .client_replies
-                .entry(client)
-                .or_insert(ClientReplyCache {
-                    last_id: newest,
-                    seq: fallback_seq,
-                    reply: None,
-                });
-            if newest >= entry.last_id {
-                entry.last_id = newest;
-                entry.reply = Some((digest, txn_ids.clone()));
-            }
-            out.send(
-                NodeId::Client(client),
-                RingMsg::Reply {
-                    client,
-                    digest,
-                    txn_ids,
-                },
-            );
+        for (client, txn_ids) in self.clients.replies(digest, batch, self.ckpt.watermark()) {
+            let reply = RingMsg::Reply {
+                client,
+                digest,
+                txn_ids,
+            };
+            out.send(NodeId::Client(client), reply);
             self.obs.replies_sent(1);
         }
     }
@@ -2072,25 +1815,16 @@ impl RingReplica {
             }
         }
         let nf = self.cfg.shard(me_shard).nf();
-        // Ring-hop counter for causal tracing: the initiator opens the
-        // rotation at hop 0; downstream shards advance the hop of the
-        // Forward they received.
-        let hop = if self.ring.first(&state.involved) == me_shard {
-            0
-        } else {
-            state
-                .forward_payload
-                .as_ref()
-                .map(|f| f.hop.saturating_add(1))
-                .unwrap_or(0)
-        };
         let fwd = ForwardMsg {
             batch: Arc::clone(&state.batch),
             digest,
             from_shard: me_shard,
             cert_signers: (0..nf as u32).collect(),
             deps,
-            hop,
+            // Ring-hop counter for causal tracing: the initiator opens
+            // the rotation at hop 0; downstream shards advance the hop
+            // of the Forward they received.
+            hop: self.cst_hop(&digest),
         };
         let token = state.token;
         let sent = self.send_to_shard(next, RingMsg::Forward(fwd), out);
@@ -2185,6 +1919,10 @@ impl RingReplica {
         if fwd.deps.len() > state.deps.len() {
             state.deps = fwd.deps.clone();
         }
+        // A processed Forward closes the initiator's cst-forward clock
+        // (wrap-around) and opens the forward→execute clock here.
+        let committed_at = state.committed_at.take();
+        state.forwarded_at = Some(self.obs_now);
         let (locked, executed, proposed_here, tok, batch) = (
             state.locked,
             state.executed,
@@ -2193,16 +1931,12 @@ impl RingReplica {
             Arc::clone(&state.batch),
         );
         out.cancel_timer(TimerKind::Remote, tok);
-        // A processed Forward closes the initiator's cst-forward clock
-        // (wrap-around) and opens the forward→execute clock here.
-        if let Some(t0) = self.cst_commit_at.remove(&digest) {
-            let d = self.obs_now.since(t0);
-            self.obs.phase(Phase::CstForward, d);
+        if let Some(t0) = committed_at {
             // Wrap-around at the initiator: the span closes at ring
             // position 0 even though the Forward travelled the ring.
-            self.stamp_span(batch_trace(&fwd.batch), 0, Phase::CstForward, d);
+            let d = self.obs_now.since(t0);
+            self.record_phase(Phase::CstForward, d, batch_trace(&fwd.batch), 0);
         }
-        self.cst_fwd_at.insert(digest, self.obs_now);
         if locked {
             // Second rotation begins at the initiator (Fig 5 line 32) —
             // only complex csts still hold locks here.
@@ -2244,8 +1978,8 @@ impl RingReplica {
             return;
         }
         state.executed = true;
-        let batch = Arc::clone(&state.batch);
-        let seq = state.local_seq.expect("locked implies committed locally");
+        let trace = batch_trace(&state.batch);
+        let forwarded_at = state.forwarded_at.take();
         // Resolve remote reads from deps ∪ sigma.
         let mut resolved: HashMap<Key, Value> = HashMap::new();
         for (k, v) in state.deps.iter().chain(state.sigma.iter()) {
@@ -2255,47 +1989,20 @@ impl RingReplica {
         if sigma.is_empty() {
             sigma = state.deps.clone();
         }
-        if let Some(t0) = self.cst_fwd_at.remove(&digest) {
-            let d = self.obs_now.since(t0);
-            self.obs.phase(Phase::CstExecute, d);
-            self.stamp_span(
-                batch_trace(&batch),
-                self.cst_hop(&digest),
-                Phase::CstExecute,
-                d,
-            );
+        if let Some(t0) = forwarded_at {
+            let (d, hop) = (self.obs_now.since(t0), self.cst_hop(&digest));
+            self.record_phase(Phase::CstExecute, d, trace, hop);
         }
-        let mut effects = Vec::new();
-        for txn in &batch.txns {
-            let remote: Vec<(Key, Value)> = txn
-                .remote_reads
-                .iter()
-                .filter(|rr| rr.reader == me_shard)
-                .map(|rr| (rr.key, resolved.get(&rr.key).copied().unwrap_or_default()))
-                .collect();
-            let result = self.kv.execute_fragment(txn, me_shard, &remote);
-            effects.extend(result.writes.iter().copied());
-            sigma.extend(result.writes);
-            self.obs.executed_txns(1);
-        }
-        self.obs.executed_batches(1);
+        let (seq, writes) = self.run_fragment(digest, &resolved, out);
+        sigma.extend(writes.iter().copied());
         let state = self.csts.get_mut(&digest).expect("state exists");
         state.sigma = sigma.clone();
-        let involved = state.involved.clone();
-        let token = state.token;
-        self.ledger.append(BlockBody {
-            seq: SeqNum(seq),
-            merkle_root: digest,
-            proposer: ReplicaId::new(me_shard, self.pbft.primary_index()),
-            txn_count: batch.len() as u32,
-            involved: involved.clone(),
-        });
-        out.executed(seq, batch.len() as u32);
-        self.mark_executed(seq, effects, out);
-        if self.ring.first(&involved) == self.me.shard {
+        let (involved, token) = (state.involved.clone(), state.token);
+        if self.ring.first(&involved) == me_shard {
             // Execute→reply clock; closed when the Execute wraps around.
-            self.executed_at.insert(digest, self.obs_now);
+            state.executed_at = Some(self.obs_now);
         }
+        self.mark_executed(seq, writes, out);
         // Release locks (Fig 5 line 35) and admit successors.
         self.release(seq, out);
         // Forward the Execute to the next shard (line 36–37).
@@ -2370,17 +2077,13 @@ impl RingReplica {
     /// state and answer the client.
     fn finish_cst(&mut self, digest: Digest, token: u64, batch: &Batch, out: &mut Outbox<RingMsg>) {
         self.token_digest.remove(&token);
-        self.csts.remove(&digest);
+        let executed_at = self.csts.remove(&digest).and_then(|c| c.executed_at);
         // Late messages hit the `done` filter until its rotating windows
         // (two-to-three checkpoint windows) age the entry out.
         self.done.insert(&digest);
         self.obs
             .set_done_set(self.done.occupancy() as u64, self.done.overwrites());
-        // Drop any phase clocks the cst never closed (non-initiator
-        // wrap-arounds, retransmission races).
-        self.cst_commit_at.remove(&digest);
-        self.cst_fwd_at.remove(&digest);
-        self.reply_clients(digest, batch, out);
+        self.reply_clients(digest, batch, executed_at, out);
         out.cancel_timer(TimerKind::Transmit, token);
     }
 
@@ -2451,7 +2154,7 @@ impl RingReplica {
         origin: u32,
         out: &mut Outbox<RingMsg>,
     ) {
-        let f = self.f();
+        let f = self.cfg.shard(self.me.shard).f();
         let votes = self.remote_complaints.entry(digest).or_default();
         votes.insert(origin);
         if votes.len() <= f {
@@ -2498,18 +2201,13 @@ impl RingReplica {
 
     fn on_entered_view(&mut self, out: &mut Outbox<RingMsg>) {
         if !self.pbft.is_primary() {
+            self.batcher.demote();
             // Hand every watched (stuck) request to the new primary — the
             // old primary's pool died with it (PBFT view changes carry
             // pending requests forward; here the backups re-relay).
-            let primary = NodeId::Replica(ReplicaId::new(self.me.shard, self.pbft.primary_index()));
-            for txn in self.watched_txns.values() {
-                out.send(
-                    primary,
-                    RingMsg::Request {
-                        txn: Arc::clone(txn),
-                        relayed: true,
-                    },
-                );
+            let primary = ReplicaId::new(self.me.shard, self.pbft.primary_index());
+            for txn in self.clients.watched() {
+                relay(out, primary, txn);
             }
             return;
         }
@@ -2562,6 +2260,12 @@ fn accepted_slots(actions: &[Action<PbftMsg>]) -> Vec<(u64, u64, Digest)> {
         }
     }
     slots
+}
+
+/// Relays client request `txn` to primary `to`.
+fn relay(out: &mut Outbox<RingMsg>, to: ReplicaId, txn: &Arc<Transaction>) {
+    let txn = Arc::clone(txn);
+    out.send(NodeId::Replica(to), RingMsg::Request { txn, relayed: true });
 }
 
 /// Lifts a sub-machine's actions (PBFT, state transfer, hole fetch) into

@@ -32,8 +32,22 @@ impl TraceDump {
         }
     }
 
+    /// Arms the dump and prints `report-digest <test> <seed> <sha256>`:
+    /// the hash of the report's `{:?}` text with the wall-clock worker
+    /// busy/idle times zeroed, so two builds that behave identically
+    /// print identical lines (`scripts/report_digests.sh` collects them).
     fn arm(&mut self, report: &ScenarioReport) {
         self.traces = report.traces.clone();
+        let mut fixed = report.clone();
+        fixed.pipeline.worker_busy_ns = 0;
+        fixed.pipeline.worker_idle_ns = 0;
+        let digest = ringbft_crypto::sha256(format!("{fixed:?}").as_bytes());
+        println!(
+            "report-digest {} {} {}",
+            self.test,
+            seed(),
+            ringbft_crypto::to_hex(&digest)
+        );
     }
 }
 
