@@ -4,9 +4,10 @@
 //! discrete-event WAN.
 //!
 //! The seed comes from `RINGBFT_FAULT_SEED` (default 7); the CI workflow
-//! fans the file out across three fixed seeds so every PR exercises the
-//! fault machinery under three distinct message interleavings, not just
-//! the happy path.
+//! fans the file out across five fixed legs so every PR exercises the
+//! fault machinery under distinct message interleavings, not just the
+//! happy path. Each leg diffs the `report-digest` lines it prints
+//! against its seed's slice of `tests/golden/report_digests.txt`.
 
 use ringbft_sim::{Scenario, ScenarioReport};
 use ringbft_types::{Duration, ProtocolKind, ReplicaId, ShardId, SystemConfig};
@@ -371,16 +372,37 @@ fn checkpoint_cadence_survives_f_laggards_per_shard() {
 /// chain — never a dangling delta chain.
 #[test]
 fn blank_restart_catches_up_across_seeds() {
+    blank_restart_catches_up(0, "blank_restart_catches_up_across_seeds");
+}
+
+/// The same blank restart with one remote read per cst: every cst is
+/// complex, so rotation two (Execute, `Σ` accumulation, the second
+/// wrap-around) runs on a 3-shard ring, and the restarted replica's
+/// snapshot install prunes complex-cst state. No other scenario of the
+/// matrix sends an Execute.
+#[test]
+fn blank_restart_catches_up_with_complex_csts() {
+    blank_restart_catches_up(1, "blank_restart_catches_up_with_complex_csts");
+}
+
+fn blank_restart_catches_up(remote_reads: usize, test: &'static str) {
     let mut cfg = fault_cfg(3);
     cfg.cross_shard_rate = 0.3;
     cfg.checkpoint_interval = 4;
-    let mut dump = TraceDump::new("blank_restart_catches_up_across_seeds");
+    cfg.remote_reads = remote_reads;
+    let mut dump = TraceDump::new(test);
     let report = Scenario::new(cfg, seed())
         .warmup_secs(1.0)
         .measure_secs(11.0)
         .with_blank_restart(2.0, 3.0, ReplicaId::new(ShardId(1), 2))
         .run();
     dump.arm(&report);
+    // Only a complex cst executes after its Forward evidence completes.
+    let rotation_two = report
+        .phases
+        .iter()
+        .any(|p| p.name == "phase.cst_execute" && p.count > 0);
+    assert_eq!(rotation_two, remote_reads > 0, "{:?}", report.phases);
     let rec = report.recovery.expect("recovery metrics requested");
     assert!(
         rec.catchup_s.is_some(),

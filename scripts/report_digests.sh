@@ -5,11 +5,15 @@
 # `report-digest <test> <seed> <sha256>` line, sorted. Each digest
 # hashes one scenario's full report (client latencies, phase
 # histograms, per-replica trace rings) minus wall-clock worker times,
-# so a refactor that holds behaviour fixed prints identical output:
+# so a change that holds behaviour fixed prints the committed golden
+# file exactly:
 #
-#   scripts/report_digests.sh > after.txt
-#   (cd <parent checkout> && scripts/report_digests.sh) > before.txt
-#   diff before.txt after.txt
+#   scripts/report_digests.sh | diff tests/golden/report_digests.txt -
+#
+# A change that alters behaviour regenerates the file with
+# `scripts/report_digests.sh > tests/golden/report_digests.txt` and
+# explains each changed line. CI's fault-matrix legs diff their own
+# seed's slice of the file.
 
 set -euo pipefail
 
@@ -23,4 +27,4 @@ for leg in 7/0/0 13/2/0 19/4/0 31/0/0 17/2/1; do
         RINGBFT_ADAPTIVE_BATCHING="$adaptive" \
         cargo test -q -p ringbft-sim --test fault_matrix -- --nocapture |
         grep -o 'report-digest .*'
-done | sort
+done | LC_ALL=C sort
