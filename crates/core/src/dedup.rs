@@ -2,17 +2,14 @@
 //!
 //! Replicas must recognise a cst they already finished so that late
 //! retransmits (zombie Forwards, duplicate Executes, stale RemoteViews) are
-//! absorbed instead of re-executed. The old implementation kept a
-//! `HashMap<Digest, SeqNum>` garbage-collected against a 2-checkpoint-window
-//! horizon — O(window-txns) of 40-byte entries per shard, and resized on the
-//! hot path. This set keeps the same retention contract in fixed memory:
+//! absorbed instead of re-executed. This set keeps them for two checkpoint
+//! windows in fixed memory:
 //!
 //! * digests are folded to nonzero 64-bit fingerprints stored in three
 //!   fixed-capacity open-addressing generations;
 //! * [`WindowedDigestSet::rotate`] is called once per stable checkpoint and
 //!   clears the oldest generation, so any inserted digest survives at least
-//!   two full checkpoint windows — exactly the horizon the retain-based GC
-//!   enforced (`finished_seq > stable_seq − 2·interval`);
+//!   two full checkpoint windows;
 //! * on pathological overflow (more live csts than capacity in one window)
 //!   the probe chain's first slot is overwritten and counted, never
 //!   allocated — the counter is surfaced as a registry metric so a capacity
@@ -152,11 +149,6 @@ impl WindowedDigestSet {
         self.gens.iter().map(|g| g.len).sum()
     }
 
-    /// Total capacity across all generations.
-    pub fn capacity(&self) -> usize {
-        self.gens.iter().map(|g| g.slots.len()).sum()
-    }
-
     /// Times an insert had to overwrite a live slot (capacity pressure).
     pub fn overwrites(&self) -> u64 {
         self.overwrites
@@ -225,7 +217,7 @@ mod tests {
     #[test]
     fn overflow_overwrites_and_counts_instead_of_growing() {
         let mut s = WindowedDigestSet::with_window(1); // floor: 1024 per gen
-        let per_gen = s.capacity() / GENERATIONS;
+        let per_gen = s.gens[0].slots.len();
         for i in 0..(per_gen as u64 * 2) {
             s.insert(&digest(i));
         }

@@ -133,8 +133,7 @@ impl ClientTable {
         let hash_map::Entry::Vacant(slot) = self.watch_tokens.entry(txn.id) else {
             return None;
         };
-        let token = *next_token;
-        *next_token += 1;
+        let token = crate::cst::take_token(next_token);
         slot.insert(token);
         self.watches.insert(token, Arc::clone(txn));
         Some(token)

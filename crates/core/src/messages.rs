@@ -36,8 +36,7 @@ pub struct ForwardMsg {
     pub deps: Vec<(Key, Value)>,
     /// Ring-hop counter for causal tracing: 0 at the initiator shard,
     /// incremented by each shard that re-forwards the batch along the
-    /// ring. `#[serde(default)]` so pre-v5 captures decode as hop 0.
-    #[serde(default)]
+    /// ring.
     pub hop: u32,
 }
 
@@ -135,22 +134,6 @@ impl RingMsg {
             _ => None,
         }
     }
-
-    /// Short tag for logging/metrics.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            RingMsg::Request { .. } => "request",
-            RingMsg::Pbft(m) => m.tag(),
-            RingMsg::Forward(_) => "forward",
-            RingMsg::ForwardShare(_) => "forward-share",
-            RingMsg::Execute(_) => "execute",
-            RingMsg::ExecuteShare(_) => "execute-share",
-            RingMsg::RemoteView { .. } => "remote-view",
-            RingMsg::RemoteViewShare { .. } => "remote-view-share",
-            RingMsg::Recovery(m) => m.tag(),
-            RingMsg::Reply { .. } => "reply",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -160,8 +143,12 @@ mod tests {
     use ringbft_types::BatchId;
 
     #[test]
-    fn tags() {
-        let txn = Arc::new(Transaction::new(
+    fn trace_context_carries_the_forward_hop() {
+        let ctx = TraceContext {
+            trace_id: 7,
+            hop: 0,
+        };
+        let mut txn = Transaction::new(
             TxnId(1),
             ClientId(1),
             vec![Operation {
@@ -169,33 +156,29 @@ mod tests {
                 key: 1,
                 kind: OperationKind::Write,
             }],
-        ));
-        let batch = Arc::new(Batch::new(BatchId(1), vec![(*txn).clone()]));
+        );
+        txn.trace = Some(ctx);
+        let batch = Arc::new(Batch::new(BatchId(1), vec![txn.clone()]));
         let fwd = ForwardMsg {
             batch,
             digest: [0; 32],
             from_shard: ShardId(0),
             cert_signers: vec![0, 1, 2],
             deps: vec![],
-            hop: 0,
+            hop: 2,
         };
-        assert_eq!(
-            RingMsg::Request {
-                txn,
-                relayed: false
-            }
-            .tag(),
-            "request"
-        );
-        assert_eq!(RingMsg::Forward(fwd.clone()).tag(), "forward");
-        assert_eq!(RingMsg::ForwardShare(fwd).tag(), "forward-share");
-        assert_eq!(
-            RingMsg::RemoteView {
-                digest: [0; 32],
-                from_shard: ShardId(1)
-            }
-            .tag(),
-            "remote-view"
-        );
+        let request = RingMsg::Request {
+            txn: Arc::new(txn),
+            relayed: false,
+        };
+        assert_eq!(request.trace_context(), Some(ctx));
+        let hop2 = Some(TraceContext { hop: 2, ..ctx });
+        assert_eq!(RingMsg::Forward(fwd.clone()).trace_context(), hop2);
+        assert_eq!(RingMsg::ForwardShare(fwd).trace_context(), hop2);
+        let complaint = RingMsg::RemoteView {
+            digest: [0; 32],
+            from_shard: ShardId(1),
+        };
+        assert_eq!(complaint.trace_context(), None);
     }
 }

@@ -40,9 +40,9 @@
 //! * clients that time out broadcast their request to the whole shard
 //!   (A1); non-primary replicas relay to the primary and watchdog it.
 
-use crate::dedup::WindowedDigestSet;
+use crate::cst::{CstTracker, Next};
 use crate::intake::{Admission, Batcher, ClientTable, WatchExpiry};
-use crate::messages::{batch_trace, ExecuteMsg, ForwardMsg, RingMsg};
+use crate::messages::{batch_trace, RingMsg};
 use crate::obs::{Phase, ReplicaObs};
 use crate::pipeline::{InlinePipeline, Pipeline, PipelineJob, ThreadedPipeline};
 use ringbft_crypto::Digest;
@@ -57,10 +57,10 @@ use ringbft_store::{KvStore, LockManager, Record};
 use ringbft_types::hole::{HoleReply, HoleRequest};
 use ringbft_types::txn::{Batch, Key, Transaction, Value};
 use ringbft_types::{
-    Action, Duration, Instant, NodeId, Outbox, ReplicaId, RingOrder, SeqNum, ShardId, SystemConfig,
-    TimerKind, TraceContext,
+    Action, Duration, Instant, NodeId, Outbox, ReplicaId, SeqNum, ShardId, SystemConfig, TimerKind,
+    TraceContext,
 };
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 /// First token value used for RingBFT-level watchdogs, disjoint from PBFT
@@ -70,78 +70,13 @@ pub(crate) const TOKEN_BASE: u64 = 1 << 62;
 /// durability). `TOKEN_BASE - 1` is the batch-pool flush timer, `- 2` and
 /// `- 3` belong to the recovery and hole-fetch probes.
 const WAL_FLUSH_TOKEN: u64 = TOKEN_BASE - 4;
-/// Maximum Forward/Execute retransmissions (the paper retransmits until
-/// fate is known; we cap to bound simulated traffic — see DESIGN.md).
-const MAX_RETRANSMITS: u32 = 3;
-
-/// Per-cst replica-local state.
-#[derive(Debug)]
-struct CstState {
-    batch: Arc<Batch>,
-    involved: Vec<ShardId>,
-    /// Sequence this shard's PBFT assigned the batch.
-    local_seq: Option<u64>,
-    committed_local: bool,
-    /// Locks held (rotation one passed through this shard).
-    locked: bool,
-    executed: bool,
-    /// Distinct previous-shard replica indices whose Forward we saw.
-    forward_origins: HashSet<u32>,
-    forward_processed: bool,
-    /// First Forward payload (kept for sharing and proposal).
-    forward_payload: Option<ForwardMsg>,
-    /// Distinct previous-shard replica indices whose Execute we saw.
-    execute_origins: HashSet<u32>,
-    execute_processed: bool,
-    /// Accumulated dependency reads (rotation one).
-    deps: Vec<(Key, Value)>,
-    /// Accumulated `Σ` (rotation two).
-    sigma: Vec<(Key, Value)>,
-    /// RingBFT-level watchdog token for this cst.
-    token: u64,
-    retransmits: u32,
-    proposed_here: bool,
-    /// Phase clocks, which end with the state: local commit at the
-    /// initiator (`phase.cst_forward`), Forward evidence complete
-    /// (`phase.cst_execute`), and a complex cst's execution at the
-    /// initiator (`phase.execute_reply`).
-    committed_at: Option<Instant>,
-    forwarded_at: Option<Instant>,
-    executed_at: Option<Instant>,
-}
-
-impl CstState {
-    fn new(batch: Arc<Batch>, involved: Vec<ShardId>, token: u64, proposed_here: bool) -> Self {
-        CstState {
-            batch,
-            involved,
-            local_seq: None,
-            committed_local: false,
-            locked: false,
-            executed: false,
-            forward_origins: HashSet::new(),
-            forward_processed: false,
-            forward_payload: None,
-            execute_origins: HashSet::new(),
-            execute_processed: false,
-            deps: Vec::new(),
-            sigma: Vec::new(),
-            token,
-            retransmits: 0,
-            proposed_here,
-            committed_at: None,
-            forwarded_at: None,
-            executed_at: None,
-        }
-    }
-}
 
 #[derive(Debug, Clone)]
 enum Work {
     /// A single-shard batch awaiting execution once admitted.
     Single(Arc<Batch>),
     /// A cross-shard batch (state lives in `csts`).
-    Cst(Digest),
+    Cst(Arc<Batch>, Digest),
     /// A duplicate commit of a batch that already committed at an earlier
     /// sequence number (possible when a view change re-proposes a cst the
     /// old primary had already sequenced): its locks are released on
@@ -205,7 +140,7 @@ impl PipelineJob for ExecJob {
     }
 }
 
-/// Counters exposed for tests and diagnostics.
+/// The registry counters that tests and the benchmark read directly.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RingStats {
     /// Transactions executed by this replica (all fragments).
@@ -216,34 +151,12 @@ pub struct RingStats {
     pub forwards_sent: u64,
     /// Execute messages sent.
     pub executes_sent: u64,
-    /// Remote view-change complaints sent.
-    pub remote_views_sent: u64,
-    /// Client replies sent.
-    pub replies_sent: u64,
-    /// Stable checkpoints whose quorum digest disagreed with the digest
-    /// this replica announced — evidence of local state divergence
-    /// (must stay 0 for correct replicas).
-    pub checkpoint_divergences: u64,
-    /// Modeled wire bytes of full-snapshot state-transfer chunks this
-    /// replica accepted while recovering.
-    pub state_bytes_full: u64,
-    /// Modeled wire bytes of delta state-transfer chunks this replica
-    /// accepted while recovering — under delta checkpointing a laggard's
-    /// catch-up should move O(churn), so this stays far below what a
-    /// full transfer would cost.
-    pub state_bytes_delta: u64,
-    /// Per-client reply-cache entries garbage-collected by the 2-window
-    /// checkpoint backstop (clients idle for two whole checkpoint
-    /// windows). The cache itself is O(active clients); this counts how
-    /// often the backstop actually reclaimed a lapsed client.
-    pub reply_cache_evictions: u64,
 }
 
 /// A RingBFT replica.
 pub struct RingReplica {
     cfg: SystemConfig,
     me: ReplicaId,
-    ring: RingOrder,
     pbft: PbftCore,
     locks: LockManager,
     kv: KvStore,
@@ -254,26 +167,13 @@ pub struct RingReplica {
     clients: ClientTable,
     /// Locally committed work by sequence number.
     work: BTreeMap<u64, Work>,
-    /// Cross-shard transaction state by digest.
-    csts: BTreeMap<Digest, CstState>,
-    /// Completed digests (late-message dedup): a fixed-memory set whose
-    /// generations rotate once per stable checkpoint, so entries survive
-    /// at least two full checkpoint windows — the same horizon the old
-    /// `HashMap<Digest, SeqNum>` retain-GC enforced, without the
-    /// O(window-txns) footprint.
-    done: WindowedDigestSet,
-    /// Watchdog token → digest.
-    token_digest: HashMap<u64, Digest>,
+    /// Cross-shard transaction state through both ring rotations.
+    csts: CstTracker,
     /// Token allocator shared by cst watchdogs and client watches.
     next_token: u64,
     /// When this replica last installed a view (suppresses watchdog-driven
     /// view-change churn: give each new primary a grace period).
     last_view_entry: Instant,
-    /// RemoteView complaints per digest (tracked outside `CstState`: a
-    /// suppressing primary means most replicas never built the state).
-    remote_complaints: HashMap<Digest, HashSet<u32>>,
-    /// Digests whose complaints already forced a view change.
-    remote_vc_done: HashSet<Digest>,
     // --- checkpointing & recovery (§5 A3, `ringbft-recovery`) ---
     /// Execution watermark, checkpoint store, announced windows and
     /// divergence state, with the state-transfer machine they drive.
@@ -347,7 +247,6 @@ impl RingReplica {
         // transfer starts and before the per-request watchdog would
         // demand a (futile, solo) view change.
         let hole = HoleFetcher::new(me, shard_n, cfg.timers.local / 3);
-        let ring = cfg.ring_order();
         // Blocking mode keeps the observable event order identical to
         // the inline pipeline (the determinism twin test pins this);
         // drivers that can wake the core install an async stage later.
@@ -357,7 +256,6 @@ impl RingReplica {
             Box::new(InlinePipeline::new())
         };
         RingReplica {
-            ring,
             pbft,
             locks: LockManager::new(),
             kv,
@@ -365,13 +263,9 @@ impl RingReplica {
             batcher: Batcher::new(&cfg, me.shard),
             clients: ClientTable::default(),
             work: BTreeMap::new(),
-            csts: BTreeMap::new(),
-            done: WindowedDigestSet::with_window(cfg.checkpoint_interval),
-            token_digest: HashMap::new(),
+            csts: CstTracker::new(&cfg, me),
             next_token: TOKEN_BASE,
             last_view_entry: Instant::ZERO,
-            remote_complaints: HashMap::new(),
-            remote_vc_done: HashSet::new(),
             ckpt,
             wal: None,
             wal_timer_armed: false,
@@ -572,13 +466,6 @@ impl RingReplica {
         &self.obs
     }
 
-    /// Mutable instrument access for drivers that push stage accounting
-    /// from outside the protocol (the network runtime's verify stage
-    /// reports its queue depth and offload counters here).
-    pub fn obs_mut(&mut self) -> &mut ReplicaObs {
-        &mut self.obs
-    }
-
     /// All instruments as one stable JSON object.
     pub fn metrics_json(&self) -> String {
         self.obs.reg.snapshot_json()
@@ -587,22 +474,6 @@ impl RingReplica {
     /// The event-trace ring as JSON-lines (oldest first).
     pub fn trace_jsonl(&self) -> String {
         self.obs.trace.dump_jsonl()
-    }
-
-    fn shard_replicas(&self) -> impl Iterator<Item = NodeId> + '_ {
-        let me = self.me;
-        let n = self.cfg.shard(me.shard).n as u32;
-        (0..n)
-            .filter(move |i| *i != me.index)
-            .map(move |i| NodeId::Replica(ReplicaId::new(me.shard, i)))
-    }
-
-    /// Counterpart of this replica in `shard` under the linear
-    /// communication primitive: the replica with the same index, folded
-    /// modulo the target shard's size when shards are unequal (§4.3.6).
-    fn counterpart(&self, shard: ShardId) -> NodeId {
-        let n = self.cfg.shard(shard).n as u32;
-        NodeId::Replica(ReplicaId::new(shard, self.me.index % n))
     }
 
     /// Is this replica behind its shard's stable checkpoint frontier —
@@ -641,11 +512,14 @@ impl RingReplica {
         now.since(first) >= self.pbft.request_timeout() * 2
     }
 
-    fn alloc_token(&mut self, digest: Digest) -> u64 {
-        let t = self.next_token;
-        self.next_token += 1;
-        self.token_digest.insert(t, digest);
-        t
+    /// Watchdogs and complaints hold off view changes for one timeout
+    /// after a view entry (else stuck-request bursts churn views faster
+    /// than any primary recovers), during one, and while catching up.
+    fn grace(&self, now: Instant) -> bool {
+        (self.last_view_entry > Instant::ZERO
+            && now.since(self.last_view_entry) < self.pbft.request_timeout())
+            || self.pbft.in_view_change()
+            || self.catching_up()
     }
 
     /// Lock sets this shard needs for `batch`: `(reads, writes)`.
@@ -689,40 +563,35 @@ impl RingReplica {
         out: &mut Outbox<RingMsg>,
     ) {
         self.obs_now = now;
-        let msg = match msg {
-            RingMsg::Request { txn, relayed } => return self.on_request(txn, relayed, out),
-            RingMsg::RemoteViewShare { digest, origin, .. } => {
-                return self.on_remote_view(now, digest, origin, out);
+        // PBFT, local shares and state transfer are intra-shard only;
+        // replicas ignore client replies.
+        let local = matches!(from, NodeId::Replica(r) if r.shard == self.me.shard);
+        match (msg, from) {
+            (RingMsg::Request { txn, relayed }, _) => self.on_request(txn, relayed, out),
+            // Fig 6: no solo-VC deferral here, since the f+1 complaint
+            // quorum behind a view change is shared shard-wide.
+            (m @ (RingMsg::RemoteView { .. } | RingMsg::RemoteViewShare { .. }), _) => {
+                let grace = self.grace(now);
+                if self.csts.complaint(from, &m, grace, reader(&self.kv), out) {
+                    self.force_view_change(now, out);
+                }
             }
-            RingMsg::Reply { .. } => return, // replicas ignore client replies
-            m => m,
-        };
-        let NodeId::Replica(r) = from else { return };
-        // PBFT, local shares and state transfer are intra-shard only.
-        let local = r.shard == self.me.shard;
-        match msg {
-            RingMsg::Pbft(m) if local => {
+            (RingMsg::Pbft(m), NodeId::Replica(r)) if local => {
                 self.drive_pbft(
                     now,
                     |pbft, pout, ev| pbft.on_message(now, r, m, pout, ev),
                     out,
                 );
             }
-            RingMsg::Forward(fwd) => self.on_forward(r, fwd, true, out),
-            RingMsg::ForwardShare(fwd) if local => self.on_forward(r, fwd, false, out),
-            RingMsg::Execute(ex) => self.on_execute(r, ex, true, out),
-            RingMsg::ExecuteShare(ex) if local => self.on_execute(r, ex, false, out),
-            RingMsg::RemoteView { digest, from_shard } => {
-                // Locally share the complaint (Fig 6 lines 3–4).
-                let share = RingMsg::RemoteViewShare {
-                    digest,
-                    from_shard,
-                    origin: r.index,
-                };
-                out.multicast(self.shard_replicas(), &share);
-                self.on_remote_view(now, digest, r.index, out);
+            (m @ (RingMsg::Forward(_) | RingMsg::Execute(_)), NodeId::Replica(r)) => {
+                self.on_rotation(r, m, out);
             }
-            RingMsg::Recovery(m) if local && r != self.me => match m {
+            (m @ (RingMsg::ForwardShare(_) | RingMsg::ExecuteShare(_)), NodeId::Replica(r))
+                if local =>
+            {
+                self.on_rotation(r, m, out);
+            }
+            (RingMsg::Recovery(m), NodeId::Replica(r)) if local && r != self.me => match m {
                 RecoveryMsg::HoleRequest(req) => self.on_hole_request(r, req, out),
                 RecoveryMsg::HoleReply(reply) => self.on_hole_reply(reply, out),
                 other => {
@@ -741,6 +610,7 @@ impl RingReplica {
             },
             _ => {}
         }
+        self.obs.set_rotation(self.csts.counts());
     }
 
     /// Handles a timer expiry.
@@ -754,52 +624,46 @@ impl RingReplica {
         self.obs_now = now;
         match kind {
             TimerKind::Local => {
-                // Grace period: a freshly installed view gets one full
-                // timeout to make progress before watchdogs escalate —
-                // otherwise bursts of stuck-request watchdogs force
-                // view-change churn faster than any primary can recover.
-                // A replica catching up to a stable checkpoint gets the
-                // same leniency (see `catching_up`).
-                let grace = (self.last_view_entry > Instant::ZERO
-                    && now.since(self.last_view_entry) < self.pbft.request_timeout())
-                    || self.catching_up();
-                match self.clients.watch_expired(token) {
-                    WatchExpiry::NotWatched => {}
-                    WatchExpiry::Settled => return,
+                let (hold, timeout) = (self.grace(now), self.pbft.request_timeout());
+                let expiry = match self.clients.watch_expired(token) {
+                    // A1: the primary never ordered a relayed request.
+                    // Keep watching: the re-relay on view entry hands it
+                    // to the next primary.
                     WatchExpiry::Stuck => {
-                        // A1: the primary never ordered a relayed
-                        // request. Keep watching: the re-relay on view
-                        // entry hands it to the next primary.
-                        out.set_timer(TimerKind::Local, token, self.pbft.request_timeout());
-                        if !grace && !self.pbft.in_view_change() && self.allow_solo_vc(now) {
-                            self.force_view_change(now, out);
+                        out.set_timer(TimerKind::Local, token, timeout);
+                        if hold {
+                            WatchExpiry::Settled
+                        } else {
+                            WatchExpiry::Stuck
                         }
-                        return;
                     }
-                }
-                if let Some(digest) = self.token_digest.get(&token).copied() {
-                    // A forwarded cst the primary failed to propose.
-                    let stalled = self
-                        .csts
-                        .get(&digest)
-                        .map(|c| !c.committed_local)
-                        .unwrap_or(false);
-                    if stalled && (grace || self.pbft.in_view_change()) {
-                        out.set_timer(TimerKind::Local, token, self.pbft.request_timeout());
-                    } else if stalled && self.allow_solo_vc(now) {
+                    // A forwarded cst the primary failed to propose?
+                    WatchExpiry::NotWatched => self.csts.watch_expired(token, hold, timeout, out),
+                    settled => settled,
+                };
+                match expiry {
+                    // PBFT-owned token (per-seq watchdog or view-change timer).
+                    WatchExpiry::NotWatched => {
+                        self.drive_pbft(
+                            now,
+                            |pbft, pout, ev| pbft.on_timer(kind, token, pout, ev),
+                            out,
+                        );
+                    }
+                    WatchExpiry::Stuck if self.allow_solo_vc(now) => {
                         self.force_view_change(now, out);
                     }
-                    return;
+                    _ => {}
                 }
-                // PBFT-owned token (per-seq watchdog or view-change timer).
-                self.drive_pbft(
-                    now,
-                    |pbft, pout, ev| pbft.on_timer(kind, token, pout, ev),
-                    out,
-                );
             }
-            TimerKind::Transmit => self.on_transmit_timer(token, out),
-            TimerKind::Remote => self.on_remote_timer(token, out),
+            TimerKind::Transmit => self.csts.retransmit(token, reader(&self.kv), out),
+            TimerKind::Remote => {
+                if self.csts.remote_timer(token, out) {
+                    self.obs
+                        .trace
+                        .push(self.obs_now.as_nanos(), "remote_view_sent", &[]);
+                }
+            }
             TimerKind::Client => {
                 if self.batcher.on_timer(token) {
                     self.flush_pools(true, out);
@@ -829,6 +693,7 @@ impl RingReplica {
                 }
             }
         }
+        self.obs.set_rotation(self.csts.counts());
     }
 
     // ------------------------------------------------------------------
@@ -855,7 +720,7 @@ impl RingReplica {
             }
         }
         let involved = txn.involved_shards();
-        let first = self.ring.first(&involved);
+        let first = self.cfg.ring_order().first(&involved);
         if first != self.me.shard {
             // Fig 5 line 9: route to the first shard in ring order, at
             // its view-0 primary — cross-shard senders do not track remote
@@ -896,25 +761,6 @@ impl RingReplica {
         }
     }
 
-    /// This replica's ring position for cst `digest`: 0 at the initiator
-    /// shard (even after the wrap-around Forward arrives), received-
-    /// Forward hop + 1 downstream. Every span one shard stamps for one
-    /// transaction therefore carries the same hop — the shard's position
-    /// on the ring — which is what the collector's hop-relative ordering
-    /// groups by.
-    fn cst_hop(&self, digest: &Digest) -> u32 {
-        let Some(s) = self.csts.get(digest) else {
-            return 0;
-        };
-        if self.ring.first(&s.involved) == self.me.shard {
-            return 0;
-        }
-        s.forward_payload
-            .as_ref()
-            .map(|f| f.hop.saturating_add(1))
-            .unwrap_or(0)
-    }
-
     /// Proposes the batches the batcher cuts (primary only). `force`
     /// flushes partial pools (timer).
     fn flush_pools(&mut self, force: bool, out: &mut Outbox<RingMsg>) {
@@ -927,12 +773,9 @@ impl RingReplica {
                 self.obs.batch_adaptive_flushes(1);
             }
             self.record_phase(Phase::Admission, cut.wait, batch_trace(&cut.batch), 0);
-            let involved = cut.batch.involved_shards();
-            if involved.len() > 1 {
+            if cut.batch.involved_shards().len() > 1 {
                 let digest = ringbft_pbft::batch_digest(&cut.batch);
-                let token = self.alloc_token(digest);
-                let state = CstState::new(Arc::clone(&cut.batch), involved, token, true);
-                self.csts.entry(digest).or_insert(state);
+                self.csts.open(digest, &cut.batch, &mut self.next_token);
             }
             self.propose(cut.batch, out);
         }
@@ -1040,12 +883,9 @@ impl RingReplica {
         // Register the weakly-certified digest unconditionally: inbound
         // transfers are verified against it, and a donor whose *stable*
         // tip trails the evidenced boundary serves chains toward the
-        // tip — those must stay admissible.
+        // tip — those must stay admissible. Only a full-window lag arms
+        // the transfer probe (see above).
         self.ckpt.recovery_mut().note_stable(seq, digest);
-        // But only a full-window lag arms the transfer probe: closer
-        // gaps are hole-fetchable (donors retain one extra window of
-        // certificates), and a healthy mid-window replica must not
-        // start transfers on every passing vote.
         if seq - watermark >= self.cfg.checkpoint_interval {
             self.drive_recovery(|mgr, rout| mgr.set_behind(seq, watermark, rout), out);
         }
@@ -1290,9 +1130,7 @@ impl RingReplica {
                 // a just-finished cst's Forward shortly after the
                 // boundary, and a fresh set would let it re-enter
                 // consensus and re-execute.
-                self.done.rotate();
-                self.obs
-                    .set_done_set(self.done.occupancy() as u64, self.done.overwrites());
+                self.csts.rotate_done();
                 self.obs.trace.push(
                     self.obs_now.as_nanos(),
                     "checkpoint_stable",
@@ -1397,26 +1235,7 @@ impl RingReplica {
         let seq = snap.seq;
         let kv = self.ckpt.restore_snapshot(&snap, digest);
         self.restore_state(kv, seq, snap.ledger_height, snap.ledger_head);
-        // Cst state at or below the checkpoint is superseded. Forward
-        // state never committed locally (`local_seq` None, no locks) is
-        // dropped too, watchdogs included: it usually describes work the
-        // shard finished while this replica was dark — and a watchdog
-        // for it would demand a view change no healthy peer joins. A
-        // genuinely live cst is rebuilt by the sender's retransmission.
-        let stale = self.csts.extract_if(.., |_, c| {
-            c.local_seq.is_some_and(|s| s <= seq)
-                || (c.local_seq.is_none() && !c.locked && !c.executed)
-        });
-        for (d, c) in stale {
-            if c.local_seq.is_some() {
-                // Finished work: keep the replay-dedup entry.
-                self.done.insert(&d);
-            }
-            self.token_digest.remove(&c.token);
-            out.cancel_timer(TimerKind::Local, c.token);
-            out.cancel_timer(TimerKind::Remote, c.token);
-            out.cancel_timer(TimerKind::Transmit, c.token);
-        }
+        self.csts.installed(seq, out);
         self.work.retain(|s, _| *s > seq);
         // Commit→execute clocks for subsumed sequences never close.
         self.commit_at.retain(|s, _| *s > seq);
@@ -1430,11 +1249,7 @@ impl RingReplica {
         seqs.sort_unstable();
         for s in seqs {
             let (reads, writes) = match self.work.get(&s) {
-                Some(Work::Single(b)) => self.lock_keys(b),
-                Some(Work::Cst(d)) => match self.csts.get(d) {
-                    Some(c) => self.lock_keys(&c.batch),
-                    None => (Vec::new(), Vec::new()),
-                },
+                Some(Work::Single(b) | Work::Cst(b, _)) => self.lock_keys(b),
                 Some(Work::Duplicate) | None => (Vec::new(), Vec::new()),
             };
             let admitted = self.locks.commit_rw(s, reads, writes);
@@ -1484,45 +1299,32 @@ impl RingReplica {
         }
         // Consensus latency for this slot: first preprepare/vote seen →
         // local commit; the commit→execute clock starts here.
+        let hop = self.csts.hop(&digest);
         if let Some(t0) = self.pbft.consensus_started_at(seq) {
-            let (d, hop) = (self.obs_now.since(t0), self.cst_hop(&digest));
+            let d = self.obs_now.since(t0);
             self.record_phase(Phase::PreprepareCommit, d, batch_trace(&batch), hop);
         }
         // The sampled context (at this shard's ring position) rides with
         // the clock so `mark_executed` can stamp commit→execute.
-        let trace = batch_trace(&batch).map(|t| TraceContext {
-            hop: self.cst_hop(&digest),
-            ..t
-        });
+        let trace = batch_trace(&batch).map(|t| TraceContext { hop, ..t });
         self.commit_at.insert(seq.0, (self.obs_now, trace));
-        let involved = batch.involved_shards();
-        if involved.len() <= 1 {
-            self.work.insert(seq.0, Work::Single(Arc::clone(&batch)));
-        } else if self.done.contains(&digest)
-            || self.csts.get(&digest).is_some_and(|c| c.committed_local)
-        {
+        let work = if batch.involved_shards().len() <= 1 {
+            Work::Single(Arc::clone(&batch))
+        } else if self.csts.commit(
+            seq.0,
+            digest,
+            &batch,
+            self.obs_now,
+            &mut self.next_token,
+            out,
+        ) {
+            Work::Cst(Arc::clone(&batch), digest)
+        } else {
             // Already committed at another sequence number (view-change
             // double proposal): this slot only advances the lock order.
-            self.work.insert(seq.0, Work::Duplicate);
-        } else {
-            let token = match self.csts.get(&digest) {
-                Some(c) => c.token,
-                None => self.alloc_token(digest),
-            };
-            let state = self.csts.entry(digest).or_insert_with(|| {
-                CstState::new(Arc::clone(&batch), involved.clone(), token, true)
-            });
-            state.local_seq = Some(seq.0);
-            state.committed_local = true;
-            // Cst-forward clock (initiator only: the first shard is the
-            // one whose commit opens the ring rotation).
-            if self.ring.first(&involved) == self.me.shard {
-                state.committed_at = Some(self.obs_now);
-            }
-            // Cancel the forwarded-request watchdog (primary proposed it).
-            out.cancel_timer(TimerKind::Local, state.token);
-            self.work.insert(seq.0, Work::Cst(digest));
-        }
+            Work::Duplicate
+        };
+        self.work.insert(seq.0, work);
         let (reads, writes) = self.lock_keys(&batch);
         let admitted = self.locks.commit_rw(seq.0, reads, writes);
         for s in admitted.acquired {
@@ -1539,45 +1341,27 @@ impl RingReplica {
         let Some(work) = self.work.get(&seq).cloned() else {
             return;
         };
-        match work {
-            Work::Single(batch) => {
-                self.execute_single_shard(seq, &batch, out);
-            }
-            Work::Duplicate => {
-                self.work.remove(&seq);
-                // No new effects at this sequence; it still advances the
-                // checkpoint watermark.
-                self.mark_executed(seq, Vec::new(), out);
-                self.release(seq, out);
-            }
-            Work::Cst(digest) => {
-                // Defensive: a cst whose fragment already executed (late
-                // duplicate) must not hold fresh locks.
-                if self.csts.get(&digest).is_none_or(|s| s.executed) {
-                    self.work.remove(&seq);
-                    self.mark_executed(seq, Vec::new(), out);
-                    self.release(seq, out);
-                    return;
-                }
-                let simple = self
-                    .csts
-                    .get_mut(&digest)
-                    .map(|state| {
-                        state.locked = true;
-                        state.batch.remote_read_count() == 0
-                    })
-                    .unwrap_or(false);
-                if simple {
-                    // §4.2.1 / §4.3.7: a *simple* cst needs a single
-                    // rotation — every shard can execute its fragment
-                    // independently right after locking, releasing its
-                    // locks immediately. Only the fate notification
-                    // (the Forward) keeps travelling the ring.
-                    self.execute_simple_fragment(digest, out);
-                }
-                self.send_forward(digest, out);
-            }
+        let cst = match work {
+            Work::Single(batch) => return self.execute_single_shard(seq, &batch, out),
+            Work::Cst(_, digest) => self.csts.lock(&digest).map(|simple| (digest, simple)),
+            Work::Duplicate => None,
+        };
+        let Some((digest, simple)) = cst else {
+            // A duplicate slot (or a late duplicate of an executed cst,
+            // which must not hold fresh locks) has no new effects; it
+            // still advances the checkpoint watermark.
+            self.work.remove(&seq);
+            self.mark_executed(seq, Vec::new(), out);
+            return self.release(seq, out);
+        };
+        if simple {
+            // §4.2.1 / §4.3.7: a *simple* cst needs a single rotation —
+            // every shard can execute its fragment independently right
+            // after locking. Only the fate notification (the Forward)
+            // keeps travelling the ring.
+            self.execute_cst(digest, out);
         }
+        self.csts.forward(&digest, reader(&self.kv), out);
     }
 
     /// `seq` is done with its locks: drop its work item, release them,
@@ -1589,60 +1373,53 @@ impl RingReplica {
         }
     }
 
-    /// Executes a simple cst's local fragment immediately after locking
-    /// (one-rotation path): no dependencies exist, so the fragment result
-    /// cannot be affected by other shards, and holding locks through the
-    /// ring rotation would only cause needless π-list stalls.
-    fn execute_simple_fragment(&mut self, digest: Digest, out: &mut Outbox<RingMsg>) {
-        let Some(state) = self.csts.get_mut(&digest) else {
+    /// Executes this shard's locked fragment of `digest`: a simple cst's
+    /// on locking, a complex cst's in rotation two (Fig 5 lines 33–37),
+    /// which then sends the Execute on. Either way it releases its locks.
+    fn execute_cst(&mut self, digest: Digest, out: &mut Outbox<RingMsg>) {
+        let Some(frag) = self.csts.start_execution(&digest) else {
             return;
         };
-        if state.executed || !state.locked {
-            return;
+        if let Some(t0) = frag.forwarded_at {
+            let (d, hop) = (self.obs_now.since(t0), self.csts.hop(&digest));
+            self.record_phase(Phase::CstExecute, d, batch_trace(&frag.batch), hop);
         }
-        state.executed = true;
-        state.locked = false;
-        let (seq, writes) = self.run_fragment(digest, &HashMap::new(), out);
-        self.mark_executed(seq, writes, out);
-        self.release(seq, out);
-    }
-
-    /// Executes this shard's fragment of cst `digest` (locked here),
-    /// reading remote keys from `resolved`, and books it: counters, the
-    /// ledger block and the `Executed` action. Returns the sequence and
-    /// the fragment's writes.
-    fn run_fragment(
-        &mut self,
-        digest: Digest,
-        resolved: &HashMap<Key, Value>,
-        out: &mut Outbox<RingMsg>,
-    ) -> (u64, Vec<(Key, Value)>) {
-        let me_shard = self.me.shard;
-        let state = &self.csts[&digest];
-        let (batch, involved) = (Arc::clone(&state.batch), state.involved.clone());
-        let seq = state.local_seq.expect("locked implies committed locally");
+        let me = self.me.shard;
         let mut writes = Vec::new();
-        for txn in &batch.txns {
+        for txn in &frag.batch.txns {
+            let resolved = |key| frag.resolved.get(&key).copied().unwrap_or_default();
             let remote: Vec<(Key, Value)> = txn
                 .remote_reads
                 .iter()
-                .filter(|rr| rr.reader == me_shard)
-                .map(|rr| (rr.key, resolved.get(&rr.key).copied().unwrap_or_default()))
+                .filter(|rr| rr.reader == me)
+                .map(|rr| (rr.key, resolved(rr.key)))
                 .collect();
-            writes.extend(self.kv.execute_fragment(txn, me_shard, &remote).writes);
+            writes.extend(self.kv.execute_fragment(txn, me, &remote).writes);
         }
-        let txns = batch.len() as u32;
+        let block = BlockBody {
+            seq: SeqNum(frag.seq),
+            merkle_root: digest,
+            proposer: ReplicaId::new(me, self.pbft.primary_index()),
+            txn_count: frag.batch.len() as u32,
+            involved: frag.batch.involved_shards(),
+        };
+        self.book(block, out);
+        let sigma = (!frag.simple).then(|| writes.clone());
+        self.mark_executed(frag.seq, writes, out);
+        self.release(frag.seq, out);
+        if let Some(writes) = sigma {
+            self.csts.executed(&digest, &writes, self.obs_now, out);
+        }
+    }
+
+    /// Books an executed batch: counters, its ledger block and the
+    /// `Executed` action.
+    fn book(&mut self, block: BlockBody, out: &mut Outbox<RingMsg>) {
+        let (seq, txns) = (block.seq.0, block.txn_count);
         self.obs.executed_txns(txns as u64);
         self.obs.executed_batches(1);
-        self.ledger.append(BlockBody {
-            seq: SeqNum(seq),
-            merkle_root: digest,
-            proposer: ReplicaId::new(me_shard, self.pbft.primary_index()),
-            txn_count: txns,
-            involved,
-        });
+        self.ledger.append(block);
         out.executed(seq, txns);
-        (seq, writes)
     }
 
     /// Hands an admitted single-shard batch to the execution stage:
@@ -1728,20 +1505,17 @@ impl RingReplica {
             digest,
             writes,
         } = o;
-        let txns = job.batch.len() as u32;
         for (k, v) in &writes {
             self.kv.put(*k, *v);
         }
-        self.obs.executed_txns(txns as u64);
-        self.obs.executed_batches(1);
-        self.ledger.append(BlockBody {
+        let block = BlockBody {
             seq: SeqNum(job.seq),
             merkle_root: digest,
             proposer: ReplicaId::new(self.me.shard, job.proposer),
-            txn_count: txns,
+            txn_count: job.batch.len() as u32,
             involved: vec![self.me.shard],
-        });
-        out.executed(job.seq, txns);
+        };
+        self.book(block, out);
         self.mark_executed(job.seq, writes, out);
         self.reply_clients(digest, &job.batch, Some(job.submitted), out);
         self.release(job.seq, out);
@@ -1788,414 +1562,33 @@ impl RingReplica {
     }
 
     // ------------------------------------------------------------------
-    // Rotation one: Forward
+    // Ring rotations (`crate::cst`)
     // ------------------------------------------------------------------
 
-    /// Sends (or re-sends) the Forward for `digest` to the next involved
-    /// shard's counterpart replica.
-    fn send_forward(&mut self, digest: Digest, out: &mut Outbox<RingMsg>) {
-        let me_shard = self.me.shard;
-        let Some(state) = self.csts.get(&digest) else {
-            return;
-        };
-        // Forward once this shard's part of rotation one is done: locks
-        // held (complex cst) or fragment already executed (simple cst).
-        if !state.locked && !state.executed {
-            return;
-        }
-        let next = self.ring.next(&state.involved, me_shard);
-        // Accumulate this shard's remote-read contributions (§8.8).
-        let mut deps = state.deps.clone();
-        for t in &state.batch.txns {
-            for rr in &t.remote_reads {
-                if rr.owner == me_shard {
-                    let v = self.kv.get(rr.key).map(|r| r.value).unwrap_or_default();
-                    deps.push((rr.key, v));
+    /// A Forward or Execute, direct or as a local share.
+    fn on_rotation(&mut self, from: ReplicaId, msg: RingMsg, out: &mut Outbox<RingMsg>) {
+        let watch = (!self.pbft.is_primary()).then(|| self.pbft.request_timeout());
+        let (digest, next) = match &msg {
+            RingMsg::Forward(fwd) | RingMsg::ForwardShare(fwd) => {
+                let (now, token) = (self.obs_now, &mut self.next_token);
+                let (next, waited) = self.csts.on_forward(from, &msg, watch, now, token, out);
+                if let Some(d) = waited {
+                    // Wrap-around at the initiator: the span closes at ring
+                    // position 0 even though the Forward travelled the ring.
+                    self.record_phase(Phase::CstForward, d, batch_trace(&fwd.batch), 0);
                 }
+                (fwd.digest, next)
             }
-        }
-        let nf = self.cfg.shard(me_shard).nf();
-        let fwd = ForwardMsg {
-            batch: Arc::clone(&state.batch),
-            digest,
-            from_shard: me_shard,
-            cert_signers: (0..nf as u32).collect(),
-            deps,
-            // Ring-hop counter for causal tracing: the initiator opens
-            // the rotation at hop 0; downstream shards advance the hop
-            // of the Forward they received.
-            hop: self.cst_hop(&digest),
-        };
-        let token = state.token;
-        let sent = self.send_to_shard(next, RingMsg::Forward(fwd), out);
-        self.obs.forwards_sent(sent);
-        out.set_timer(TimerKind::Transmit, token, self.cfg.timers.transmit);
-    }
-
-    /// Sends `msg` to shard `next` over the linear primitive (our
-    /// counterpart there) and returns the number of copies sent. The
-    /// quadratic ablation fans out all-to-all instead — what
-    /// SharPer-style protocols pay and RingBFT's primitive avoids.
-    fn send_to_shard(&self, next: ShardId, msg: RingMsg, out: &mut Outbox<RingMsg>) -> u64 {
-        if !self.cfg.ablation_quadratic_forward {
-            out.send(self.counterpart(next), msg);
-            return 1;
-        }
-        let shard = self.cfg.shard(next);
-        out.multicast(shard.replicas().map(NodeId::Replica), &msg);
-        shard.n as u64
-    }
-
-    fn on_forward(
-        &mut self,
-        from: ReplicaId,
-        fwd: ForwardMsg,
-        direct: bool,
-        out: &mut Outbox<RingMsg>,
-    ) {
-        let digest = fwd.digest;
-        if self.done.contains(&digest) {
-            return;
-        }
-        let involved = fwd.batch.involved_shards();
-        if !involved.contains(&self.me.shard) {
-            return; // Involvement (Def 4.1): only involved shards act
-        }
-        // Validate the modeled commit certificate: nf signers required.
-        let prev = self.ring.prev(&involved, self.me.shard);
-        if fwd.from_shard != prev || fwd.cert_signers.len() < self.cfg.shard(prev).nf() {
-            return;
-        }
-        // A Forward reaching its *initiator* shard is the wrap-around
-        // fate notification. Initiator-shard cst state is born from
-        // client requests and local consensus, never from Forwards — so
-        // a wrap-around for a cst unknown here is a replay of work
-        // already finished and GC'd past the `done` window
-        // (non-initiator shards retransmit the fate notification on a
-        // capped timer that can outlive any bounded dedup memory).
-        // Re-admitting it would re-run consensus and re-execute a
-        // finished transaction on part of the shard — divergence, not
-        // recovery. A replica that genuinely missed the cst first
-        // recovers its *commit* (hole fetch / state transfer), after
-        // which the state exists and the wrap-around is accepted.
-        // Checked before the local sharing below so a zombie replay is
-        // dropped at the boundary instead of fanning out shard-wide.
-        if self.ring.first(&involved) == self.me.shard && !self.csts.contains_key(&digest) {
-            return;
-        }
-        if direct {
-            // Linear primitive: sender must be our counterpart.
-            if from.shard != prev {
-                return;
+            RingMsg::Execute(ex) | RingMsg::ExecuteShare(ex) => {
+                (ex.digest, self.csts.on_execute(from, &msg, out))
             }
-            // Local sharing (Fig 5 lines 29–30).
-            out.multicast(self.shard_replicas(), &RingMsg::ForwardShare(fwd.clone()));
-        }
-        let token = match self.csts.get(&digest) {
-            Some(c) => c.token,
-            None => self.alloc_token(digest),
+            _ => return,
         };
-        let state = self
-            .csts
-            .entry(digest)
-            .or_insert_with(|| CstState::new(Arc::clone(&fwd.batch), involved, token, false));
-        state.forward_origins.insert(from.index);
-        if state.forward_payload.is_none() {
-            state.forward_payload = Some(fwd.clone());
-        }
-        if state.forward_processed {
-            return;
-        }
-        // Arm the remote timer on first evidence (§5.1.2).
-        if state.forward_origins.len() == 1 {
-            out.set_timer(TimerKind::Remote, state.token, self.cfg.timers.remote);
-        }
-        let threshold = self.cfg.shard(fwd.from_shard).f() + 1;
-        if state.forward_origins.len() < threshold {
-            return;
-        }
-        state.forward_processed = true;
-        // Merge the freshest dependency reads.
-        if fwd.deps.len() > state.deps.len() {
-            state.deps = fwd.deps.clone();
-        }
-        // A processed Forward closes the initiator's cst-forward clock
-        // (wrap-around) and opens the forward→execute clock here.
-        let committed_at = state.committed_at.take();
-        state.forwarded_at = Some(self.obs_now);
-        let (locked, executed, proposed_here, tok, batch) = (
-            state.locked,
-            state.executed,
-            state.proposed_here,
-            state.token,
-            Arc::clone(&state.batch),
-        );
-        out.cancel_timer(TimerKind::Remote, tok);
-        if let Some(t0) = committed_at {
-            // Wrap-around at the initiator: the span closes at ring
-            // position 0 even though the Forward travelled the ring.
-            let d = self.obs_now.since(t0);
-            self.record_phase(Phase::CstForward, d, batch_trace(&fwd.batch), 0);
-        }
-        if locked {
-            // Second rotation begins at the initiator (Fig 5 line 32) —
-            // only complex csts still hold locks here.
-            self.execute_cst(digest, out);
-        } else if executed {
-            // Simple cst: the wrap-around Forward tells the initiator
-            // that every involved shard ordered (and hence executed) the
-            // transaction — one rotation completes it (§4.2.1).
-            let involved = fwd.batch.involved_shards();
-            if self.ring.first(&involved) == self.me.shard {
-                self.finish_cst(digest, tok, &batch, out);
-            }
-        } else if !proposed_here {
-            if self.pbft.is_primary() {
-                // Fig 5 lines 38–39: primary initiates local consensus.
-                if let Some(s) = self.csts.get_mut(&digest) {
-                    s.proposed_here = true;
-                }
-                self.propose(batch, out);
-            } else {
-                // Watch the primary: it must propose this cst.
-                out.set_timer(TimerKind::Local, tok, self.pbft.request_timeout());
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Rotation two: Execute
-    // ------------------------------------------------------------------
-
-    /// Executes this shard's fragment of `digest` and passes the Execute
-    /// message down the ring (Fig 5 lines 33–37).
-    fn execute_cst(&mut self, digest: Digest, out: &mut Outbox<RingMsg>) {
-        let me_shard = self.me.shard;
-        let Some(state) = self.csts.get_mut(&digest) else {
-            return;
-        };
-        if state.executed || !state.locked {
-            return;
-        }
-        state.executed = true;
-        let trace = batch_trace(&state.batch);
-        let forwarded_at = state.forwarded_at.take();
-        // Resolve remote reads from deps ∪ sigma.
-        let mut resolved: HashMap<Key, Value> = HashMap::new();
-        for (k, v) in state.deps.iter().chain(state.sigma.iter()) {
-            resolved.insert(*k, *v);
-        }
-        let mut sigma = state.sigma.clone();
-        if sigma.is_empty() {
-            sigma = state.deps.clone();
-        }
-        if let Some(t0) = forwarded_at {
-            let (d, hop) = (self.obs_now.since(t0), self.cst_hop(&digest));
-            self.record_phase(Phase::CstExecute, d, trace, hop);
-        }
-        let (seq, writes) = self.run_fragment(digest, &resolved, out);
-        sigma.extend(writes.iter().copied());
-        let state = self.csts.get_mut(&digest).expect("state exists");
-        state.sigma = sigma.clone();
-        let (involved, token) = (state.involved.clone(), state.token);
-        if self.ring.first(&involved) == me_shard {
-            // Execute→reply clock; closed when the Execute wraps around.
-            state.executed_at = Some(self.obs_now);
-        }
-        self.mark_executed(seq, writes, out);
-        // Release locks (Fig 5 line 35) and admit successors.
-        self.release(seq, out);
-        // Forward the Execute to the next shard (line 36–37).
-        let next = self.ring.next(&involved, me_shard);
-        let ex = ExecuteMsg {
-            digest,
-            from_shard: me_shard,
-            sigma,
-        };
-        let sent = self.send_to_shard(next, RingMsg::Execute(ex), out);
-        self.obs.executes_sent(sent);
-        out.cancel_timer(TimerKind::Transmit, token);
-        out.set_timer(TimerKind::Transmit, token, self.cfg.timers.transmit);
-    }
-
-    fn on_execute(
-        &mut self,
-        from: ReplicaId,
-        ex: ExecuteMsg,
-        direct: bool,
-        out: &mut Outbox<RingMsg>,
-    ) {
-        let digest = ex.digest;
-        if self.done.contains(&digest) {
-            return;
-        }
-        let Some(prev) = self
-            .csts
-            .get(&digest)
-            .map(|s| self.ring.prev(&s.involved, self.me.shard))
-        else {
-            return; // never saw rotation one — cannot act yet
-        };
-        if ex.from_shard != prev {
-            return;
-        }
-        if direct {
-            if from.shard != prev {
-                return;
-            }
-            out.multicast(self.shard_replicas(), &RingMsg::ExecuteShare(ex.clone()));
-        }
-        let threshold = self.cfg.shard(prev).f() + 1;
-        let state = self.csts.get_mut(&digest).expect("checked above");
-        state.execute_origins.insert(from.index);
-        if state.execute_processed || state.execute_origins.len() < threshold {
-            return;
-        }
-        state.execute_processed = true;
-        if ex.sigma.len() > state.sigma.len() {
-            state.sigma = ex.sigma.clone();
-        }
-        let (executed, token, batch, involved_first) = (
-            state.executed,
-            state.token,
-            Arc::clone(&state.batch),
-            self.ring.first(&state.involved),
-        );
-        if executed {
-            // Fig 5 lines 41–42: the Execute wrapped around the ring —
-            // every shard executed; the initiator answers the client.
-            if involved_first == self.me.shard {
-                self.finish_cst(digest, token, &batch, out);
-            }
-        } else {
-            // Fig 5 lines 43–44: execute our fragment and keep rotating.
-            self.execute_cst(digest, out);
-        }
-    }
-
-    /// The initiator learned a cst's fate from the wrap-around: drop its
-    /// state and answer the client.
-    fn finish_cst(&mut self, digest: Digest, token: u64, batch: &Batch, out: &mut Outbox<RingMsg>) {
-        self.token_digest.remove(&token);
-        let executed_at = self.csts.remove(&digest).and_then(|c| c.executed_at);
-        // Late messages hit the `done` filter until its rotating windows
-        // (two-to-three checkpoint windows) age the entry out.
-        self.done.insert(&digest);
-        self.obs
-            .set_done_set(self.done.occupancy() as u64, self.done.overwrites());
-        self.reply_clients(digest, batch, executed_at, out);
-        out.cancel_timer(TimerKind::Transmit, token);
-    }
-
-    // ------------------------------------------------------------------
-    // Recovery: retransmission, remote view change, view entry
-    // ------------------------------------------------------------------
-
-    fn on_transmit_timer(&mut self, token: u64, out: &mut Outbox<RingMsg>) {
-        let Some(digest) = self.token_digest.get(&token).copied() else {
-            return;
-        };
-        let Some(state) = self.csts.get_mut(&digest) else {
-            return;
-        };
-        if state.retransmits >= MAX_RETRANSMITS {
-            return;
-        }
-        state.retransmits += 1;
-        let simple = state.batch.remote_read_count() == 0;
-        if state.executed && !simple {
-            // Re-send the Execute (rotation two stalled downstream).
-            let next = self.ring.next(&state.involved, self.me.shard);
-            let ex = ExecuteMsg {
-                digest,
-                from_shard: self.me.shard,
-                sigma: state.sigma.clone(),
-            };
-            out.send(self.counterpart(next), RingMsg::Execute(ex));
-            self.obs.executes_sent(1);
-            out.set_timer(TimerKind::Transmit, token, self.cfg.timers.transmit);
-        } else if state.locked || state.executed {
-            // §5.1.1: re-transmit the Forward (simple csts keep forwarding
-            // their fate notification).
-            self.send_forward(digest, out);
-        }
-    }
-
-    fn on_remote_timer(&mut self, token: u64, out: &mut Outbox<RingMsg>) {
-        let Some(digest) = self.token_digest.get(&token).copied() else {
-            return;
-        };
-        let Some(state) = self.csts.get(&digest) else {
-            return;
-        };
-        if state.forward_processed {
-            return; // enough Forwards arrived after all
-        }
-        // Fig 6 lines 1–2: complain to our counterpart in the previous
-        // shard.
-        let prev = self.ring.prev(&state.involved, self.me.shard);
-        out.send(
-            self.counterpart(prev),
-            RingMsg::RemoteView {
-                digest,
-                from_shard: self.me.shard,
-            },
-        );
-        self.obs.remote_views_sent(1);
-        self.obs
-            .trace
-            .push(self.obs_now.as_nanos(), "remote_view_sent", &[]);
-    }
-
-    fn on_remote_view(
-        &mut self,
-        now: Instant,
-        digest: Digest,
-        origin: u32,
-        out: &mut Outbox<RingMsg>,
-    ) {
-        let f = self.cfg.shard(self.me.shard).f();
-        let votes = self.remote_complaints.entry(digest).or_default();
-        votes.insert(origin);
-        if votes.len() <= f {
-            return;
-        }
-        self.remote_complaints.remove(&digest);
-        let committed = self
-            .csts
-            .get(&digest)
-            .map(|c| c.committed_local && (c.locked || c.executed))
-            .unwrap_or(false)
-            || self.done.contains(&digest);
-        if committed {
-            // We replicated the cst — the next shard's starvation was a
-            // network loss, not a suppressing primary. Re-transmit
-            // (§5.1.1) instead of tearing the primary down.
-            if let Some(state) = self.csts.get_mut(&digest) {
-                state.retransmits = state.retransmits.saturating_sub(1);
-            }
-            self.send_forward(digest, out);
-            return;
-        }
-        // Grace: a freshly installed view re-proposes every starving cst
-        // itself (`on_entered_view`); complaints arriving during that
-        // window must not tear it straight down again. A replica still
-        // catching up to a stable checkpoint is equally exempt — the
-        // complained-about cst is usually one the healthy quorum
-        // finished while it was dark (covered by the snapshot), and its
-        // solo view-change demand would wedge it in an unjoined view.
-        let grace = (self.last_view_entry > Instant::ZERO
-            && now.since(self.last_view_entry) < self.pbft.request_timeout())
-            || self.pbft.in_view_change()
-            || self.catching_up();
-        // No solo-VC deferral here: the f+1 complaint quorum behind this
-        // trigger is shared shard-wide, so every correct replica that
-        // lacks the commit forces the view change *together* (Fig 6) —
-        // only a replica still catching up (grace above) stands apart.
-        if !grace && self.remote_vc_done.insert(digest) {
-            // Fig 6 lines 5–6: f+1 complaints about a transaction this
-            // shard failed to replicate force a local view change.
-            self.force_view_change(now, out);
+        match next {
+            Next::Wait => {}
+            Next::Execute => self.execute_cst(digest, out),
+            Next::Reply(batch, at) => self.reply_clients(digest, &batch, at, out),
+            Next::Propose(batch) => self.propose(batch, out),
         }
     }
 
@@ -2211,32 +1604,17 @@ impl RingReplica {
             }
             return;
         }
-        // The new primary re-proposes forwarded csts that never reached
-        // local consensus, and re-sends Forwards for stalled locked csts
-        // (recovers from a Byzantine predecessor primary that kept the
-        // shard in the dark, §5.1.2 discussion).
-        let stalled_proposals: Vec<Arc<Batch>> = self
-            .csts
-            .values_mut()
-            .filter(|c| c.forward_processed && !c.committed_local && !c.proposed_here)
-            .map(|c| {
-                c.proposed_here = true;
-                Arc::clone(&c.batch)
-            })
-            .collect();
-        for batch in stalled_proposals {
+        for batch in self.csts.take_stalled() {
             self.propose(batch, out);
         }
-        let resend: Vec<Digest> = self
-            .csts
-            .iter()
-            .filter(|(_, c)| c.locked || c.executed)
-            .map(|(d, _)| *d)
-            .collect();
-        for d in resend {
-            self.send_forward(d, out);
-        }
+        self.csts.forward_all(reader(&self.kv), out);
     }
+}
+
+/// Reads this shard's values of remote-read keys for a Forward's
+/// dependencies (§8.8).
+fn reader(kv: &KvStore) -> impl Fn(Key) -> Value + '_ {
+    move |key| kv.get(key).map_or(0, |r| r.value)
 }
 
 /// The `(view, seq, digest)` slots PBFT traffic shows this replica

@@ -1,10 +1,8 @@
 //! Per-replica observability: the registry instruments, consensus phase
 //! timers, and the event-trace ring for one [`crate::RingReplica`].
 //!
-//! The registry absorbs the counters that used to live as ad-hoc fields on
-//! `RingStats` (which survives as a compatibility snapshot built by
-//! [`ReplicaObs::stats`]) and adds the per-phase latency histograms the
-//! paper's evaluation needs:
+//! Besides counters and gauges, the registry holds the per-phase latency
+//! histograms the paper's evaluation needs:
 //!
 //! | phase                    | opens at                          | closes at                 |
 //! |--------------------------|-----------------------------------|---------------------------|
@@ -30,6 +28,7 @@
 //! inside one checkpoint announce (fold, digest, capture), under either
 //! driver — the stall itself, which no protocol clock sees.
 
+use crate::cst::Counts;
 use ringbft_obs::{CounterId, GaugeId, HistId, Registry, TraceRing};
 use ringbft_types::{Duration, Instant, TraceContext};
 
@@ -101,15 +100,15 @@ pub struct ReplicaObs {
     c_checkpoint_divergences: CounterId,
     c_reply_cache_evictions: CounterId,
     c_done_overwrites: CounterId,
+    c_forward_retransmits: CounterId,
     c_batch_adaptive_flushes: CounterId,
     c_exec_jobs: CounterId,
     c_exec_parallel_batches: CounterId,
-    c_verify_offloaded: CounterId,
-    c_verify_inline: CounterId,
     g_state_bytes_full: GaugeId,
     g_state_bytes_delta: GaugeId,
     g_done_occupancy: GaugeId,
-    g_verify_queue_depth: GaugeId,
+    g_csts_live: GaugeId,
+    g_complaints_live: GaugeId,
     g_pipeline_workers: GaugeId,
     g_worker_busy_ns: GaugeId,
     g_worker_idle_ns: GaugeId,
@@ -137,15 +136,15 @@ impl ReplicaObs {
         let c_checkpoint_divergences = reg.counter("ring.checkpoint_divergences");
         let c_reply_cache_evictions = reg.counter("ring.reply_cache_evictions");
         let c_done_overwrites = reg.counter("ring.done_set_overwrites");
+        let c_forward_retransmits = reg.counter("ring.forward_retransmits");
         let c_batch_adaptive_flushes = reg.counter("ring.batch_adaptive_flushes");
         let c_exec_jobs = reg.counter("pipeline.exec_jobs");
         let c_exec_parallel_batches = reg.counter("pipeline.exec_parallel_batches");
-        let c_verify_offloaded = reg.counter("pipeline.verify_offloaded_frames");
-        let c_verify_inline = reg.counter("pipeline.verify_inline_frames");
         let g_state_bytes_full = reg.gauge("ring.state_bytes_full");
         let g_state_bytes_delta = reg.gauge("ring.state_bytes_delta");
         let g_done_occupancy = reg.gauge("ring.done_set_occupancy");
-        let g_verify_queue_depth = reg.gauge("pipeline.verify_queue_depth");
+        let g_csts_live = reg.gauge("ring.csts_live");
+        let g_complaints_live = reg.gauge("ring.remote_complaints_live");
         let g_pipeline_workers = reg.gauge("pipeline.workers");
         let g_worker_busy_ns = reg.gauge("pipeline.worker_busy_ns");
         let g_worker_idle_ns = reg.gauge("pipeline.worker_idle_ns");
@@ -164,15 +163,15 @@ impl ReplicaObs {
             c_checkpoint_divergences,
             c_reply_cache_evictions,
             c_done_overwrites,
+            c_forward_retransmits,
             c_batch_adaptive_flushes,
             c_exec_jobs,
             c_exec_parallel_batches,
-            c_verify_offloaded,
-            c_verify_inline,
             g_state_bytes_full,
             g_state_bytes_delta,
             g_done_occupancy,
-            g_verify_queue_depth,
+            g_csts_live,
+            g_complaints_live,
             g_pipeline_workers,
             g_worker_busy_ns,
             g_worker_idle_ns,
@@ -232,15 +231,6 @@ impl ReplicaObs {
     pub(crate) fn executed_batches(&mut self, n: u64) {
         self.reg.add(self.c_executed_batches, n);
     }
-    pub(crate) fn forwards_sent(&mut self, n: u64) {
-        self.reg.add(self.c_forwards_sent, n);
-    }
-    pub(crate) fn executes_sent(&mut self, n: u64) {
-        self.reg.add(self.c_executes_sent, n);
-    }
-    pub(crate) fn remote_views_sent(&mut self, n: u64) {
-        self.reg.add(self.c_remote_views_sent, n);
-    }
     pub(crate) fn replies_sent(&mut self, n: u64) {
         self.reg.add(self.c_replies_sent, n);
     }
@@ -254,10 +244,23 @@ impl ReplicaObs {
         self.reg.set_gauge(self.g_state_bytes_full, full);
         self.reg.set_gauge(self.g_state_bytes_delta, delta);
     }
-    pub(crate) fn set_done_set(&mut self, occupancy: u64, overwrites: u64) {
-        self.reg.set_gauge(self.g_done_occupancy, occupancy);
-        let seen = self.reg.counter_value(self.c_done_overwrites);
-        self.reg.add(self.c_done_overwrites, overwrites - seen);
+    /// Ring-rotation gauges and totals, read from the cst tracker at the
+    /// end of each event.
+    pub(crate) fn set_rotation(&mut self, c: Counts) {
+        self.reg.set_gauge(self.g_csts_live, c.csts_live);
+        self.reg
+            .set_gauge(self.g_complaints_live, c.complaints_live);
+        self.reg.set_gauge(self.g_done_occupancy, c.done_occupancy);
+        for (id, total) in [
+            (self.c_forwards_sent, c.forwards_sent),
+            (self.c_executes_sent, c.executes_sent),
+            (self.c_remote_views_sent, c.remote_views_sent),
+            (self.c_forward_retransmits, c.forward_retransmits),
+            (self.c_done_overwrites, c.done_overwrites),
+        ] {
+            let seen = self.reg.counter_value(id);
+            self.reg.add(id, total - seen);
+        }
     }
     /// One checkpoint announce: wall-clock nanoseconds the consensus
     /// thread spent in it, and the keys the window wrote.
@@ -275,19 +278,6 @@ impl ReplicaObs {
         self.reg.add(self.c_exec_parallel_batches, n);
     }
 
-    /// Verify-stage accounting, pushed by the network runtime: the
-    /// current depth of the verified-frame queue plus *cumulative*
-    /// offloaded/inline frame totals (deltas are folded into counters).
-    pub fn set_verify_stage(&mut self, queue_depth: u64, offloaded: u64, inline: u64) {
-        self.reg.set_gauge(self.g_verify_queue_depth, queue_depth);
-        let seen = self.reg.counter_value(self.c_verify_offloaded);
-        self.reg
-            .add(self.c_verify_offloaded, offloaded.saturating_sub(seen));
-        let seen = self.reg.counter_value(self.c_verify_inline);
-        self.reg
-            .add(self.c_verify_inline, inline.saturating_sub(seen));
-    }
-
     /// Execution-stage worker-pool accounting (cumulative busy/idle
     /// nanoseconds across the pool's workers).
     pub fn set_pipeline_pool(&mut self, workers: u64, busy_ns: u64, idle_ns: u64) {
@@ -303,12 +293,6 @@ impl ReplicaObs {
             executed_batches: self.reg.counter_value(self.c_executed_batches),
             forwards_sent: self.reg.counter_value(self.c_forwards_sent),
             executes_sent: self.reg.counter_value(self.c_executes_sent),
-            remote_views_sent: self.reg.counter_value(self.c_remote_views_sent),
-            replies_sent: self.reg.counter_value(self.c_replies_sent),
-            checkpoint_divergences: self.reg.counter_value(self.c_checkpoint_divergences),
-            state_bytes_full: self.reg.gauge_value(self.g_state_bytes_full),
-            state_bytes_delta: self.reg.gauge_value(self.g_state_bytes_delta),
-            reply_cache_evictions: self.reg.counter_value(self.c_reply_cache_evictions),
         }
     }
 }

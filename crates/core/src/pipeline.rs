@@ -300,11 +300,6 @@ impl<J: PipelineJob> ThreadedPipeline<J> {
         self.waker = Some(waker);
         self
     }
-
-    /// Worker busy/idle accounting.
-    pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
-    }
 }
 
 impl<J: PipelineJob> Pipeline<J> for ThreadedPipeline<J> {
@@ -401,7 +396,7 @@ mod tests {
         let want: Vec<u64> = (0..32).map(|i| i * i).collect();
         assert_eq!(out, want);
         assert_eq!(p.pending(), 0);
-        assert!(p.pool_stats().tasks >= 32);
+        assert!(p.stats().tasks >= 32);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::node::RingReplica;
 use ringbft_crypto::Digest;
 use ringbft_types::txn::Transaction;
 use ringbft_types::{
-    Action, ClientId, Instant, NodeId, Outbox, ReplicaId, RingOrder, SystemConfig, TimerKind, TxnId,
+    Action, ClientId, Instant, NodeId, Outbox, ReplicaId, SystemConfig, TimerKind, TxnId,
 };
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -72,11 +72,6 @@ impl RingNet {
         }
     }
 
-    /// The ring order in force.
-    pub fn ring(&self) -> RingOrder {
-        self.cfg.ring_order()
-    }
-
     /// Sends `txn` from `client` to the replica `target` (normally the
     /// primary of the first involved shard, but tests may misdeliver).
     pub fn client_send_to(&mut self, client: ClientId, target: ReplicaId, txn: Transaction) {
@@ -93,7 +88,7 @@ impl RingNet {
     /// Sends `txn` to the current primary of its first involved shard.
     pub fn client_send(&mut self, client: ClientId, txn: Transaction) {
         let involved = txn.involved_shards();
-        let first = self.ring().first(&involved);
+        let first = self.cfg.ring_order().first(&involved);
         // Find the current primary of that shard.
         let primary = self
             .replicas

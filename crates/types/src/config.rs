@@ -141,7 +141,6 @@ pub const DELTA_CHAIN_KEEP: usize = 8;
 /// knob only governs how much of the append tail a power-loss crash
 /// may lose.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
 pub enum Durability {
     /// Never fsync explicitly. A process kill loses nothing (the OS
     /// holds the written bytes); a power loss may lose the whole
@@ -159,7 +158,7 @@ pub enum Durability {
 }
 
 impl Default for Durability {
-    /// Configs predating the knob deserialize to `Batched(50)`.
+    /// Group commit every 50 ms.
     fn default() -> Self {
         Durability::Batched(50)
     }
@@ -193,9 +192,7 @@ pub struct SystemConfig {
     /// throughput is unchanged while light-load latency drops from the
     /// flush-timer bound to one round trip. Off (the default) keeps
     /// batch cuts byte-identical to the fixed `batch_size` + timer
-    /// policy, which the fault-scenario seeds rely on. Configs
-    /// predating the knob deserialize to off.
-    #[serde(default)]
+    /// policy, which the fault-scenario seeds rely on.
     pub adaptive_batching: bool,
     /// Active YCSB key space (paper: 600 k records), partitioned across
     /// shards.
@@ -253,39 +250,31 @@ pub struct SystemConfig {
     /// verify/hash and execution stages onto a fixed pool of that many
     /// worker threads (`ringbft-core`'s `ThreadedPipeline`); the
     /// recommended sizing is `min(4, cores − reactor_shards − 1)`
-    /// (`ringbft_core::default_workers`). Configs predating the knob
-    /// deserialize to `0`.
-    #[serde(default)]
+    /// (`ringbft_core::default_workers`).
     pub pipeline_workers: usize,
     /// Ablation switch: send cross-shard Forward/Execute messages to
     /// *every* replica of the next shard instead of only the same-index
     /// counterpart. Quantifies the linear communication primitive's
     /// contribution (§4.3.6) — this is the communication pattern RingBFT
     /// explicitly avoids.
-    #[serde(default)]
     pub ablation_quadratic_forward: bool,
     /// Ring-order rotation offset: the shard with this raw id occupies
     /// ring position 0. The paper's default policy is "lowest to highest
     /// identifier" (offset 0), but RingBFT "can also adopt other complex
     /// permutations of these identifiers" (§3); a rotation preserves the
     /// ring structure and hence every deadlock-freedom argument.
-    #[serde(default)]
     pub ring_offset: u32,
     /// Causal-trace sampling rate: one in `trace_sample_rate`
     /// transactions carries a trace context and has spans stamped at
     /// every hop (`0` disables tracing, `1` traces everything). The
     /// decision is deterministic in the transaction id
     /// (`trace::sampled`), so both drivers and every replica agree on
-    /// which transactions are traced. Configs predating the knob
-    /// deserialize to `0` (off).
-    #[serde(default)]
+    /// which transactions are traced.
     pub trace_sample_rate: u64,
     /// Write-ahead-log fsync policy (`ringbft-store`'s WAL): `none`,
     /// `batched(ms)` group commit, or `strict` per-record fsync. Only
     /// consulted when a replica actually runs with a WAL attached
-    /// (`ringbft-node --data-dir`, durable sim scenarios); configs
-    /// predating the knob deserialize to the batched default.
-    #[serde(default)]
+    /// (`ringbft-node --data-dir`, durable sim scenarios).
     pub durability: Durability,
 }
 

@@ -172,7 +172,6 @@ pub struct Transaction {
     /// client assigns it at issue time; it rides the transaction through
     /// batches, consensus, and ring Forwards so every replica can stamp
     /// spans under one trace id.
-    #[serde(default)]
     pub trace: Option<TraceContext>,
 }
 
@@ -299,7 +298,9 @@ impl ReadWriteSet {
 
 /// Identifier of a consensus batch: the primary of a shard aggregates
 /// client transactions into batches and runs consensus per batch (§7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+)]
 pub struct BatchId(pub u64);
 
 impl fmt::Display for BatchId {
@@ -312,7 +313,7 @@ impl fmt::Display for BatchId {
 /// include all the transactions that access the same shards" (§7), so a
 /// batch is either all single-shard (for one shard) or all cross-shard with
 /// an identical involved-shard set.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Batch {
     /// Unique id of the batch.
     pub id: BatchId,
