@@ -100,7 +100,6 @@ pub(crate) enum Next {
 pub(crate) struct Fragment {
     pub(crate) seq: u64,
     pub(crate) batch: Arc<Batch>,
-    pub(crate) simple: bool,
     /// Remote-read values from `deps ∪ Σ`.
     pub(crate) resolved: HashMap<Key, Value>,
     /// When Forward evidence completed (complex csts only).
@@ -260,7 +259,6 @@ impl CstTracker {
         Some(Fragment {
             seq: s.local_seq.expect("locked implies committed locally"),
             batch: Arc::clone(&s.batch),
-            simple,
             resolved: s.deps.iter().chain(&s.sigma).copied().collect(),
             forwarded_at: if simple { None } else { s.forwarded_at.take() },
         })

@@ -476,24 +476,6 @@ impl RingReplica {
         self.obs.trace.dump_jsonl()
     }
 
-    /// Is this replica behind its shard's stable checkpoint frontier —
-    /// actively fetching state, installed but not yet re-executing past
-    /// the last stable checkpoint, or (the restart window) not yet
-    /// having committed a single live batch even though quorum
-    /// checkpoints prove the shard is ahead of it? While catching up,
-    /// watchdogs and remote complaints must not demand view changes:
-    /// the work they cover was typically finished by the healthy quorum
-    /// while this replica was dark, and a solo view-change demand can
-    /// never gather a quorum — it would only wedge this replica in a
-    /// view no peer joins. A fresh cluster (no stable checkpoint yet)
-    /// is never "catching up", so bootstrap liveness — view-changing a
-    /// dead initial primary — is unaffected.
-    fn catching_up(&self) -> bool {
-        self.ckpt.recovery().target().is_some()
-            || self.ckpt.watermark() < self.pbft.last_stable().0
-            || (self.pbft.committed_batches == 0 && self.pbft.last_stable().0 > 0)
-    }
-
     /// May a watchdog expiry demand a view change right now? A replica
     /// that has never committed a live batch cannot tell a dead primary
     /// from its own staleness (a blank restart into a live cluster sees
@@ -501,7 +483,7 @@ impl RingReplica {
     /// arrives at low traffic), so it defers for two further timeout
     /// windows from the first swallowed expiry. By then it has either
     /// committed (gate lifts for good), observed a stable checkpoint it
-    /// is behind (`catching_up` takes over), or the shard is genuinely
+    /// is behind (`grace` takes over), or the shard is genuinely
     /// stuck and the view change proceeds — bootstrap liveness against
     /// a dead initial primary is delayed, never lost.
     fn allow_solo_vc(&mut self, now: Instant) -> bool {
@@ -514,12 +496,23 @@ impl RingReplica {
 
     /// Watchdogs and complaints hold off view changes for one timeout
     /// after a view entry (else stuck-request bursts churn views faster
-    /// than any primary recovers), during one, and while catching up.
+    /// than any primary recovers), during one, and while this replica is
+    /// behind its shard's stable checkpoint frontier: fetching state,
+    /// installed but not yet re-executed past the last stable checkpoint,
+    /// or (the restart window) without a single live commit while quorum
+    /// checkpoints prove the shard ahead. The work they cover was then
+    /// typically finished by the healthy quorum while this replica was
+    /// dark, and a solo view-change demand can never gather a quorum — it
+    /// would only wedge this replica in a view no peer joins. A fresh
+    /// cluster (no stable checkpoint yet) is never behind, so
+    /// view-changing a dead initial primary is unaffected.
     fn grace(&self, now: Instant) -> bool {
         (self.last_view_entry > Instant::ZERO
             && now.since(self.last_view_entry) < self.pbft.request_timeout())
             || self.pbft.in_view_change()
-            || self.catching_up()
+            || self.ckpt.recovery().target().is_some()
+            || self.ckpt.watermark() < self.pbft.last_stable().0
+            || (self.pbft.committed_batches == 0 && self.pbft.last_stable().0 > 0)
     }
 
     /// Lock sets this shard needs for `batch`: `(reads, writes)`.
@@ -1404,7 +1397,8 @@ impl RingReplica {
             involved: frag.batch.involved_shards(),
         };
         self.book(block, out);
-        let sigma = (!frag.simple).then(|| writes.clone());
+        let complex = frag.batch.remote_read_count() > 0;
+        let sigma = complex.then(|| writes.clone());
         self.mark_executed(frag.seq, writes, out);
         self.release(frag.seq, out);
         if let Some(writes) = sigma {
@@ -1416,8 +1410,7 @@ impl RingReplica {
     /// `Executed` action.
     fn book(&mut self, block: BlockBody, out: &mut Outbox<RingMsg>) {
         let (seq, txns) = (block.seq.0, block.txn_count);
-        self.obs.executed_txns(txns as u64);
-        self.obs.executed_batches(1);
+        self.obs.executed(txns as u64);
         self.ledger.append(block);
         out.executed(seq, txns);
     }
@@ -1527,6 +1520,7 @@ impl RingReplica {
     pub fn pump(&mut self, now: Instant, out: &mut Outbox<RingMsg>) {
         self.obs_now = now;
         self.pump_exec(out);
+        self.obs.set_rotation(self.csts.counts());
     }
 
     /// Blocks until every in-flight execution job has been applied.
@@ -1534,6 +1528,7 @@ impl RingReplica {
     /// outcome is stranded in an async stage.
     pub fn flush_pipeline(&mut self, out: &mut Outbox<RingMsg>) {
         self.flush_exec(out);
+        self.obs.set_rotation(self.csts.counts());
     }
 
     /// Replies to the clients of executed `batch`, closing the

@@ -225,11 +225,10 @@ impl ReplicaObs {
         self.reg.hist(self.phases[idx])
     }
 
-    pub(crate) fn executed_txns(&mut self, n: u64) {
-        self.reg.add(self.c_executed_txns, n);
-    }
-    pub(crate) fn executed_batches(&mut self, n: u64) {
-        self.reg.add(self.c_executed_batches, n);
+    /// One batch of `txns` transactions executed.
+    pub(crate) fn executed(&mut self, txns: u64) {
+        self.reg.add(self.c_executed_txns, txns);
+        self.reg.add(self.c_executed_batches, 1);
     }
     pub(crate) fn replies_sent(&mut self, n: u64) {
         self.reg.add(self.c_replies_sent, n);
