@@ -9,6 +9,7 @@
 
 mod cst;
 pub mod dedup;
+mod exec;
 mod intake;
 pub mod messages;
 pub mod node;
@@ -16,12 +17,11 @@ pub mod obs;
 pub mod pipeline;
 pub mod testing;
 
+pub use exec::{ExecJob, ExecOutcome};
 pub use messages::{ExecuteMsg, ForwardMsg, RingMsg};
-pub use node::{ExecJob, ExecOutcome, RingReplica, RingStats};
-pub use obs::{Phase, ReplicaObs};
-pub use pipeline::{
-    default_workers, InlinePipeline, Pipeline, PipelineJob, PoolStats, ThreadedPipeline, WorkerPool,
-};
+pub use node::RingReplica;
+pub use obs::{Phase, ReplicaObs, RingStats};
+pub use pipeline::{default_workers, PipelineJob, PoolStats, ThreadedPipeline, WorkerPool};
 
 #[cfg(test)]
 mod tests {
@@ -582,8 +582,9 @@ mod ring_rotation_tests {
 #[cfg(test)]
 mod pipeline_tests {
     //! The execution-stage contracts the CI gate relies on: a blocking
-    //! threaded stage is observably identical to the inline one (the
-    //! determinism twin), conflicting sequences retain strict order, and
+    //! threaded stage (snapshot job) is observably identical to in-place
+    //! execution, called inline below (the determinism twin),
+    //! conflicting sequences retain strict order, and
     //! lock-disjoint sequences may execute off-thread in any completion
     //! order without changing final state.
 
@@ -748,7 +749,7 @@ mod pipeline_tests {
             let mut inline = RingNet::new(cfg.clone());
             let mut threaded = RingNet::new(cfg.clone());
             for r in threaded.replicas.values_mut() {
-                r.install_pipeline(Box::new(ThreadedPipeline::new("texec", 2)));
+                r.install_pipeline(ThreadedPipeline::new("texec", 2));
                 assert_eq!(r.pipeline_workers(), 2);
             }
 

@@ -41,10 +41,11 @@
 //!   (A1); non-primary replicas relay to the primary and watchdog it.
 
 use crate::cst::{CstTracker, Next};
+use crate::exec::{execute_batch, ExecJob, ExecOutcome, ExecStage};
 use crate::intake::{Admission, Batcher, ClientTable, WatchExpiry};
 use crate::messages::{batch_trace, RingMsg};
-use crate::obs::{Phase, ReplicaObs};
-use crate::pipeline::{InlinePipeline, Pipeline, PipelineJob, ThreadedPipeline};
+use crate::obs::{Phase, ReplicaObs, RingStats};
+use crate::pipeline::ThreadedPipeline;
 use ringbft_crypto::Digest;
 use ringbft_ledger::{BlockBody, Ledger};
 use ringbft_pbft::{PbftConfig, PbftCore, PbftEvent, PbftMsg};
@@ -53,14 +54,14 @@ use ringbft_recovery::{
     RecoveryManager, RecoveryMsg, RecoveryStats, ReplicaWal, Snapshot, Stable, WalEntry,
     HOLE_PROBE_TOKEN, RECOVERY_PROBE_TOKEN,
 };
-use ringbft_store::{KvStore, LockManager, Record};
+use ringbft_store::{KvStore, LockManager};
 use ringbft_types::hole::{HoleReply, HoleRequest};
 use ringbft_types::txn::{Batch, Key, Transaction, Value};
 use ringbft_types::{
-    Action, Duration, Instant, NodeId, Outbox, ReplicaId, SeqNum, ShardId, SystemConfig, TimerKind,
+    Action, Duration, Instant, NodeId, Outbox, ReplicaId, SeqNum, SystemConfig, TimerKind,
     TraceContext,
 };
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// First token value used for RingBFT-level watchdogs, disjoint from PBFT
@@ -73,8 +74,9 @@ const WAL_FLUSH_TOKEN: u64 = TOKEN_BASE - 4;
 
 #[derive(Debug, Clone)]
 enum Work {
-    /// A single-shard batch awaiting execution once admitted.
-    Single(Arc<Batch>),
+    /// A single-shard batch and its committed digest, awaiting
+    /// execution once admitted.
+    Single(Arc<Batch>, Digest),
     /// A cross-shard batch (state lives in `csts`).
     Cst(Arc<Batch>, Digest),
     /// A duplicate commit of a batch that already committed at an earlier
@@ -82,75 +84,6 @@ enum Work {
     /// old primary had already sequenced): its locks are released on
     /// admission so π never wedges behind it.
     Duplicate,
-}
-
-/// An admitted single-shard batch packaged for the execution stage:
-/// the batch, the owning shard, and a snapshot of every record the
-/// batch touches. The snapshot is stable while the job is in flight —
-/// the sequence-ordered [`LockManager`] admits a conflicting sequence
-/// only after this one releases — so the job is a pure function and can
-/// run off-thread.
-pub struct ExecJob {
-    seq: u64,
-    batch: Arc<Batch>,
-    shard: ShardId,
-    /// Touched records that exist in the store (missing keys behave as
-    /// absent in the job's private store, exactly as inline execution
-    /// would see them).
-    base: Vec<(Key, Record)>,
-    /// Primary index captured at submit: the ledger block records the
-    /// proposer of the view the batch committed in.
-    proposer: u32,
-    /// Submission time: the execute→reply clock closes when the applied
-    /// outcome's replies go out, so an async stage's latency shows.
-    submitted: Instant,
-}
-
-/// Result of an [`ExecJob`]: the job (its snapshot consumed), the batch
-/// digest (hashed off-thread) and the ordered write effects to replay
-/// onto the authoritative store.
-pub struct ExecOutcome {
-    job: ExecJob,
-    digest: Digest,
-    writes: Vec<(Key, Value)>,
-}
-
-impl PipelineJob for ExecJob {
-    type Output = ExecOutcome;
-    fn run(mut self) -> ExecOutcome {
-        let digest = ringbft_pbft::batch_digest(&self.batch);
-        // A private store seeded with the snapshot: reads (including the
-        // read half of RMW ops) observe exactly what inline execution
-        // would, and the write effects replay onto the real store in
-        // order — `put` bumps versions identically in both places.
-        let mut kv = KvStore::new();
-        for (k, r) in std::mem::take(&mut self.base) {
-            kv.insert_record(k, r);
-        }
-        let mut writes = Vec::new();
-        for txn in &self.batch.txns {
-            let result = kv.execute_fragment(txn, self.shard, &[]);
-            writes.extend(result.writes);
-        }
-        ExecOutcome {
-            job: self,
-            digest,
-            writes,
-        }
-    }
-}
-
-/// The registry counters that tests and the benchmark read directly.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RingStats {
-    /// Transactions executed by this replica (all fragments).
-    pub executed_txns: u64,
-    /// Batches fully executed.
-    pub executed_batches: u64,
-    /// Forward messages sent (including retransmissions).
-    pub forwards_sent: u64,
-    /// Execute messages sent.
-    pub executes_sent: u64,
 }
 
 /// A RingBFT replica.
@@ -203,19 +136,9 @@ pub struct RingReplica {
     commit_at: HashMap<u64, (Instant, Option<TraceContext>)>,
     /// Registry counters/gauges, phase histograms, and the trace ring.
     obs: ReplicaObs,
-    // --- execution pipeline (`crate::pipeline`) ---
-    /// The execution stage admitted single-shard batches run on. Inline
-    /// (deterministic) by default; `cfg.pipeline_workers > 0` installs a
-    /// blocking [`ThreadedPipeline`] (same observable event order), and
-    /// the real runtime swaps in an async one wired to its reactor
-    /// waker via [`RingReplica::install_pipeline`].
-    exec_pipeline: Box<dyn Pipeline<ExecJob> + Send>,
-    /// Submission order of in-flight exec jobs: outcomes apply strictly
-    /// in this order, so conflicting sequences (never in flight
-    /// together) retain strict order while disjoint ones overlap.
-    exec_inflight: VecDeque<u64>,
-    /// Finished outcomes waiting for their turn at the queue front.
-    exec_ready: BTreeMap<u64, ExecOutcome>,
+    /// Runs admitted single-shard batches: in place, or on the worker
+    /// threads a host installed ([`RingReplica::install_pipeline`]).
+    exec: ExecStage,
 }
 
 impl RingReplica {
@@ -247,14 +170,6 @@ impl RingReplica {
         // transfer starts and before the per-request watchdog would
         // demand a (futile, solo) view change.
         let hole = HoleFetcher::new(me, shard_n, cfg.timers.local / 3);
-        // Blocking mode keeps the observable event order identical to
-        // the inline pipeline (the determinism twin test pins this);
-        // drivers that can wake the core install an async stage later.
-        let exec_pipeline: Box<dyn Pipeline<ExecJob> + Send> = if cfg.pipeline_workers > 0 {
-            Box::new(ThreadedPipeline::new("exec", cfg.pipeline_workers).blocking(true))
-        } else {
-            Box::new(InlinePipeline::new())
-        };
         RingReplica {
             pbft,
             locks: LockManager::new(),
@@ -274,28 +189,23 @@ impl RingReplica {
             obs_now: Instant::ZERO,
             commit_at: HashMap::new(),
             obs: ReplicaObs::new(),
-            exec_pipeline,
-            exec_inflight: VecDeque::new(),
-            exec_ready: BTreeMap::new(),
+            exec: ExecStage::default(),
             cfg,
             me,
         }
     }
 
-    /// Replaces the execution stage. The real runtime installs an async
-    /// [`ThreadedPipeline`] wired to its reactor waker right after
-    /// construction — before any traffic, so nothing is in flight.
-    pub fn install_pipeline(&mut self, p: Box<dyn Pipeline<ExecJob> + Send>) {
-        assert!(
-            self.exec_inflight.is_empty(),
-            "pipeline swapped with work in flight"
-        );
-        self.exec_pipeline = p;
+    /// Moves single-shard execution onto worker threads, before any
+    /// traffic. The real runtime installs an async stage wired to its
+    /// reactor waker; the simulator a blocking one (same event order as
+    /// in place). Without one, batches execute in place.
+    pub fn install_pipeline(&mut self, p: ThreadedPipeline<ExecJob>) {
+        self.exec.install(p);
     }
 
-    /// The execution stage's worker count (0 = inline).
+    /// The execution stage's worker count (0 = in place).
     pub fn pipeline_workers(&self) -> usize {
-        self.exec_pipeline.workers()
+        self.exec.pool().0
     }
 
     /// Attaches a durable write-ahead ledger and — when the replayed log
@@ -760,7 +670,7 @@ impl RingReplica {
         if !self.pbft.is_primary() {
             return;
         }
-        let pipe_idle = self.pbft.in_flight() == 0 && self.exec_inflight.is_empty();
+        let pipe_idle = self.pbft.in_flight() == 0 && self.exec.is_idle();
         for cut in self.batcher.cut(force, pipe_idle, self.obs_now) {
             if cut.adaptive {
                 self.obs.batch_adaptive_flushes(1);
@@ -1146,7 +1056,7 @@ impl RingReplica {
                 // stage, roll the checkpoint state back, and force a
                 // full-snapshot transfer of the quorum state that replaces
                 // the store wholesale.
-                self.flush_exec(out);
+                self.drain_exec(true, out);
                 self.ckpt.roll_back();
                 self.obs.checkpoint_divergences(1);
                 self.obs.trace.push(
@@ -1184,7 +1094,7 @@ impl RingReplica {
     fn install_chain(&mut self, transfer: ChainTransfer, out: &mut Outbox<RingMsg>) {
         // Settle the execution stage before judging the transfer: an
         // in-flight job may close the very gap this chain targets.
-        self.flush_exec(out);
+        self.drain_exec(true, out);
         let Some(snap) = self.ckpt.fold_chain(&transfer) else {
             return;
         };
@@ -1209,7 +1119,7 @@ impl RingReplica {
     ) -> bool {
         // In-flight exec jobs hold base snapshots of the store this
         // install is about to replace: settle them first.
-        self.flush_exec(out);
+        self.drain_exec(true, out);
         // Refuse while local progress reaches the snapshot or state
         // *beyond* it exists locally — the install would erase effects
         // later sequences already derived from. State at or below the
@@ -1242,7 +1152,7 @@ impl RingReplica {
         seqs.sort_unstable();
         for s in seqs {
             let (reads, writes) = match self.work.get(&s) {
-                Some(Work::Single(b) | Work::Cst(b, _)) => self.lock_keys(b),
+                Some(Work::Single(b, _) | Work::Cst(b, _)) => self.lock_keys(b),
                 Some(Work::Duplicate) | None => (Vec::new(), Vec::new()),
             };
             let admitted = self.locks.commit_rw(s, reads, writes);
@@ -1302,7 +1212,7 @@ impl RingReplica {
         let trace = batch_trace(&batch).map(|t| TraceContext { hop, ..t });
         self.commit_at.insert(seq.0, (self.obs_now, trace));
         let work = if batch.involved_shards().len() <= 1 {
-            Work::Single(Arc::clone(&batch))
+            Work::Single(Arc::clone(&batch), digest)
         } else if self.csts.commit(
             seq.0,
             digest,
@@ -1335,7 +1245,11 @@ impl RingReplica {
             return;
         };
         let cst = match work {
-            Work::Single(batch) => return self.execute_single_shard(seq, &batch, out),
+            Work::Single(batch, digest) => {
+                let (shard, proposer) = (self.me.shard, self.pbft.primary_index());
+                let job = ExecJob::new(seq, batch, digest, shard, proposer, self.obs_now);
+                return self.execute_single(job, out);
+            }
             Work::Cst(_, digest) => self.csts.lock(&digest).map(|simple| (digest, simple)),
             Work::Duplicate => None,
         };
@@ -1378,17 +1292,7 @@ impl RingReplica {
             self.record_phase(Phase::CstExecute, d, batch_trace(&frag.batch), hop);
         }
         let me = self.me.shard;
-        let mut writes = Vec::new();
-        for txn in &frag.batch.txns {
-            let resolved = |key| frag.resolved.get(&key).copied().unwrap_or_default();
-            let remote: Vec<(Key, Value)> = txn
-                .remote_reads
-                .iter()
-                .filter(|rr| rr.reader == me)
-                .map(|rr| (rr.key, resolved(rr.key)))
-                .collect();
-            writes.extend(self.kv.execute_fragment(txn, me, &remote).writes);
-        }
+        let writes = execute_batch(&mut self.kv, &frag.batch, me, &frag.resolved);
         let block = BlockBody {
             seq: SeqNum(frag.seq),
             merkle_root: digest,
@@ -1415,111 +1319,49 @@ impl RingReplica {
         out.executed(seq, txns);
     }
 
-    /// Hands an admitted single-shard batch to the execution stage:
-    /// snapshots the records it touches (stable until this sequence
-    /// releases its locks), submits the job — digest hashing, fragment
-    /// execution and reply assembly run on the stage — and pumps any
-    /// outcomes that are ready to apply.
-    fn execute_single_shard(&mut self, seq: u64, batch: &Arc<Batch>, out: &mut Outbox<RingMsg>) {
-        let mut keys: Vec<Key> = batch
-            .txns
-            .iter()
-            .flat_map(|t| t.ops.iter())
-            .filter(|o| o.shard == self.me.shard)
-            .map(|o| o.key)
-            .collect();
-        keys.sort_unstable();
-        keys.dedup();
-        let base: Vec<(Key, Record)> = keys
-            .into_iter()
-            .filter_map(|k| self.kv.get(k).map(|r| (k, r)))
-            .collect();
+    /// Hands an admitted single-shard batch to the execution stage and
+    /// applies what it finished: this batch when it ran in place.
+    fn execute_single(&mut self, job: ExecJob, out: &mut Outbox<RingMsg>) {
         self.obs.exec_jobs(1);
-        if !self.exec_inflight.is_empty() {
+        if !self.exec.is_idle() {
             // Another disjoint sequence is already executing: the lock
             // manager guarantees their write sets cannot conflict.
             self.obs.exec_parallel_batches(1);
         }
-        self.exec_inflight.push_back(seq);
-        self.exec_pipeline.submit(ExecJob {
-            seq,
-            batch: Arc::clone(batch),
-            shard: self.me.shard,
-            base,
-            proposer: self.pbft.primary_index(),
-            submitted: self.obs_now,
-        });
-        self.pump_exec(out);
-    }
-
-    /// Collects finished execution outcomes and applies them strictly
-    /// in submission order. Inline and blocking pipelines finish every
-    /// job at submit time, so this empties the queue immediately —
-    /// preserving the pre-pipeline event order exactly; an async stage
-    /// leaves stragglers for the next wake.
-    fn pump_exec(&mut self, out: &mut Outbox<RingMsg>) {
-        let ps = self.exec_pipeline.stats();
-        self.obs
-            .set_pipeline_pool(self.exec_pipeline.workers() as u64, ps.busy_ns, ps.idle_ns);
-        let done = self.exec_pipeline.drain();
-        self.apply_in_order(done, out);
-    }
-
-    /// Blocks until the execution stage is empty and applies everything
-    /// — state-install paths must not race in-flight jobs whose base
-    /// snapshots came from the store they are about to replace.
-    fn flush_exec(&mut self, out: &mut Outbox<RingMsg>) {
-        while !self.exec_inflight.is_empty() {
-            let done = self.exec_pipeline.flush();
-            self.apply_in_order(done, out);
+        match self.exec.submit(job, &mut self.kv) {
+            Some(done) => self.apply_exec(done, out),
+            None => self.drain_exec(false, out),
         }
     }
 
-    /// Queues finished outcomes and applies those whose turn has come.
-    fn apply_in_order(&mut self, done: Vec<ExecOutcome>, out: &mut Outbox<RingMsg>) {
-        for o in done {
-            self.exec_ready.insert(o.job.seq, o);
-        }
-        while let Some(&seq) = self.exec_inflight.front() {
-            let Some(outcome) = self.exec_ready.remove(&seq) else {
-                break;
-            };
-            self.exec_inflight.pop_front();
-            self.apply_exec_outcome(outcome, out);
+    /// Applies the threaded stage's finished outcomes in submission
+    /// order. A blocking stage finished the job at submit time, so this
+    /// keeps the in-place event order. An async stage leaves stragglers
+    /// for the next wake unless `wait`: state installs wait, since
+    /// in-flight jobs copied the store they are about to replace.
+    fn drain_exec(&mut self, wait: bool, out: &mut Outbox<RingMsg>) {
+        self.obs.set_pipeline_pool(self.exec.pool());
+        while let Some(done) = self.exec.next(&mut self.kv, wait) {
+            self.apply_exec(done, out);
         }
     }
 
-    /// Applies one finished outcome: replays the write effects onto the
-    /// authoritative store, appends the ledger block, replies to the
-    /// clients, and releases the sequence's locks (admitting successors).
-    fn apply_exec_outcome(&mut self, o: ExecOutcome, out: &mut Outbox<RingMsg>) {
-        let ExecOutcome {
-            job,
-            digest,
-            writes,
-        } = o;
-        for (k, v) in &writes {
-            self.kv.put(*k, *v);
-        }
-        let block = BlockBody {
-            seq: SeqNum(job.seq),
-            merkle_root: digest,
-            proposer: ReplicaId::new(self.me.shard, job.proposer),
-            txn_count: job.batch.len() as u32,
-            involved: vec![self.me.shard],
-        };
-        self.book(block, out);
+    /// Books one executed batch, whose writes are on the store: ledger
+    /// block, checkpoint effects, client replies, and the lock release
+    /// that admits successors.
+    fn apply_exec(&mut self, ExecOutcome { job, writes }: ExecOutcome, out: &mut Outbox<RingMsg>) {
+        self.book(job.block(), out);
         self.mark_executed(job.seq, writes, out);
-        self.reply_clients(digest, &job.batch, Some(job.submitted), out);
+        self.reply_clients(job.digest, &job.batch, Some(job.submitted), out);
         self.release(job.seq, out);
     }
 
     /// Drives the execution stage outside a message delivery: the real
     /// runtime calls this when the pipeline's waker fires. A no-op for
-    /// inline/blocking stages (drained at submit time).
+    /// in-place and blocking stages (applied at submit time).
     pub fn pump(&mut self, now: Instant, out: &mut Outbox<RingMsg>) {
         self.obs_now = now;
-        self.pump_exec(out);
+        self.drain_exec(false, out);
         self.obs.set_rotation(self.csts.counts());
     }
 
@@ -1527,7 +1369,7 @@ impl RingReplica {
     /// Drivers call this at shutdown (and tests at settle points) so no
     /// outcome is stranded in an async stage.
     pub fn flush_pipeline(&mut self, out: &mut Outbox<RingMsg>) {
-        self.flush_exec(out);
+        self.drain_exec(true, out);
         self.obs.set_rotation(self.csts.counts());
     }
 

@@ -29,6 +29,7 @@
 //! driver — the stall itself, which no protocol clock sees.
 
 use crate::cst::Counts;
+use crate::pipeline::PoolStats;
 use ringbft_obs::{CounterId, GaugeId, HistId, Registry, TraceRing};
 use ringbft_types::{Duration, Instant, TraceContext};
 
@@ -279,19 +280,32 @@ impl ReplicaObs {
 
     /// Execution-stage worker-pool accounting (cumulative busy/idle
     /// nanoseconds across the pool's workers).
-    pub fn set_pipeline_pool(&mut self, workers: u64, busy_ns: u64, idle_ns: u64) {
-        self.reg.set_gauge(self.g_pipeline_workers, workers);
-        self.reg.set_gauge(self.g_worker_busy_ns, busy_ns);
-        self.reg.set_gauge(self.g_worker_idle_ns, idle_ns);
+    pub fn set_pipeline_pool(&mut self, (workers, pool): (usize, PoolStats)) {
+        self.reg.set_gauge(self.g_pipeline_workers, workers as u64);
+        self.reg.set_gauge(self.g_worker_busy_ns, pool.busy_ns);
+        self.reg.set_gauge(self.g_worker_idle_ns, pool.idle_ns);
     }
 
     /// Compatibility snapshot in the legacy `RingStats` shape.
-    pub fn stats(&self) -> crate::RingStats {
-        crate::RingStats {
+    pub fn stats(&self) -> RingStats {
+        RingStats {
             executed_txns: self.reg.counter_value(self.c_executed_txns),
             executed_batches: self.reg.counter_value(self.c_executed_batches),
             forwards_sent: self.reg.counter_value(self.c_forwards_sent),
             executes_sent: self.reg.counter_value(self.c_executes_sent),
         }
     }
+}
+
+/// The registry counters that tests and the benchmark read directly.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RingStats {
+    /// Transactions executed by this replica (all fragments).
+    pub executed_txns: u64,
+    /// Batches fully executed.
+    pub executed_batches: u64,
+    /// Forward messages sent (including retransmissions).
+    pub forwards_sent: u64,
+    /// Execute messages sent.
+    pub executes_sent: u64,
 }

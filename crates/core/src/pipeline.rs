@@ -1,33 +1,11 @@
-//! The execution pipeline: stateless worker stages around the
-//! single-threaded ordering core.
-//!
-//! The replica's consensus path (PBFT ordering, lock admission, ring
-//! rotation) is inherently serial, but two stages on either side of it
-//! are not:
-//!
-//! * **verify/hash** — inbound frame MAC checks and batch digests are
-//!   pure functions of the bytes (the reactor in `ringbft-net` feeds
-//!   them to a [`WorkerPool`] and gets woken through its own eventfd);
-//! * **execute** — committed sequences whose write sets are
-//!   lock-disjoint (guaranteed by the sequence-ordered `LockManager`:
-//!   two concurrently admitted sequences can never hold conflicting
-//!   locks) execute against stable snapshots of their touched records,
-//!   with reply construction off-thread.
-//!
-//! Both stages sit behind the [`Pipeline`] trait so the determinism
-//! story stays intact: [`InlinePipeline`] computes every job at submit
-//! time on the caller's thread (byte-identical to the pre-pipeline
-//! replica — the simulator and the fault-scenario matrix use it), while
-//! [`ThreadedPipeline`] runs jobs on a fixed-size [`WorkerPool`].
-//! A `ThreadedPipeline` in *blocking* mode (submit waits for the
-//! worker) produces the same observable event order as the inline
-//! impl — the determinism twin test in `lib.rs` pins that contract.
-//!
-//! The ordering core never consumes results out of submission order:
-//! the replica holds a queue of submitted sequence numbers and applies
-//! outcomes strictly in that order, so conflicting sequences (which the
-//! lock manager admits only after their predecessors release) retain
-//! strict order while disjoint ones overlap.
+//! Worker threads for the stages around the single-threaded ordering
+//! core. [`WorkerPool`] is a fixed-size pool: the reactor in
+//! `ringbft-net` runs frame MAC checks and decodes on it, and a
+//! [`ThreadedPipeline`] runs execution jobs on it (`crate::exec`). Only
+//! hosts create either; the replica spawns no threads. In *blocking*
+//! mode (submit waits for the worker) a threaded stage keeps the
+//! observable event order of in-place execution — the determinism twin
+//! tests in `lib.rs` pin that contract.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -40,67 +18,6 @@ pub trait PipelineJob: Send + 'static {
     type Output: Send + 'static;
     /// Runs the job to completion.
     fn run(self) -> Self::Output;
-}
-
-/// A pipeline stage: jobs go in via [`Pipeline::submit`], finished
-/// outputs come back via [`Pipeline::drain`] in completion order.
-pub trait Pipeline<J: PipelineJob> {
-    /// Hands a job to the stage. An inline pipeline computes it here;
-    /// a threaded one enqueues it (and, in blocking mode, waits).
-    fn submit(&mut self, job: J);
-    /// Takes every finished output accumulated so far.
-    fn drain(&mut self) -> Vec<J::Output>;
-    /// Blocks until every submitted job has finished, then drains.
-    fn flush(&mut self) -> Vec<J::Output>;
-    /// Jobs submitted but not yet drained.
-    fn pending(&self) -> usize;
-    /// Worker count (0 = inline).
-    fn workers(&self) -> usize;
-    /// Worker busy/idle accounting (zeros for inline stages).
-    fn stats(&self) -> PoolStats {
-        PoolStats::default()
-    }
-}
-
-/// Deterministic pipeline: every job runs at submit time on the
-/// caller's thread. Used by the simulator so fault-scenario seeds stay
-/// byte-identical, and as the default until a driver installs a
-/// threaded stage.
-pub struct InlinePipeline<J: PipelineJob> {
-    done: VecDeque<J::Output>,
-}
-
-impl<J: PipelineJob> Default for InlinePipeline<J> {
-    fn default() -> Self {
-        InlinePipeline {
-            done: VecDeque::new(),
-        }
-    }
-}
-
-impl<J: PipelineJob> InlinePipeline<J> {
-    /// New empty inline pipeline.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl<J: PipelineJob> Pipeline<J> for InlinePipeline<J> {
-    fn submit(&mut self, job: J) {
-        self.done.push_back(job.run());
-    }
-    fn drain(&mut self) -> Vec<J::Output> {
-        self.done.drain(..).collect()
-    }
-    fn flush(&mut self) -> Vec<J::Output> {
-        self.drain()
-    }
-    fn pending(&self) -> usize {
-        self.done.len()
-    }
-    fn workers(&self) -> usize {
-        0
-    }
 }
 
 /// One worker's task queue.
@@ -246,13 +163,15 @@ struct DoneBox<T> {
     cv: Condvar,
 }
 
-/// A [`Pipeline`] running jobs on a [`WorkerPool`].
+/// A pipeline stage running jobs on a [`WorkerPool`]: jobs go in via
+/// [`ThreadedPipeline::submit`], finished outputs come back via
+/// [`ThreadedPipeline::drain`] in completion order.
 ///
 /// * **blocking mode** (`blocking(true)`): `submit` waits until the
 ///   worker finished the job, so the observable event order matches
-///   [`InlinePipeline`] exactly — the simulator installs this when
+///   in-place execution exactly — the simulator installs this when
 ///   `pipeline_workers > 0` so threaded legs of the fault matrix stay
-///   byte-identical to the inline runs.
+///   byte-identical to the in-place runs.
 /// * **async mode** with a waker: the worker calls the waker after
 ///   depositing an output; the real runtime points it at the reactor's
 ///   eventfd so the core gets pumped without polling.
@@ -300,10 +219,9 @@ impl<J: PipelineJob> ThreadedPipeline<J> {
         self.waker = Some(waker);
         self
     }
-}
 
-impl<J: PipelineJob> Pipeline<J> for ThreadedPipeline<J> {
-    fn submit(&mut self, job: J) {
+    /// Hands a job to a worker (in blocking mode, waits for it).
+    pub fn submit(&mut self, job: J) {
         self.in_flight += 1;
         let done = Arc::clone(&self.done);
         let waker = self.waker.clone();
@@ -324,13 +242,15 @@ impl<J: PipelineJob> Pipeline<J> for ThreadedPipeline<J> {
         }
     }
 
-    fn drain(&mut self) -> Vec<J::Output> {
+    /// Takes every finished output accumulated so far.
+    pub fn drain(&mut self) -> Vec<J::Output> {
         let out: Vec<J::Output> = std::mem::take(&mut *self.done.done.lock().unwrap());
         self.drained += out.len() as u64;
         out
     }
 
-    fn flush(&mut self) -> Vec<J::Output> {
+    /// Blocks until every submitted job has finished, then drains.
+    pub fn flush(&mut self) -> Vec<J::Output> {
         let target = self.in_flight - self.drained;
         let mut guard = self.done.done.lock().unwrap();
         while (guard.len() as u64) < target {
@@ -342,15 +262,13 @@ impl<J: PipelineJob> Pipeline<J> for ThreadedPipeline<J> {
         out
     }
 
-    fn pending(&self) -> usize {
-        (self.in_flight - self.drained) as usize
-    }
-
-    fn workers(&self) -> usize {
+    /// Worker count.
+    pub fn workers(&self) -> usize {
         self.pool.workers()
     }
 
-    fn stats(&self) -> PoolStats {
+    /// Worker busy/idle accounting.
+    pub fn stats(&self) -> PoolStats {
         self.pool.stats()
     }
 }
@@ -375,17 +293,6 @@ mod tests {
     }
 
     #[test]
-    fn inline_pipeline_computes_at_submit() {
-        let mut p: InlinePipeline<Square> = InlinePipeline::new();
-        p.submit(Square(3));
-        p.submit(Square(4));
-        assert_eq!(p.pending(), 2);
-        assert_eq!(p.drain(), vec![9, 16]);
-        assert_eq!(p.pending(), 0);
-        assert_eq!(p.workers(), 0);
-    }
-
-    #[test]
     fn threaded_pipeline_flush_returns_all_outputs() {
         let mut p: ThreadedPipeline<Square> = ThreadedPipeline::new("test", 2);
         for i in 0..32 {
@@ -395,7 +302,6 @@ mod tests {
         out.sort_unstable();
         let want: Vec<u64> = (0..32).map(|i| i * i).collect();
         assert_eq!(out, want);
-        assert_eq!(p.pending(), 0);
         assert!(p.stats().tasks >= 32);
     }
 

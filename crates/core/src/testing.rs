@@ -4,6 +4,7 @@
 
 use crate::messages::RingMsg;
 use crate::node::RingReplica;
+use crate::pipeline::ThreadedPipeline;
 use ringbft_crypto::Digest;
 use ringbft_types::txn::Transaction;
 use ringbft_types::{
@@ -51,12 +52,19 @@ pub struct RingNet {
 
 impl RingNet {
     /// Builds the network, materializing each replica's key partition.
+    /// `pipeline_workers > 0` gives every replica a blocking threaded
+    /// execution stage, which keeps the in-place event order.
     pub fn new(cfg: SystemConfig) -> Self {
         cfg.validate().expect("valid config");
         let mut replicas = BTreeMap::new();
         for shard in &cfg.shards {
             for r in shard.replicas() {
-                replicas.insert(r, RingReplica::new(cfg.clone(), r, true));
+                let mut replica = RingReplica::new(cfg.clone(), r, true);
+                if cfg.pipeline_workers > 0 {
+                    let stage = ThreadedPipeline::new("exec", cfg.pipeline_workers);
+                    replica.install_pipeline(stage.blocking(true));
+                }
+                replicas.insert(r, replica);
             }
         }
         RingNet {
@@ -220,7 +228,8 @@ impl RingNet {
 
     /// Flushes every replica's execution pipeline, absorbing the actions
     /// the deferred outcomes produce (replies, lock-release cascades).
-    /// A no-op when every replica runs an inline or blocking stage.
+    /// A no-op when every replica executes in place or on a blocking
+    /// stage.
     pub fn pump_all(&mut self) {
         let ids: Vec<ReplicaId> = self.replicas.keys().copied().collect();
         for r in ids {

@@ -291,18 +291,9 @@ fn main() {
                 std::process::exit(1);
             }
         };
-        match NodeRuntime::launch_with_pipeline(
-            NodeId::Replica(id),
-            node,
-            listener,
-            peers.clone(),
-            clock.clone(),
-            auth.clone(),
-            cluster.system.reactor_shards,
-            cluster.system.pipeline_workers,
-        ) {
+        let (peers, clock, auth) = (peers.clone(), clock.clone(), auth.clone());
+        match ringbft_net::launch_replica(id, node, listener, peers, clock, auth, &cluster.system) {
             Ok(rt) => {
-                ringbft_net::install_exec_stage(&rt);
                 println!(
                     "hosting {id} on {addr} ({} reactor thread{}, {} pipeline worker{})",
                     rt.reactor_shards(),
@@ -328,7 +319,7 @@ fn main() {
             peers.add_alias(NodeId::Client(ClientId(c)), host);
         }
         let client = SimClient::new(cluster.system.clone(), seed, first_id, count);
-        match NodeRuntime::launch_with_shards(
+        match NodeRuntime::launch_with_pipeline(
             host,
             AnyNode::Client(Box::new(client)),
             listener,
@@ -336,6 +327,7 @@ fn main() {
             clock.clone(),
             auth.clone(),
             cluster.system.reactor_shards,
+            0,
         ) {
             Ok(rt) => {
                 println!("hosting workload {host} ({count} logical clients) on {addr}");

@@ -19,21 +19,34 @@ use ringbft_types::{ClientId, NodeId, ReplicaId, SystemConfig};
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 
-/// Re-homes a RingBFT replica's execution stage onto the runtime's
-/// shared worker pool, in asynchronous mode with the reactor's eventfd
-/// waker: finished execution jobs nudge shard 0, which pumps the node.
-/// `RingReplica::new` installs a private *blocking* stage when
-/// `pipeline_workers > 0` (the simulator's deterministic twin); hosted
-/// over real sockets the stage instead shares the verify pool, keeping
-/// the node's thread budget at `reactor_shards + pipeline_workers`.
-pub fn install_exec_stage(rt: &NodeRuntime<AnyMsg, AnyNode>) {
-    let Some(pool) = rt.worker_pool() else { return };
-    let waker = rt.exec_waker();
-    rt.with_node(|n| {
-        if let AnyNode::Ring(r) = n {
-            r.install_pipeline(Box::new(ThreadedPipeline::on_pool(pool).with_waker(waker)));
-        }
-    });
+/// Launches `node` as replica `id` on `listener` with `cfg`'s reactor
+/// and worker counts. With `pipeline_workers > 0` a RingBFT replica's
+/// execution moves onto the runtime's worker pool, in asynchronous mode
+/// with the reactor's eventfd waker: finished execution jobs nudge shard
+/// 0, which pumps the node. Verification shares that pool, keeping the
+/// node's thread budget at `reactor_shards + pipeline_workers`.
+pub fn launch_replica(
+    id: ReplicaId,
+    node: AnyNode,
+    listener: TcpListener,
+    peers: PeerTable,
+    clock: Clock,
+    auth: FrameAuth,
+    cfg: &SystemConfig,
+) -> std::io::Result<NodeRuntime<AnyMsg, AnyNode>> {
+    let (shards, workers) = (cfg.reactor_shards, cfg.pipeline_workers);
+    let id = NodeId::Replica(id);
+    let rt =
+        NodeRuntime::launch_with_pipeline(id, node, listener, peers, clock, auth, shards, workers)?;
+    if let Some(pool) = rt.worker_pool() {
+        let waker = rt.exec_waker();
+        rt.with_node(|n| {
+            if let AnyNode::Ring(r) = n {
+                r.install_pipeline(ThreadedPipeline::on_pool(pool).with_waker(waker));
+            }
+        });
+    }
+    Ok(rt)
 }
 
 /// A running loopback deployment.
@@ -115,17 +128,15 @@ impl LocalCluster {
                     ring.attach_wal(wal, &recovered);
                 }
             }
-            let rt = NodeRuntime::launch_with_pipeline(
-                NodeId::Replica(r),
+            let rt = launch_replica(
+                r,
                 node,
                 listener,
                 peers.clone(),
                 clock.clone(),
                 auth.clone(),
-                cfg.reactor_shards,
-                cfg.pipeline_workers,
+                &cfg,
             )?;
-            install_exec_stage(&rt);
             replicas.push(rt);
         }
         Ok(LocalCluster {
@@ -193,18 +204,7 @@ impl LocalCluster {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         self.peers
             .insert(NodeId::Replica(r), listener.local_addr()?);
-        let rt = NodeRuntime::launch_with_pipeline(
-            NodeId::Replica(r),
-            node,
-            listener,
-            self.peers.clone(),
-            self.clock.clone(),
-            self.auth.clone(),
-            self.cfg.reactor_shards,
-            self.cfg.pipeline_workers,
-        )?;
-        install_exec_stage(&rt);
-        self.replicas.push(rt);
+        self.relaunch(r, node, listener)?;
         Ok(())
     }
 
@@ -239,19 +239,21 @@ impl LocalCluster {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         self.peers
             .insert(NodeId::Replica(r), listener.local_addr()?);
-        let rt = NodeRuntime::launch_with_pipeline(
-            NodeId::Replica(r),
-            node,
-            listener,
-            self.peers.clone(),
-            self.clock.clone(),
-            self.auth.clone(),
-            self.cfg.reactor_shards,
-            self.cfg.pipeline_workers,
-        )?;
-        install_exec_stage(&rt);
-        self.replicas.push(rt);
+        self.relaunch(r, node, listener)?;
         Ok(restart)
+    }
+
+    /// Launches a restarted replica into the running cluster.
+    fn relaunch(
+        &mut self,
+        r: ReplicaId,
+        node: AnyNode,
+        listener: TcpListener,
+    ) -> std::io::Result<()> {
+        let (peers, clock, auth) = (self.peers.clone(), self.clock.clone(), self.auth.clone());
+        let rt = launch_replica(r, node, listener, peers, clock, auth, &self.cfg)?;
+        self.replicas.push(rt);
+        Ok(())
     }
 
     /// The deployment's configuration.
@@ -301,7 +303,7 @@ impl LocalCluster {
         for a in aliases {
             self.peers.add_alias(*a, host);
         }
-        self.clients.push(NodeRuntime::launch_with_shards(
+        self.clients.push(NodeRuntime::launch_with_pipeline(
             host,
             node,
             listener,
@@ -309,6 +311,7 @@ impl LocalCluster {
             self.clock.clone(),
             self.auth.clone(),
             self.cfg.reactor_shards,
+            0,
         )?);
         Ok(host)
     }

@@ -55,7 +55,7 @@ mod reactor;
 pub mod runtime;
 pub mod telemetry;
 
-pub use cluster::{install_exec_stage, DurableRestart, LocalCluster};
+pub use cluster::{launch_replica, DurableRestart, LocalCluster};
 pub use codec::{encode_frame, CodecError, Envelope, FrameAuth};
 pub use config::{load_cluster_config, parse_cluster_config, ClusterConfig, ConfigError};
 pub use runtime::{Clock, NetStatsSnapshot, NodeRuntime, PeerTable, TelemetryHandle};

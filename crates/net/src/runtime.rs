@@ -609,7 +609,7 @@ where
     /// one cluster must share the authenticator's seed). The listener
     /// must already be bound (bind with port 0 to let the kernel pick,
     /// then collect `local_addr` into the table). Spawns exactly one
-    /// reactor thread; see [`NodeRuntime::launch_with_shards`] for
+    /// reactor thread; see [`NodeRuntime::launch_with_pipeline`] for
     /// multi-core I/O scaling.
     pub fn launch(
         id: NodeId,
@@ -619,34 +619,21 @@ where
         clock: Clock,
         auth: FrameAuth,
     ) -> std::io::Result<NodeRuntime<M, N>> {
-        Self::launch_with_shards(id, node, listener, peers, clock, auth, 1)
+        Self::launch_with_pipeline(id, node, listener, peers, clock, auth, 1, 0)
     }
 
     /// Like [`NodeRuntime::launch`], but multiplexes the node's sockets
     /// across `reactor_shards` reactor threads (peers are partitioned
     /// by a stable hash; shard 0 additionally owns the listener and the
     /// timer wheel). The thread count is fixed at launch and
-    /// independent of how many peers or clients connect.
-    pub fn launch_with_shards(
-        id: NodeId,
-        node: N,
-        listener: TcpListener,
-        peers: PeerTable,
-        clock: Clock,
-        auth: FrameAuth,
-        reactor_shards: usize,
-    ) -> std::io::Result<NodeRuntime<M, N>> {
-        Self::launch_with_pipeline(id, node, listener, peers, clock, auth, reactor_shards, 0)
-    }
-
-    /// Like [`NodeRuntime::launch_with_shards`], but additionally runs a
+    /// independent of how many peers or clients connect. It also runs a
     /// `pipeline_workers`-thread worker pool hosting the verify/hash
     /// stage: inbound frame MAC checks and body decodes run off the
     /// reactor threads, pinned per connection so frame order is
     /// preserved, feeding verified messages back through the reactor's
     /// eventfd wake path. The same pool is shared with an execution
-    /// stage installed on the hosted node ([`NodeRuntime::exec_waker`]
-    /// plus `RingReplica::install_pipeline`), so the per-node thread
+    /// stage installed on the hosted node (`crate::launch_replica`
+    /// does this for replicas), so the per-node thread
     /// budget is exactly `reactor_shards + pipeline_workers`.
     /// `pipeline_workers = 0` keeps everything inline.
     #[allow(clippy::too_many_arguments)]

@@ -6,8 +6,7 @@
 use crate::client::{reply_quorum, SimClient};
 use crate::msg::AnyMsg;
 use crate::nodes::AnyNode;
-use ringbft_core::RingReplica;
-use ringbft_core::{Phase, RingMsg};
+use ringbft_core::{Phase, RingMsg, RingReplica, ThreadedPipeline};
 use ringbft_obs::{Histogram, SpanCollector, SpanTimeline};
 use ringbft_pbft::PbftMsg;
 use ringbft_recovery::ReplicaWal;
@@ -621,6 +620,7 @@ impl Scenario {
             .durable_restart
             .map(|(_, _, replica)| (replica, MemWalHandle::new()));
         for (r, region, mut node) in crate::nodes::deployment(&cfg) {
+            host_exec_stage(&mut node, &cfg);
             if let Some((victim, handle)) = &durable_wal {
                 if r == *victim {
                     if let AnyNode::Ring(ring) = &mut node {
@@ -634,10 +634,11 @@ impl Scenario {
 
         // --- blank restart (recovery scenarios) ---
         if let Some((_, restart_s, replica)) = self.blank_restart {
-            let (_, _, fresh) = crate::nodes::deployment(&cfg)
+            let (_, _, mut fresh) = crate::nodes::deployment(&cfg)
                 .into_iter()
                 .find(|(r, _, _)| *r == replica)
                 .expect("restarted replica is part of the deployment");
+            host_exec_stage(&mut fresh, &cfg);
             world.schedule_restart(
                 Instant::ZERO + Duration::from_secs_f64(restart_s),
                 NodeId::Replica(replica),
@@ -665,9 +666,11 @@ impl Scenario {
                     let (wal, recovered) = ReplicaWal::open_mem(handle, cfg2.durability);
                     let seq = recovered.fold(replica.shard).map(|t| t.seq).unwrap_or(0);
                     restored.set((wal.len_bytes(), seq));
-                    let mut r = RingReplica::new(cfg2, replica, false);
+                    let mut r = RingReplica::new(cfg2.clone(), replica, false);
                     r.attach_wal(wal, &recovered);
-                    AnyNode::Ring(Box::new(r))
+                    let mut node = AnyNode::Ring(Box::new(r));
+                    host_exec_stage(&mut node, &cfg2);
+                    node
                 }),
             );
         }
@@ -1193,6 +1196,15 @@ impl Scenario {
             pipeline,
             open_loop,
         }
+    }
+}
+
+/// Hosts a RingBFT replica's execution on a blocking worker stage of
+/// `pipeline_workers` threads, when that is non-zero: real threads with
+/// the in-place event order, so threaded runs stay deterministic.
+fn host_exec_stage(node: &mut AnyNode, cfg: &SystemConfig) {
+    if let (AnyNode::Ring(r), workers @ 1..) = (node, cfg.pipeline_workers) {
+        r.install_pipeline(ThreadedPipeline::new("exec", workers).blocking(true));
     }
 }
 

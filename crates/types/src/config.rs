@@ -242,15 +242,15 @@ pub struct SystemConfig {
     /// cores on replicas terminating many client connections. Ignored
     /// by the discrete-event simulator.
     pub reactor_shards: usize,
-    /// Execution-pipeline workers per replica: `0` (the default) keeps
-    /// the deterministic inline pipeline — MAC verification, batch
-    /// hashing and fragment execution run on the consensus thread,
-    /// byte-identical to the pre-pipeline replica (the simulator's
-    /// fault-scenario seeds rely on this). A positive value moves the
-    /// verify/hash and execution stages onto a fixed pool of that many
-    /// worker threads (`ringbft-core`'s `ThreadedPipeline`); the
-    /// recommended sizing is `min(4, cores − reactor_shards − 1)`
-    /// (`ringbft_core::default_workers`).
+    /// Execution-pipeline workers per replica: `0` (the default) runs
+    /// MAC verification, batch hashing and fragment execution on the
+    /// consensus thread, deterministically. A positive value makes the
+    /// host (the TCP runtime, or the simulator with a blocking stage
+    /// that keeps the same event order) move the verify/hash and
+    /// execution stages onto a fixed pool of that many worker threads
+    /// (`ringbft-core`'s `ThreadedPipeline`); the replica itself never
+    /// reads it. The recommended sizing is
+    /// `min(4, cores − reactor_shards − 1)` (`ringbft_core::default_workers`).
     pub pipeline_workers: usize,
     /// Ablation switch: send cross-shard Forward/Execute messages to
     /// *every* replica of the next shard instead of only the same-index
