@@ -432,8 +432,10 @@ impl CstTracker {
         out.cancel_timer(TimerKind::Remote, s.token);
         let next = match (s.locked, s.executed, watch) {
             // Second rotation begins at the initiator (Fig 5 line 32):
-            // only complex csts still hold locks here.
-            (true, ..) => Next::Execute,
+            // only complex csts still hold locks here. A later shard
+            // holding them waits for Execute evidence, since its deps
+            // lack the reads of the shards after it.
+            (true, ..) if initiator || s.execute.processed => Next::Execute,
             // A simple cst's wrap-around tells the initiator that every
             // involved shard ordered, hence executed, it (§4.2.1).
             (false, true, _) if initiator => self.finish(&digest, out),
@@ -780,6 +782,25 @@ mod tests {
         assert_eq!(t.on_execute(r(1, 0), &ex, &mut out), Next::Wait, "repeat");
         assert_eq!(t.on_execute(r(1, 1), &ex, &mut out), Next::Execute);
         assert_eq!(t.on_execute(r(1, 2), &ex, &mut out), Next::Wait, "once");
+    }
+
+    #[test]
+    fn a_later_shard_holding_locks_waits_for_execute_evidence() {
+        // Shard 1 commits and locks a complex cst before its Forward
+        // evidence completes: only Execute evidence starts its fragment.
+        let mut t = tracker(4, r(1, 0));
+        let (d, b) = cst(1, true);
+        let (mut token, mut out) = (100, Outbox::new());
+        assert!(t.commit(7, d, &b, NOW, &mut token, &mut out));
+        assert_eq!(t.lock(&d), Some(false), "complex");
+        let fwd = RingMsg::ForwardShare(forward(d, &b, 0));
+        for from in [r(1, 1), r(1, 2)] {
+            let next = t.on_forward(from, &fwd, WATCH, NOW, &mut token, &mut out);
+            assert_eq!(next, (Next::Wait, None));
+        }
+        let ex = RingMsg::ExecuteShare(execute(d, 0));
+        assert_eq!(t.on_execute(r(1, 1), &ex, &mut out), Next::Wait);
+        assert_eq!(t.on_execute(r(1, 2), &ex, &mut out), Next::Execute);
     }
 
     #[test]

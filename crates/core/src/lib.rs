@@ -32,6 +32,9 @@ mod tests {
     use ringbft_types::{
         ClientId, NodeId, ProtocolKind, ReplicaId, ShardId, SystemConfig, TimerKind, TxnId,
     };
+    use std::cell::RefCell;
+    use std::collections::HashSet;
+    use std::rc::Rc;
 
     /// Small, fast config: 3 shards × 4 replicas, 300 keys, batch 2.
     fn small_cfg() -> SystemConfig {
@@ -210,6 +213,88 @@ mod tests {
         assert!(prints.windows(2).all(|w| w[0] == w[1]));
         for r in net.replicas.values() {
             assert_eq!(r.lock_manager().held_len(), 0);
+        }
+    }
+
+    /// A shard-1 backup commits and locks a complex cst before any
+    /// Forward reaches it, and shard 0's retransmitted Forwards complete
+    /// its evidence before rotation two's Execute arrives. It must still
+    /// execute only on Execute evidence: with rotation one's `deps` alone
+    /// its read of shard 2's key would see 0, and shard 1 would diverge.
+    #[test]
+    fn late_forward_evidence_does_not_start_rotation_two_at_a_backup() {
+        let cfg = small_cfg();
+        let mut net = RingNet::new(cfg.clone());
+        let backup = ReplicaId::new(ShardId(1), 2);
+        let to_backup = NodeId::Replica(backup);
+        let dep_key = key_in(&cfg, 2, 42);
+        let mk = |id: u64| {
+            cst(&cfg, id, &[0, 1, 2], 11).with_remote_reads(vec![RemoteRead {
+                reader: ShardId(1),
+                owner: ShardId(2),
+                key: dep_key,
+            }])
+        };
+        net.drop_filter = Some(Box::new(move |_, to, m| {
+            to == to_backup && matches!(m, RingMsg::Forward(_) | RingMsg::ForwardShare(_))
+        }));
+        net.client_send(ClientId(1), mk(1));
+        net.client_send(ClientId(2), mk(2));
+        while net.replicas[&backup].lock_manager().held_len() == 0 {
+            assert!(net.step(), "the backup never locked the cst");
+        }
+        // From here nothing is dropped; the filter records the distinct
+        // Execute origins that reach the backup.
+        let origins = Rc::new(RefCell::new(HashSet::new()));
+        let seen = Rc::clone(&origins);
+        net.drop_filter = Some(Box::new(move |from, to, m| {
+            let execute = matches!(m, RingMsg::Execute(_) | RingMsg::ExecuteShare(_));
+            if let (true, NodeId::Replica(r)) = (execute && to == to_backup, from) {
+                seen.borrow_mut().insert(r.index);
+            }
+            false
+        }));
+        let mut transmit: Vec<_> = net
+            .timers
+            .iter()
+            .filter(|(n, k, _)| {
+                *k == TimerKind::Transmit
+                    && matches!(n, NodeId::Replica(r) if r.shard == ShardId(0))
+            })
+            .copied()
+            .collect();
+        transmit.sort_unstable();
+        assert!(!transmit.is_empty(), "shard 0 awaits its wrap-around");
+        for (node, kind, token) in transmit {
+            let NodeId::Replica(r) = node else { continue };
+            net.fire_timer(r, kind, token);
+        }
+        let mut origins_at_execution = None;
+        while net.step() {
+            if origins_at_execution.is_none() && net.exec_log.iter().any(|(r, ..)| *r == backup) {
+                origins_at_execution = Some(origins.borrow().len());
+            }
+        }
+        net.settle();
+        assert!(
+            origins_at_execution >= Some(2),
+            "the backup executed on {origins_at_execution:?} Execute origins"
+        );
+        assert_eq!(net.completed_digests(ClientId(1), 2).len(), 1);
+        for s in 0..3u32 {
+            let prints: Vec<u64> = net
+                .replicas
+                .values()
+                .filter(|r| r.id().shard == ShardId(s))
+                .map(|r| r.store().state_fingerprint())
+                .collect();
+            assert!(
+                prints.windows(2).all(|w| w[0] == w[1]),
+                "shard {s} diverged"
+            );
+        }
+        for r in net.replicas.values() {
+            assert_eq!(r.lock_manager().held_len(), 0, "{} locks leak", r.id());
         }
     }
 

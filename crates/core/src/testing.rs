@@ -138,43 +138,49 @@ impl RingNet {
 
     /// Delivers queued messages until quiescence.
     pub fn deliver_all(&mut self) {
-        while let Some((from, to, msg)) = self.queue.pop_front() {
-            if let Some(f) = &self.drop_filter {
-                if f(from, to, &msg) {
-                    continue;
-                }
+        while self.step() {}
+    }
+
+    /// Delivers (or drops) the oldest queued message; false when the
+    /// queue is empty.
+    pub fn step(&mut self) -> bool {
+        let Some((from, to, msg)) = self.queue.pop_front() else {
+            return false;
+        };
+        if self.drop_filter.as_ref().is_some_and(|f| f(from, to, &msg)) {
+            return true;
+        }
+        match to {
+            NodeId::Replica(r) => {
+                let Some(node) = self.replicas.get_mut(&r) else {
+                    return true;
+                };
+                self.delivered += 1;
+                let mut out = Outbox::new();
+                node.on_message(Instant::ZERO, from, msg, &mut out);
+                self.absorb(to, out.take());
             }
-            match to {
-                NodeId::Replica(r) => {
-                    let Some(node) = self.replicas.get_mut(&r) else {
-                        continue;
-                    };
-                    self.delivered += 1;
-                    let mut out = Outbox::new();
-                    node.on_message(Instant::ZERO, from, msg, &mut out);
-                    self.absorb(to, out.take());
-                }
-                NodeId::Client(c) => {
-                    if let RingMsg::Reply {
+            NodeId::Client(c) => {
+                if let (
+                    RingMsg::Reply {
                         client,
                         digest,
                         txn_ids,
-                    } = msg
-                    {
-                        let NodeId::Replica(sender) = from else {
-                            continue;
-                        };
-                        debug_assert_eq!(client, c);
-                        self.replies.push(ObservedReply {
-                            from: sender,
-                            client,
-                            digest,
-                            txn_ids,
-                        });
-                    }
+                    },
+                    NodeId::Replica(sender),
+                ) = (msg, from)
+                {
+                    debug_assert_eq!(client, c);
+                    self.replies.push(ObservedReply {
+                        from: sender,
+                        client,
+                        digest,
+                        txn_ids,
+                    });
                 }
             }
         }
+        true
     }
 
     /// Fires one armed timer; returns false if not armed.
