@@ -201,10 +201,7 @@ impl LocalCluster {
             .into_iter()
             .find(|(id, _, _)| *id == r)
             .expect("replica in deployment");
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        self.peers
-            .insert(NodeId::Replica(r), listener.local_addr()?);
-        self.relaunch(r, node, listener)?;
+        self.relaunch(r, node)?;
         Ok(())
     }
 
@@ -236,20 +233,17 @@ impl LocalCluster {
         if let AnyNode::Ring(ring) = &mut node {
             ring.attach_wal(wal, &recovered);
         }
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        self.peers
-            .insert(NodeId::Replica(r), listener.local_addr()?);
-        self.relaunch(r, node, listener)?;
+        self.relaunch(r, node)?;
         Ok(restart)
     }
 
-    /// Launches a restarted replica into the running cluster.
-    fn relaunch(
-        &mut self,
-        r: ReplicaId,
-        node: AnyNode,
-        listener: TcpListener,
-    ) -> std::io::Result<()> {
+    /// Launches a restarted replica on a new listener. The peer table
+    /// is updated in place, so running peers re-route to it on their
+    /// next (re)connect.
+    fn relaunch(&mut self, r: ReplicaId, node: AnyNode) -> std::io::Result<()> {
+        let listener = TcpListener::bind("127.0.0.1:0")?;
+        self.peers
+            .insert(NodeId::Replica(r), listener.local_addr()?);
         let (peers, clock, auth) = (self.peers.clone(), self.clock.clone(), self.auth.clone());
         let rt = launch_replica(r, node, listener, peers, clock, auth, &self.cfg)?;
         self.replicas.push(rt);
