@@ -870,6 +870,14 @@ mod pipeline_tests {
         }
     }
 
+    /// The replica spawns no threads for any `pipeline_workers`: only a
+    /// host installs a threaded stage.
+    #[test]
+    fn a_new_replica_executes_in_place() {
+        let r = crate::RingReplica::new(small_cfg(4), ReplicaId::new(ShardId(0), 0), false);
+        assert_eq!(r.pipeline_workers(), 0);
+    }
+
     /// The pipeline instruments surface through the replica registry:
     /// `pipeline.exec_jobs` counts this replica's pipelined batches and
     /// the pool gauges reflect the configured worker count.
