@@ -33,8 +33,9 @@ use std::io::Write as _;
 /// than a full-snapshot transfer would have.
 ///
 /// v5: a `net` section — a real loopback-TCP cluster under the epoll
-/// reactor runtime, recording `threads_per_node` (must stay ≤
-/// `reactor_shards` + 1, gated by `scripts/check_bench.sh`: the
+/// reactor runtime, recording `threads_per_node` (must stay ≤ 2 — the
+/// one reactor thread plus one of headroom — gated by
+/// `scripts/check_bench.sh`: the
 /// thread-per-connection runtime this replaced would blow straight
 /// through it), `peak_fds`, and `reconnects`.
 ///
@@ -61,7 +62,7 @@ use std::io::Write as _;
 /// per-node thread accounting come from a real loopback cluster with
 /// the worker pool enabled. `scaling_ok` gates the ≥ 1.8× knee plus the
 /// loopback run's safety/liveness, and the `net.threads_per_node` gate
-/// widens to `reactor_shards + pipeline_workers + 1`.
+/// widens to `1 + pipeline_workers + 1` (reactor, pool, headroom).
 ///
 /// v9: a `durability` section — the group-committed write-ahead ledger.
 /// A replica is killed mid-run (node state dropped, log truncated to
@@ -86,7 +87,8 @@ use std::io::Write as _;
 /// v11: every gate is a `*_ok` flag that `bench_check` enforces —
 /// `phases_ok` on the RingBFT entry (per-phase timers present and
 /// populated) and `threads_ok` in `net` and `pipeline`
-/// (`threads_per_node ≤ reactor_shards + workers + 1`).
+/// (`threads_per_node ≤ 1 + workers + 1`: one reactor, the verify
+/// pool, one thread of headroom).
 const SCHEMA_VERSION: u64 = 11;
 
 fn quick_cfg(kind: ProtocolKind) -> SystemConfig {
@@ -372,7 +374,6 @@ fn main() {
         cfg.timers.remote = Duration::from_millis(1600);
         cfg.timers.transmit = Duration::from_millis(2400);
         cfg.timers.client = Duration::from_millis(3200);
-        let reactor_shards = cfg.reactor_shards;
         let proc_count = |dir: &str| std::fs::read_dir(dir).map(|d| d.count()).unwrap_or(0);
         let threads_before = proc_count("/proc/self/task");
         let t0 = std::time::Instant::now();
@@ -409,14 +410,13 @@ fn main() {
             f64::INFINITY
         };
         eprintln!(
-            "  {threads_per_node:.2} threads/node ({reactor_shards} reactor shard(s)), \
+            "  {threads_per_node:.2} threads/node, \
              peak {peak_fds} fds, {reconnects} reconnects, {completed} txns, \
              {broadcasts} broadcasts saving {encodes_saved} encodes \
              ({:.1}s wall)",
             t0.elapsed().as_secs_f64()
         );
         serde_json::json!({
-            "reactor_shards": reactor_shards as u64,
             "pipeline_workers": 0u64,
             "hosted_nodes": hosted_nodes as u64,
             "threads_per_node": threads_per_node,
@@ -427,8 +427,9 @@ fn main() {
             "encodes_saved": encodes_saved,
             "encodes_per_broadcast": encodes_per_broadcast,
             // A fixed thread count per hosted node, independent of how
-            // many peers and clients connect (no pipeline workers here).
-            "threads_ok": threads_per_node <= (reactor_shards + 1) as f64,
+            // many peers and clients connect: one reactor plus one of
+            // headroom (no pipeline workers here).
+            "threads_ok": threads_per_node <= 2.0,
             // Broadcast fan-outs happened and each one skipped at least
             // one per-destination re-serialization (mean fan-out ≥ 2 on
             // this topology): losing this flag means egress fell back to
@@ -490,7 +491,6 @@ fn main() {
         cfg.timers.remote = Duration::from_millis(1600);
         cfg.timers.transmit = Duration::from_millis(2400);
         cfg.timers.client = Duration::from_millis(3200);
-        let reactor_shards = cfg.reactor_shards;
         let proc_count = |dir: &str| std::fs::read_dir(dir).map(|d| d.count()).unwrap_or(0);
         let threads_before = proc_count("/proc/self/task");
         let t1 = std::time::Instant::now();
@@ -547,11 +547,10 @@ fn main() {
             "verify_offloaded": offloaded,
             "verify_inline": inline,
             "completed_txns": completed as u64,
-            "reactor_shards": reactor_shards as u64,
             "threads_per_node": threads_per_node,
             // The worker pool widens the per-node thread budget by
             // exactly its own size.
-            "threads_ok": threads_per_node <= (reactor_shards + pipeline_workers + 1) as f64,
+            "threads_ok": threads_per_node <= (pipeline_workers + 2) as f64,
             "safety_ok": safety_ok,
             "liveness_ok": liveness_ok,
             // The tentpole gate: N workers buy at least 1.8x modeled

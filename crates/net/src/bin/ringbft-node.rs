@@ -191,10 +191,10 @@ fn parse_args() -> Args {
 fn print_example(z: usize, n: usize, port_base: u16) {
     let mut system = SystemConfig::uniform(ProtocolKind::RingBft, z, n);
     // Size the example's offload stage to this machine: leave a core
-    // for each reactor shard plus the pool-independent main thread.
+    // for the reactor plus the pool-independent main thread.
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    system.pipeline_workers = if cores > system.reactor_shards + 1 {
-        ringbft_net::default_workers(cores, system.reactor_shards)
+    system.pipeline_workers = if cores > 2 {
+        ringbft_net::default_workers(cores)
     } else {
         0
     };
@@ -292,19 +292,14 @@ fn main() {
             }
         };
         let (peers, clock, auth) = (peers.clone(), clock.clone(), auth.clone());
-        let (shards, workers) = (
-            cluster.system.reactor_shards,
-            cluster.system.pipeline_workers,
-        );
+        let workers = cluster.system.pipeline_workers;
         let node_id = NodeId::Replica(id);
         match NodeRuntime::launch_with_pipeline(
-            node_id, node, listener, peers, clock, auth, shards, workers,
+            node_id, node, listener, peers, clock, auth, workers,
         ) {
             Ok(rt) => {
                 println!(
-                    "hosting {id} on {addr} ({} reactor thread{}, {} pipeline worker{})",
-                    rt.reactor_shards(),
-                    if rt.reactor_shards() == 1 { "" } else { "s" },
+                    "hosting {id} on {addr} ({} pipeline worker{})",
                     rt.pipeline_workers(),
                     if rt.pipeline_workers() == 1 { "" } else { "s" }
                 );
@@ -326,15 +321,13 @@ fn main() {
             peers.add_alias(NodeId::Client(ClientId(c)), host);
         }
         let client = SimClient::new(cluster.system.clone(), seed, first_id, count);
-        match NodeRuntime::launch_with_pipeline(
+        match NodeRuntime::launch(
             host,
             AnyNode::Client(Box::new(client)),
             listener,
             peers.clone(),
             clock.clone(),
             auth.clone(),
-            cluster.system.reactor_shards,
-            0,
         ) {
             Ok(rt) => {
                 println!("hosting workload {host} ({count} logical clients) on {addr}");

@@ -104,7 +104,6 @@ impl LocalCluster {
                 peers.clone(),
                 clock.clone(),
                 auth.clone(),
-                cfg.reactor_shards,
                 cfg.pipeline_workers,
             )?;
             replicas.push(rt);
@@ -142,7 +141,7 @@ impl LocalCluster {
     /// Stops the runtime hosting client `host` (spawned via
     /// [`LocalCluster::spawn_client`]/[`spawn_workload_host`]) — the
     /// TCP twin of a client host disconnecting. Returns whether the
-    /// shutdown was clean (every reactor thread acknowledged within the
+    /// shutdown was clean (the reactor thread acknowledged within the
     /// bounded join timeout). Connection-churn tests use this to cycle
     /// client populations against a running cluster.
     ///
@@ -215,11 +214,10 @@ impl LocalCluster {
         self.peers
             .insert(NodeId::Replica(r), listener.local_addr()?);
         let (peers, clock, auth) = (self.peers.clone(), self.clock.clone(), self.auth.clone());
-        let (shards, workers) = (self.cfg.reactor_shards, self.cfg.pipeline_workers);
+        let workers = self.cfg.pipeline_workers;
         let id = NodeId::Replica(r);
-        let rt = NodeRuntime::launch_with_pipeline(
-            id, node, listener, peers, clock, auth, shards, workers,
-        )?;
+        let rt =
+            NodeRuntime::launch_with_pipeline(id, node, listener, peers, clock, auth, workers)?;
         self.replicas.push(rt);
         Ok(())
     }
@@ -271,15 +269,13 @@ impl LocalCluster {
         for a in aliases {
             self.peers.add_alias(*a, host);
         }
-        self.clients.push(NodeRuntime::launch_with_pipeline(
+        self.clients.push(NodeRuntime::launch(
             host,
             node,
             listener,
             self.peers.clone(),
             self.clock.clone(),
             self.auth.clone(),
-            self.cfg.reactor_shards,
-            0,
         )?);
         Ok(host)
     }
@@ -376,7 +372,7 @@ impl LocalCluster {
 
     /// Stops every runtime (clients first, so replica sockets close
     /// cleanly afterwards). Returns whether every shutdown was *clean*:
-    /// each runtime's reactor threads acknowledged the poisoned-eventfd
+    /// each runtime's reactor thread acknowledged the poisoned-eventfd
     /// stop within the bounded join timeout. Tests assert this so a
     /// wedged reactor cannot hide behind a green run.
     pub fn shutdown(self) -> bool {

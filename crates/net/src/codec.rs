@@ -55,7 +55,7 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"RBFT");
 /// `StateRequest` gained the requester's base, `StatePlan` replaced the
 /// `StateDone` trailer, and `StateChunk` is chain-link framed; 5 =
 /// causal tracing — the envelope gained an optional
-/// [`TraceContext`](ringbft_types::TraceContext) and transactions carry
+/// [`TraceContext`] and transactions carry
 /// an optional trace field, so older peers must not decode v5 bodies;
 /// 6 = serialize-once fan-out — the destination moved out of the body
 /// into a fixed 9-byte address field between the header and the MAC, so

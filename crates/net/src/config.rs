@@ -20,7 +20,6 @@
 //!   "checkpoint_interval": 128,
 //!   "state_chunk_records": 4096,
 //!   "auth_seed": 0,
-//!   "reactor_shards": 1,
 //!   "pipeline_workers": 2,
 //!   "trace_sample_rate": 64,
 //!   "durability": { "batched": 50 },
@@ -106,11 +105,8 @@ pub fn parse_replica_name(name: &str) -> Result<ReplicaId, ConfigError> {
     Ok(ReplicaId::new(ShardId(shard), index))
 }
 
-/// Top-level keys a cluster file may carry. Unknown keys are rejected
-/// so a typo'd knob fails loudly instead of silently running with the
-/// paper default (every process must share the file, so a silent
-/// fallback would be a cross-process misconfiguration).
-const KNOWN_KEYS: [&str; 20] = [
+/// Top-level keys a cluster file may carry.
+const KNOWN_KEYS: [&str; 19] = [
     "protocol",
     "shards",
     "batch_size",
@@ -126,27 +122,32 @@ const KNOWN_KEYS: [&str; 20] = [
     "state_chunk_records",
     "full_snapshot_every",
     "auth_seed",
-    "reactor_shards",
     "pipeline_workers",
     "trace_sample_rate",
     "durability",
     "peers",
 ];
 
+/// Rejects any member of the object `v` that is not in `known`, so a
+/// typo'd knob fails loudly instead of silently running with the paper
+/// default (every process must share the file, so a silent fallback
+/// would be a cross-process misconfiguration).
+fn check_keys(v: &serde_json::Value, known: &[&str], within: &str) -> Result<(), ConfigError> {
+    for (key, _) in v.as_object().into_iter().flatten() {
+        if !known.contains(&key.as_str()) {
+            return err(format!(
+                "unknown key `{key}` in {within} (known: {})",
+                known.join(", ")
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Parses a cluster file's text.
 pub fn parse_cluster_config(text: &str) -> Result<ClusterConfig, ConfigError> {
     let doc = serde_json::from_str(text).map_err(|e| ConfigError(e.to_string()))?;
-
-    if let Some(members) = doc.as_object() {
-        for (key, _) in members {
-            if !KNOWN_KEYS.contains(&key.as_str()) {
-                return err(format!(
-                    "unknown key `{key}` (known: {})",
-                    KNOWN_KEYS.join(", ")
-                ));
-            }
-        }
-    }
+    check_keys(&doc, &KNOWN_KEYS, "the cluster file")?;
 
     let protocol_name = doc
         .get("protocol")
@@ -164,10 +165,14 @@ pub fn parse_cluster_config(text: &str) -> Result<ClusterConfig, ConfigError> {
     }
     let mut shards = Vec::new();
     for (i, s) in shard_docs.iter().enumerate() {
+        check_keys(s, &["n", "region"], &format!("shard {i}"))?;
         let n = s
             .get("n")
             .and_then(|v| v.as_u64())
             .ok_or_else(|| ConfigError(format!("shard {i}: missing `n`")))?;
+        if n == 0 {
+            return err(format!("shard {i}: `n` must be at least 1"));
+        }
         let region = match s.get("region").and_then(|v| v.as_str()) {
             Some(name) => region_by_name(name)
                 .ok_or_else(|| ConfigError(format!("shard {i}: unknown region `{name}`")))?,
@@ -204,7 +209,8 @@ pub fn parse_cluster_config(text: &str) -> Result<ClusterConfig, ConfigError> {
         system.remote_reads = v as usize;
     }
     if let Some(v) = u64_knob("ring_offset") {
-        system.ring_offset = v as u32;
+        system.ring_offset = u32::try_from(v)
+            .map_err(|_| ConfigError(format!("`ring_offset` {v} is out of range")))?;
     }
     if let Some(v) = u64_knob("checkpoint_interval") {
         system.checkpoint_interval = v;
@@ -217,9 +223,6 @@ pub fn parse_cluster_config(text: &str) -> Result<ClusterConfig, ConfigError> {
     }
     if let Some(v) = u64_knob("auth_seed") {
         system.auth_seed = v;
-    }
-    if let Some(v) = u64_knob("reactor_shards") {
-        system.reactor_shards = v as usize;
     }
     if let Some(v) = u64_knob("pipeline_workers") {
         system.pipeline_workers = v as usize;
@@ -238,6 +241,7 @@ pub fn parse_cluster_config(text: &str) -> Result<ClusterConfig, ConfigError> {
     if let Some(v) = doc.get("durability") {
         // The serde spelling of `Durability`: "none", "strict", or
         // { "batched": <ms> }.
+        check_keys(v, &["batched"], "`durability`")?;
         let parsed = match v.as_str() {
             Some("none") => Some(ringbft_types::Durability::None),
             Some("strict") => Some(ringbft_types::Durability::Strict),
@@ -253,6 +257,7 @@ pub fn parse_cluster_config(text: &str) -> Result<ClusterConfig, ConfigError> {
         })?;
     }
     if let Some(t) = doc.get("timers_ms") {
+        check_keys(t, &["local", "remote", "transmit", "client"], "`timers_ms`")?;
         let timer = |key: &str, fallback: Duration| {
             t.get(key)
                 .and_then(|v| v.as_u64())
@@ -332,7 +337,6 @@ pub fn render_cluster_config(
         "state_chunk_records": system.state_chunk_records as u64,
         "full_snapshot_every": system.full_snapshot_every,
         "auth_seed": system.auth_seed,
-        "reactor_shards": system.reactor_shards as u64,
         "pipeline_workers": system.pipeline_workers as u64,
         "trace_sample_rate": system.trace_sample_rate,
         "durability": match system.durability {
@@ -398,7 +402,6 @@ mod tests {
             "state_chunk_records": 512,
             "full_snapshot_every": 2,
             "auth_seed": 7,
-            "reactor_shards": 2,
             "pipeline_workers": 3,
             "trace_sample_rate": 8,
             "peers": {}
@@ -408,19 +411,12 @@ mod tests {
         assert_eq!(cc.system.state_chunk_records, 512);
         assert_eq!(cc.system.full_snapshot_every, 2);
         assert_eq!(cc.system.auth_seed, 7);
-        assert_eq!(cc.system.reactor_shards, 2);
         assert_eq!(cc.system.pipeline_workers, 3);
         assert_eq!(cc.system.trace_sample_rate, 8);
         // An absurd worker count fails SystemConfig validation.
         assert!(parse_cluster_config(
             r#"{ "protocol": "RingBft", "shards": [{ "n": 4 }],
                  "pipeline_workers": 65, "peers": {} }"#
-        )
-        .is_err());
-        // A zero reactor-shard count fails SystemConfig validation.
-        assert!(parse_cluster_config(
-            r#"{ "protocol": "RingBft", "shards": [{ "n": 4 }],
-                 "reactor_shards": 0, "peers": {} }"#
         )
         .is_err());
         // A zero interval fails SystemConfig validation.
@@ -518,6 +514,20 @@ mod tests {
                  "timers_ms": { "local": 500, "remote": 100 }, "peers": {} }"#
         )
         .is_err());
+        // Numbers that must not panic or be silently accepted: a
+        // zero-replica shard (first or later), an offset beyond u32,
+        // and unknown keys inside nested objects.
+        for bad in [
+            r#""shards": [{ "n": 4 }, { "n": 0 }]"#,
+            r#""shards": [{ "n": 0 }]"#,
+            r#""shards": [{ "n": 4 }], "ring_offset": 4294967296"#,
+            r#""shards": [{ "n": 4 }], "timers_ms": { "locl": 100 }"#,
+            r#""shards": [{ "n": 4, "regoin": "Iowa" }]"#,
+            r#""shards": [{ "n": 4 }], "durability": { "batched": 50, "x": 1 }"#,
+        ] {
+            let text = format!(r#"{{ "protocol": "RingBft", {bad}, "peers": {{}} }}"#);
+            assert!(parse_cluster_config(&text).is_err(), "{bad}");
+        }
     }
 
     #[test]
@@ -537,12 +547,18 @@ mod tests {
 
     #[test]
     fn unknown_keys_rejected() {
-        let err = parse_cluster_config(
-            r#"{ "protocol": "RingBft", "shards": [{ "n": 4 }],
-                 "batchsize": 500, "peers": {} }"#,
-        )
-        .unwrap_err();
-        assert!(err.0.contains("unknown key `batchsize`"), "{err}");
+        for (knob, key) in [
+            (r#""batchsize": 500"#, "batchsize"),
+            // The runtime runs one reactor per node; the knob is gone.
+            (r#""reactor_shards": 2"#, "reactor_shards"),
+        ] {
+            let err = parse_cluster_config(&format!(
+                r#"{{ "protocol": "RingBft", "shards": [{{ "n": 4 }}],
+                     {knob}, "peers": {{}} }}"#
+            ))
+            .unwrap_err();
+            assert!(err.0.contains(&format!("unknown key `{key}`")), "{err}");
+        }
     }
 
     #[test]

@@ -12,11 +12,10 @@
 //!   plus the incremental [`FrameAssembler`](codec::FrameAssembler)
 //!   the reactor's nonblocking reads feed.
 //! * [`runtime`] — [`NodeRuntime`]: hosts one protocol node on a TCP
-//!   listener with a fixed number of epoll reactor threads
-//!   (`reactor_shards`, default 1) — nonblocking accept/read/write
-//!   state machines, per-peer outbound byte queues with backpressure
-//!   watermarks, and the four `TimerKind` watchdogs folded into the
-//!   `epoll_wait` timeout.
+//!   listener with one epoll reactor thread — nonblocking
+//!   accept/read/write state machines, per-peer outbound byte queues
+//!   with backpressure watermarks, and the four `TimerKind` watchdogs
+//!   folded into the `epoll_wait` timeout.
 //! * [`cluster`] — [`LocalCluster`]: a full shard topology in-process
 //!   over loopback TCP, used by the integration tests and as the
 //!   reference for real deployments.

@@ -1,5 +1,5 @@
-//! The worker pool behind the runtime's inbound verify stage: reactor
-//! shards hand header-validated frames to it for MAC checks and body
+//! The worker pool behind the runtime's inbound verify stage: the
+//! reactor hands header-validated frames to it for MAC checks and body
 //! decodes (`crate::runtime::VerifyStage`). The hosted node never runs
 //! on it; a replica executes on the thread that delivers its events.
 
@@ -132,17 +132,24 @@ impl Drop for WorkerPool {
             drop(q.tasks.lock());
             q.cv.notify_all();
         }
+        // The last owner can be a worker dropping it from inside a task
+        // (a verify task holds the runtime state that owns the pool).
+        // That worker cannot join itself; it exits once its queue drains.
+        let me = std::thread::current().id();
         for h in self.handles.drain(..) {
-            let _ = h.join();
+            if h.thread().id() != me {
+                let _ = h.join();
+            }
         }
     }
 }
 
-/// Default verify-pool size: leave the reactor shards and the node its
-/// own cores, cap at 4 (the bench's scaling target; past that the
-/// serial ordering core dominates).
-pub fn default_workers(cores: usize, reactor_shards: usize) -> usize {
-    cores.saturating_sub(reactor_shards + 1).clamp(1, 4)
+/// Default verify-pool size: leave one core to the reactor thread (which
+/// runs the node) and one to the rest of the process, cap at 4 (the
+/// bench's scaling target; past that the serial ordering core
+/// dominates).
+pub fn default_workers(cores: usize) -> usize {
+    cores.saturating_sub(2).clamp(1, 4)
 }
 
 #[cfg(test)]
@@ -169,10 +176,30 @@ mod tests {
     }
 
     #[test]
+    fn a_task_may_drop_the_last_pool_handle() {
+        let pool = Arc::new(WorkerPool::new("self-drop", 2));
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let last = Arc::clone(&pool);
+        pool.submit_to(
+            0,
+            Box::new(move || {
+                go_rx.recv().unwrap();
+                drop(last); // the last handle: drops the pool on its own worker
+                done_tx.send(()).unwrap();
+            }),
+        );
+        drop(pool);
+        go_tx.send(()).unwrap();
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("dropping the pool on a worker must not panic");
+    }
+
+    #[test]
     fn default_workers_respects_reactor_budget() {
-        assert_eq!(default_workers(1, 1), 1); // never zero
-        assert_eq!(default_workers(4, 1), 2);
-        assert_eq!(default_workers(8, 1), 4); // capped
-        assert_eq!(default_workers(16, 4), 4);
+        assert_eq!(default_workers(1), 1); // never zero
+        assert_eq!(default_workers(4), 2);
+        assert_eq!(default_workers(8), 4); // capped
     }
 }

@@ -1,11 +1,13 @@
-//! The epoll reactor: single-threaded (optionally N-sharded)
-//! event-driven I/O replacing the old thread-per-connection runtime.
+//! The epoll reactor: the one thread that drives a hosted node, replacing
+//! the old thread-per-connection runtime.
 //!
-//! One reactor thread multiplexes *every* socket its [`NodeRuntime`]
-//! (`crate::runtime`) owns through one `epoll` instance:
+//! Every [`NodeRuntime`](crate::runtime::NodeRuntime) runs exactly one
+//! reactor thread, named `<node>-reactor0`. It multiplexes *every*
+//! socket of the node through one `epoll` instance and owns, as plain
+//! fields no other thread touches, the state those sockets need:
 //!
-//! * **accept** — the listener is nonblocking; fresh connections are
-//!   handed round-robin to the reactor shards;
+//! * **accept** — the listener is nonblocking; accepted connections
+//!   join the epoll set directly;
 //! * **read** — nonblocking reads feed the codec's incremental
 //!   [`FrameAssembler`](crate::codec::FrameAssembler); complete frames
 //!   are verified and delivered to the hosted node inline;
@@ -17,21 +19,22 @@
 //!   frame), with reconnect backoff tracked as reactor state instead of
 //!   a blocking `connect_and_hello` call;
 //! * **timers** — the protocol timer wheel is folded into the
-//!   `epoll_wait` timeout: reactor shard 0 fires due `(kind, token)`
+//!   `epoll_wait` timeout: the reactor fires due `(kind, token)`
 //!   entries (generation-checked, so cancels and re-arms behave exactly
 //!   like the simulator's) between poll iterations.
+//!
+//! Other threads reach the reactor only through the runtime's shared
+//! state and its one eventfd: verify workers deposit verdicts in a
+//! mailbox, `serve_telemetry` parks a listener for adoption, and
+//! shutdown sets the stop flag. The hosted node sits behind a mutex
+//! only so that `with_node` and telemetry handlers can inspect it;
+//! every protocol call is made from the reactor thread.
 //!
 //! The kernel interface is a minimal raw-FFI [`sys`] module
 //! (`epoll_create1`/`epoll_ctl`/`epoll_wait`/`eventfd`, plus
 //! `socket`/`connect` for nonblocking dials) — this environment has no
 //! crates.io, so no `libc`/`mio`; everything else goes through
 //! `std::net` on the raw fds.
-//!
-//! With `reactor_shards = s`, peers are assigned to shards by a stable
-//! hash; cross-shard sends enqueue bytes and wake the owning shard's
-//! eventfd. The hosted node itself stays behind one mutex, so protocol
-//! calls remain serialized exactly as the old event loop serialized
-//! them — sharding scales the *I/O*, not the state machine.
 
 use crate::codec::{
     decode_raw_frame, encode_body, encode_hello_frame, frame_prefix, Envelope, Frame,
@@ -39,14 +42,16 @@ use crate::codec::{
 };
 use crate::runtime::{Shared, VerifiedFrame};
 use ringbft_types::sansio::ProtocolNode;
-use ringbft_types::{Action, Duration, NodeId, TimerKind};
+use ringbft_types::{Action, NodeId, TimerKind};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::io::{Read, Write};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, FromRawFd, RawFd};
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::{self, Receiver};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 
 /// Raw Linux syscall surface. Numeric constants are the x86-64/ABI-
 /// stable values from the kernel headers; `epoll_event` is packed on
@@ -115,9 +120,9 @@ pub(crate) mod sys {
     }
 }
 
-/// An `eventfd`-backed wakeup channel: threads outside a reactor shard
-/// poke its `epoll_wait` (new outbound frames, an earlier timer
-/// deadline, an accepted-connection handoff, shutdown poison).
+/// An `eventfd`-backed wakeup channel: threads outside the reactor poke
+/// its `epoll_wait` (verified frames, a telemetry listener to adopt,
+/// shutdown poison).
 #[derive(Debug)]
 pub(crate) struct EventFd(RawFd);
 
@@ -134,9 +139,9 @@ impl EventFd {
         self.0
     }
 
-    /// Makes the owning shard's next (or current) `epoll_wait` return.
-    /// At shutdown this is the "poison" fast path: the stop flag is
-    /// already set, so the woken shard exits its loop immediately
+    /// Makes the reactor's next (or current) `epoll_wait` return. At
+    /// shutdown this is the "poison" fast path: the stop flag is
+    /// already set, so the woken reactor exits its loop immediately
     /// instead of waiting out its poll timeout.
     pub fn wake(&self) {
         let one: u64 = 1;
@@ -357,7 +362,7 @@ impl EgressFrame {
 
 /// Per-peer outbound byte queue (the backpressure boundary).
 #[derive(Debug, Default)]
-pub(crate) struct PeerQueue {
+struct PeerQueue {
     frames: VecDeque<EgressFrame>,
     bytes: usize,
     choked: bool,
@@ -402,69 +407,65 @@ impl PeerQueue {
         moved
     }
 
-    /// Discards everything queued, returning the frame count.
-    fn flush(&mut self) -> u64 {
-        let n = self.frames.len() as u64;
-        self.frames.clear();
-        self.bytes = 0;
-        self.choked = false;
-        n
-    }
-
     fn is_empty(&self) -> bool {
         self.frames.is_empty()
     }
 }
 
-/// Timer wheel shared between the public runtime API (arm/cancel) and
-/// reactor shard 0 (expiry). Generation counters make cancels and
+/// The protocol timer wheel. Generation counters make cancels and
 /// re-arms behave exactly like the simulator's: a stale heap entry
 /// whose generation no longer matches is skipped at expiry.
-pub(crate) struct TimerState {
+#[derive(Default)]
+struct TimerState {
     /// Min-heap of `(deadline_ns, kind, token, gen)`.
-    pub heap: BinaryHeap<Reverse<(u64, TimerKind, u64, u64)>>,
+    heap: BinaryHeap<Reverse<(u64, TimerKind, u64, u64)>>,
     /// Live generation per `(kind, token)`.
-    pub armed: HashMap<(TimerKind, u64), u64>,
-    pub next_gen: u64,
+    armed: HashMap<(TimerKind, u64), u64>,
+    next_gen: u64,
 }
 
 impl TimerState {
-    pub fn new() -> TimerState {
-        TimerState {
-            heap: BinaryHeap::new(),
-            armed: HashMap::new(),
-            next_gen: 0,
-        }
+    /// Arms `(kind, token)` to fire at `deadline_ns`, superseding any
+    /// earlier arming of the same pair.
+    fn arm(&mut self, kind: TimerKind, token: u64, deadline_ns: u64) {
+        self.next_gen += 1;
+        self.armed.insert((kind, token), self.next_gen);
+        self.heap
+            .push(Reverse((deadline_ns, kind, token, self.next_gen)));
     }
-}
 
-/// Arms `(kind, token)` to fire `after` from now. Shard 0 owns expiry,
-/// so arming from any other thread wakes its poll loop (the new
-/// deadline may be earlier than the one its timeout was computed from).
-pub(crate) fn set_timer<M>(
-    shared: &Shared<M>,
-    from_shard: Option<usize>,
-    kind: TimerKind,
-    token: u64,
-    after: Duration,
-) {
-    let deadline = shared.clock.now().as_nanos() + after.as_nanos();
-    {
-        let mut t = shared.timers.lock().expect("timer lock");
-        t.next_gen += 1;
-        let gen = t.next_gen;
-        t.armed.insert((kind, token), gen);
-        t.heap.push(Reverse((deadline, kind, token, gen)));
+    /// Disarms `(kind, token)`; its heap entry is skipped at expiry.
+    fn cancel(&mut self, kind: TimerKind, token: u64) {
+        self.armed.remove(&(kind, token));
     }
-    if from_shard != Some(0) {
-        shared.wakeups[0].wake();
+
+    /// The earliest deadline in the heap (possibly a stale entry's,
+    /// which only makes one poll return early).
+    fn next_deadline(&self) -> Option<u64> {
+        self.heap.peek().map(|Reverse((deadline, ..))| *deadline)
+    }
+
+    /// Pops the earliest live timer due at `now_ns`, if any.
+    fn pop_due(&mut self, now_ns: u64) -> Option<(TimerKind, u64)> {
+        while let Some(Reverse((deadline, kind, token, gen))) = self.heap.peek().copied() {
+            if deadline > now_ns {
+                return None;
+            }
+            self.heap.pop();
+            if self.armed.get(&(kind, token)) == Some(&gen) {
+                self.armed.remove(&(kind, token));
+                return Some((kind, token));
+            }
+        }
+        None
     }
 }
 
 const TOKEN_WAKE: u64 = 0;
 const TOKEN_LISTEN: u64 = 1;
-/// The telemetry scrape listener ([`NodeRuntime::serve_telemetry`]),
-/// adopted by shard 0 once installed.
+/// The telemetry scrape listener
+/// ([`NodeRuntime::serve_telemetry`](crate::runtime::NodeRuntime::serve_telemetry)),
+/// adopted by the reactor once installed.
 const TOKEN_TELEMETRY: u64 = 2;
 const TOKEN_FIRST_CONN: u64 = 3;
 
@@ -515,23 +516,27 @@ struct TelemetryConn {
     responding: bool,
 }
 
-/// One reactor shard: an epoll loop owning a disjoint subset of the
-/// runtime's connections (plus, on shard 0, the listener and the timer
-/// wheel).
-struct ReactorShard<M, N> {
-    idx: usize,
+/// The reactor: an epoll loop owning the listener, every connection of
+/// the runtime, the per-peer outbound queues and the timer wheel.
+struct Reactor<M, N> {
     shared: Arc<Shared<M>>,
     node: Arc<Mutex<N>>,
     epoll: Epoll,
-    listener: Option<TcpListener>,
-    /// Telemetry scrape listener (shard 0, once adopted).
+    listener: TcpListener,
+    /// Telemetry scrape listener, once adopted.
     telemetry: Option<TcpListener>,
     /// In-flight telemetry scrape connections by token.
     tconns: HashMap<u64, TelemetryConn>,
     conns: HashMap<u64, Conn>,
-    /// Outbound connection (live or connecting) per assigned peer.
+    /// Outbound connection (live or connecting) per peer.
     by_peer: HashMap<NodeId, u64>,
     next_token: u64,
+    /// Per-peer outbound byte queues (the backpressure boundary).
+    outq: HashMap<NodeId, PeerQueue>,
+    /// Peers with frames staged since the last flush.
+    dirty: HashSet<NodeId>,
+    /// Protocol timer wheel.
+    timers: TimerState,
     /// Scheduled dials/watchdogs: `(deadline_ns, peer, dial_id)` where
     /// `dial_id` is [`DIAL_RETRY`] for a scheduled retry or the dialled
     /// connection's generation for its connect watchdog.
@@ -542,90 +547,120 @@ struct ReactorShard<M, N> {
     attempts: HashMap<NodeId, u32>,
     /// Peers whose next dial must wait for a backoff deadline.
     backoff_until: HashMap<NodeId, u64>,
-    /// Round-robin cursor for handing accepted connections to shards.
-    rr_next: usize,
 }
 
-/// Runs one reactor shard until the runtime's stop flag is set. Takes
-/// its `node` handle by value so the handle drops before the caller
-/// reports the thread's exit (bounded-join shutdown relies on that
-/// ordering to hand the node back).
-pub(crate) fn run_shard<M, N>(
-    shared: Arc<Shared<M>>,
-    node: Arc<Mutex<N>>,
-    idx: usize,
-    listener: Option<TcpListener>,
-) where
-    M: crate::runtime::NetMsg + ringbft_simnet::SimMessage,
-    N: ProtocolNode<M> + Send + 'static,
-{
-    let epoll = match Epoll::new() {
-        Ok(e) => e,
-        Err(_) => return, // fd exhaustion at spawn: nothing to drive
-    };
-    if !epoll.add(shared.wakeups[idx].raw(), TOKEN_WAKE, sys::EPOLLIN) {
-        return; // cannot be woken: the shard would be undriveable
-    }
-    if let Some(l) = &listener {
-        if !epoll.add(l.as_raw_fd(), TOKEN_LISTEN, sys::EPOLLIN) {
-            return; // cannot accept: the node would be unreachable
-        }
-    }
-    let mut shard = ReactorShard {
-        idx,
-        shared,
-        node,
-        epoll,
-        listener,
-        telemetry: None,
-        tconns: HashMap::new(),
-        conns: HashMap::new(),
-        by_peer: HashMap::new(),
-        next_token: TOKEN_FIRST_CONN,
-        reconnect: BinaryHeap::new(),
-        next_dial: DIAL_RETRY + 1,
-        attempts: HashMap::new(),
-        backoff_until: HashMap::new(),
-        rr_next: 0,
-    };
-    shard.run();
+/// A runtime's handle on its reactor thread.
+pub(crate) struct ReactorThread {
+    handle: JoinHandle<()>,
+    /// Receives one marker once the thread has dropped its node handle.
+    exited: Receiver<()>,
 }
 
-impl<M, N> ReactorShard<M, N>
+impl ReactorThread {
+    /// Spawns the reactor thread hosting `node` on `listener` until
+    /// `shared.stop` is set. The `0` in its name `<node>-reactor0` is
+    /// kept because `benchmark/` finds the reactor's CPU time by it.
+    pub(crate) fn spawn<M, N>(
+        shared: Arc<Shared<M>>,
+        node: Arc<Mutex<N>>,
+        listener: TcpListener,
+    ) -> std::io::Result<ReactorThread>
+    where
+        M: crate::runtime::NetMsg + ringbft_simnet::SimMessage,
+        N: ProtocolNode<M> + Send + 'static,
+    {
+        let (exit_tx, exited) = mpsc::channel();
+        let handle = std::thread::Builder::new()
+            .name(format!("{}-reactor0", shared.id))
+            .spawn(move || {
+                // `run` consumes the reactor and with it the node
+                // handle, so the exit marker is only sent once this
+                // thread no longer holds a reference to the node —
+                // `shutdown` unwraps it after the marker.
+                if let Some(reactor) = Reactor::new(shared, node, listener) {
+                    reactor.run();
+                }
+                let _ = exit_tx.send(());
+            })?;
+        Ok(ReactorThread { handle, exited })
+    }
+
+    /// Sets the stop flag, poisons the eventfd and waits up to
+    /// `timeout` for the thread to exit. False means it never
+    /// acknowledged (a wedged node state machine — reactor I/O itself
+    /// never blocks): the thread is abandoned, still holding the node.
+    pub(crate) fn stop<M>(self, shared: &Shared<M>, timeout: std::time::Duration) -> bool {
+        shared.stop.store(true, Ordering::SeqCst);
+        shared.wakeup.wake();
+        self.exited.recv_timeout(timeout).is_ok() && self.handle.join().is_ok()
+    }
+}
+
+impl<M, N> Reactor<M, N>
 where
     M: crate::runtime::NetMsg + ringbft_simnet::SimMessage,
     N: ProtocolNode<M> + Send + 'static,
 {
-    fn run(&mut self) {
-        if self.idx == 0 {
-            // The hosted node starts on the reactor, exactly as the old
-            // event loop started it.
-            let now = self.shared.clock.now();
-            let actions = {
-                let mut n = self.node.lock().expect("node lock");
-                n.on_start(now)
-            };
-            let mut pending = VecDeque::new();
-            self.apply_actions(actions, &mut pending);
-            self.drain_pending(pending);
+    /// Registers the eventfd and the listener with a fresh epoll
+    /// instance; `None` when the kernel refuses either.
+    fn new(shared: Arc<Shared<M>>, node: Arc<Mutex<N>>, listener: TcpListener) -> Option<Self> {
+        // fd exhaustion at spawn leaves nothing to drive.
+        let epoll = Epoll::new().ok()?;
+        // Without the eventfd the reactor could not be woken; without
+        // the listener the node would be unreachable.
+        if !epoll.add(shared.wakeup.raw(), TOKEN_WAKE, sys::EPOLLIN)
+            || !epoll.add(listener.as_raw_fd(), TOKEN_LISTEN, sys::EPOLLIN)
+        {
+            return None;
         }
+        Some(Reactor {
+            shared,
+            node,
+            epoll,
+            listener,
+            telemetry: None,
+            tconns: HashMap::new(),
+            conns: HashMap::new(),
+            by_peer: HashMap::new(),
+            next_token: TOKEN_FIRST_CONN,
+            outq: HashMap::new(),
+            dirty: HashSet::new(),
+            timers: TimerState::default(),
+            reconnect: BinaryHeap::new(),
+            next_dial: DIAL_RETRY + 1,
+            attempts: HashMap::new(),
+            backoff_until: HashMap::new(),
+        })
+    }
+
+    /// Runs until the runtime's stop flag is set. Takes `self` by value
+    /// so the node handle drops before the thread reports its exit
+    /// (bounded-join shutdown relies on that ordering to hand the node
+    /// back).
+    fn run(mut self) {
+        // The hosted node starts on the reactor, exactly as the old
+        // event loop started it.
+        let now = self.shared.clock.now();
+        let actions = {
+            let mut n = self.node.lock().expect("node lock");
+            n.on_start(now)
+        };
+        let mut pending = VecDeque::new();
+        self.apply_actions(actions, &mut pending);
+        self.drain_pending(pending);
         let mut events = vec![sys::EpollEvent { events: 0, data: 0 }; 256];
         loop {
             if self.shared.stop.load(Ordering::SeqCst) {
                 return;
             }
-            self.take_handoffs();
             self.drain_verified();
-            if self.idx == 0 {
-                self.adopt_telemetry_listener();
-                self.fire_due_timers();
-            }
+            self.adopt_telemetry_listener();
+            self.fire_due_timers();
             self.process_reconnects();
             // Flush *after* timers so a send produced by a timer
-            // callback for a peer this shard itself owns goes out now,
-            // not after the next poll wakeup (enqueue_send only wakes
-            // the eventfd for *other* shards). Event-driven sends from
-            // the previous iteration's handlers are covered too.
+            // callback goes out now, not after the next poll wakeup.
+            // Event-driven sends from the previous iteration's handlers
+            // are covered too.
             self.flush_dirty_peers();
             if self.shared.stop.load(Ordering::SeqCst) {
                 return;
@@ -634,7 +669,7 @@ where
             let wait_start = self.shared.clock.now();
             let n = self.epoll.wait(&mut events, timeout);
             // Time actually spent blocked in the kernel: the idle/busy
-            // profile of the shard (near the poll timeout when idle,
+            // profile of the reactor (near the poll timeout when idle,
             // near zero when saturated).
             {
                 let waited = self.shared.clock.now().since(wait_start);
@@ -644,7 +679,7 @@ where
             for ev in events.iter().take(n) {
                 let (token, bits) = (ev.data, ev.events);
                 match token {
-                    TOKEN_WAKE => self.shared.wakeups[self.idx].drain(),
+                    TOKEN_WAKE => self.shared.wakeup.drain(),
                     TOKEN_LISTEN => self.accept_ready(),
                     TOKEN_TELEMETRY => self.telemetry_accept(),
                     tok if self.tconns.contains_key(&tok) => self.telemetry_ready(tok, bits),
@@ -652,20 +687,17 @@ where
                 }
             }
         }
-        // Dropping `conns`/`listener`/`epoll`/eventfd handles closes
-        // every fd this shard owned.
+        // Dropping `conns`/`listener`/`epoll` closes every fd the
+        // reactor owned.
     }
 
-    /// The `epoll_wait` timeout: the earliest of the timer wheel (shard
-    /// 0) and this shard's reconnect schedule, capped at the idle poll.
+    /// The `epoll_wait` timeout: the earliest of the timer wheel and the
+    /// reconnect schedule, capped at the idle poll.
     fn poll_timeout(&self) -> i32 {
         let now = self.shared.clock.now().as_nanos();
         let mut next: u64 = now + IDLE_POLL.as_nanos() as u64;
-        if self.idx == 0 {
-            let t = self.shared.timers.lock().expect("timer lock");
-            if let Some(Reverse((deadline, ..))) = t.heap.peek() {
-                next = next.min(*deadline);
-            }
+        if let Some(deadline) = self.timers.next_deadline() {
+            next = next.min(deadline);
         }
         if let Some(Reverse((deadline, ..))) = self.reconnect.peek() {
             next = next.min(*deadline);
@@ -708,14 +740,10 @@ where
                 Action::Send { to, msg } => self.enqueue_send(to, msg, pending),
                 Action::SendMany { tos, msg } => self.enqueue_send_many(tos, msg, pending),
                 Action::SetTimer { kind, token, after } => {
-                    set_timer(&self.shared, Some(self.idx), kind, token, after);
+                    let deadline = self.shared.clock.now().as_nanos() + after.as_nanos();
+                    self.timers.arm(kind, token, deadline);
                 }
-                Action::CancelTimer { kind, token } => {
-                    let mut t = self.shared.timers.lock().expect("timer lock");
-                    t.armed.remove(&(kind, token));
-                    // Stale heap entries are skipped by the generation
-                    // check at expiry.
-                }
+                Action::CancelTimer { kind, token } => self.timers.cancel(kind, token),
                 Action::Executed { txns, .. } => {
                     let shared = &self.shared;
                     shared.executed_batches.fetch_add(1, Ordering::Relaxed);
@@ -735,7 +763,7 @@ where
     }
 
     /// Queues a message for a peer (or loops it back for self-sends),
-    /// marking the owning shard dirty so it drains the queue.
+    /// marking the peer dirty so the loop drains its queue.
     fn enqueue_send(&mut self, to: NodeId, msg: M, pending: &mut VecDeque<(NodeId, M)>) {
         let shared = &self.shared;
         let resolved = shared.peers.resolve(to);
@@ -822,16 +850,13 @@ where
     }
 
     /// Offers one egress frame to `resolved`'s queue and, when accepted,
-    /// books the send counters and marks the owning shard dirty.
-    fn stage_frame(&self, resolved: NodeId, frame: EgressFrame, model: u64) {
+    /// books the send counters and marks the peer dirty.
+    fn stage_frame(&mut self, resolved: NodeId, frame: EgressFrame, model: u64) {
         let shared = &self.shared;
         let bytes = frame.len() as u64;
-        let (accepted, depth) = {
-            let mut outq = shared.outq.lock().expect("outq");
-            let q = outq.entry(resolved).or_default();
-            let accepted = q.offer(frame);
-            (accepted, q.bytes as u64)
-        };
+        let q = self.outq.entry(resolved).or_default();
+        let accepted = q.offer(frame);
+        let depth = q.bytes as u64;
         if !accepted {
             shared
                 .counters
@@ -856,43 +881,15 @@ where
             .counters
             .modeled_bytes_sent
             .fetch_add(model, Ordering::Relaxed);
-        let owner = shared.peer_shard(resolved);
-        shared.dirty[owner]
-            .lock()
-            .expect("dirty set")
-            .insert(resolved);
-        if owner != self.idx {
-            shared.wakeups[owner].wake();
-        }
+        self.dirty.insert(resolved);
     }
 
     // ------------------------------------------------------------------
-    // Timers (shard 0)
+    // Timers
     // ------------------------------------------------------------------
 
     fn fire_due_timers(&mut self) {
-        loop {
-            let due = {
-                let mut t = self.shared.timers.lock().expect("timer lock");
-                let now = self.shared.clock.now().as_nanos();
-                let mut fire = None;
-                while let Some(Reverse((deadline, kind, token, gen))) = t.heap.peek().copied() {
-                    if deadline > now {
-                        break;
-                    }
-                    t.heap.pop();
-                    if t.armed.get(&(kind, token)) == Some(&gen) {
-                        // A cancel that raced this expiry has already
-                        // removed the entry, so it wins — matching the
-                        // simulator's semantics.
-                        t.armed.remove(&(kind, token));
-                        fire = Some((kind, token));
-                        break;
-                    }
-                }
-                fire
-            };
-            let Some((kind, token)) = due else { return };
+        while let Some((kind, token)) = self.timers.pop_due(self.shared.clock.now().as_nanos()) {
             self.shared
                 .counters
                 .timers_fired
@@ -913,10 +910,7 @@ where
     // ------------------------------------------------------------------
 
     fn flush_dirty_peers(&mut self) {
-        let dirty: Vec<NodeId> = {
-            let mut d = self.shared.dirty[self.idx].lock().expect("dirty set");
-            d.drain().collect()
-        };
+        let dirty: Vec<NodeId> = self.dirty.drain().collect();
         for peer in dirty {
             self.flush_peer(peer);
         }
@@ -938,11 +932,7 @@ where
             }
             return; // still connecting: EPOLLOUT will drive it
         }
-        let queued = {
-            let outq = self.shared.outq.lock().expect("outq");
-            outq.get(&peer).is_some_and(|q| !q.is_empty())
-        };
-        if !queued {
+        if !self.has_queued(peer) {
             return;
         }
         let now = self.shared.clock.now().as_nanos();
@@ -952,18 +942,18 @@ where
         self.start_connect(peer);
     }
 
+    /// Whether frames for `peer` wait in its outbound queue.
+    fn has_queued(&self, peer: NodeId) -> bool {
+        self.outq.get(&peer).is_some_and(|q| !q.is_empty())
+    }
+
     /// Flushes (and evicts) `peer`'s outbound queue, counting the
     /// discarded frames undeliverable. Evicting the map entry keeps
     /// `outq` bounded by *live* peers — under client-host churn every
     /// host ever replied to would otherwise leave an empty queue
     /// behind forever.
     fn flush_peer_queue(&mut self, peer: NodeId) {
-        let flushed = {
-            let mut outq = self.shared.outq.lock().expect("outq");
-            let n = outq.get_mut(&peer).map(|q| q.flush()).unwrap_or(0);
-            outq.remove(&peer);
-            n
-        };
+        let flushed = self.outq.remove(&peer).map_or(0, |q| q.frames.len() as u64);
         self.shared
             .counters
             .messages_undeliverable
@@ -1092,11 +1082,7 @@ where
             if self.backoff_until.get(&peer) == Some(&deadline) {
                 self.backoff_until.remove(&peer);
             }
-            let queued = {
-                let outq = self.shared.outq.lock().expect("outq");
-                outq.get(&peer).is_some_and(|q| !q.is_empty())
-            };
-            if queued {
+            if self.has_queued(peer) {
                 self.start_connect(peer);
             }
         }
@@ -1174,12 +1160,10 @@ where
                     conn.wbuf.clear();
                     conn.wpos = 0;
                     conn.wframes = 0;
-                    let moved = {
-                        let mut outq = self.shared.outq.lock().expect("outq");
-                        outq.get_mut(&peer)
-                            .map(|q| q.drain_into(&mut conn.wbuf))
-                            .unwrap_or(0)
-                    };
+                    let moved = self
+                        .outq
+                        .get_mut(&peer)
+                        .map_or(0, |q| q.drain_into(&mut conn.wbuf));
                     conn.wframes = moved;
                     if moved == 0 {
                         self.set_interest(tok, sys::EPOLLIN | sys::EPOLLRDHUP);
@@ -1242,21 +1226,13 @@ where
                     .messages_undeliverable
                     .fetch_add(conn.wframes, Ordering::Relaxed);
             }
-            let queued = {
-                let mut outq = self.shared.outq.lock().expect("outq");
-                match outq.get(&peer) {
-                    Some(q) if q.is_empty() => {
-                        // Evict the drained queue: `outq` stays bounded
-                        // by peers with live connections or pending
-                        // traffic, not by every peer ever written to
-                        // (client hosts churn).
-                        outq.remove(&peer);
-                        false
-                    }
-                    Some(_) => true,
-                    None => false,
-                }
-            };
+            let queued = self.has_queued(peer);
+            if !queued {
+                // Evict the drained queue: `outq` stays bounded by peers
+                // with live connections or pending traffic, not by every
+                // peer ever written to (client hosts churn).
+                self.outq.remove(&peer);
+            }
             if queued || conn.wframes > 0 {
                 self.dial_failed(peer);
             } else {
@@ -1270,46 +1246,17 @@ where
     // Inbound: accept, read, deliver
     // ------------------------------------------------------------------
 
-    /// Accepts everything pending and hands the connections round-robin
-    /// to the reactor shards (shard 0 owns the listener).
+    /// Accepts and registers every pending connection.
     fn accept_ready(&mut self) {
         loop {
-            match self
-                .listener
-                .as_ref()
-                .expect("listener on shard 0")
-                .accept()
-            {
+            match self.listener.accept() {
                 Ok((stream, _)) => {
                     let _ = stream.set_nonblocking(true);
                     let _ = stream.set_nodelay(true);
-                    let target = self.rr_next % self.shared.nshards;
-                    self.rr_next += 1;
-                    if target == self.idx {
-                        self.register_inbound(stream);
-                    } else {
-                        self.shared.handoff[target]
-                            .lock()
-                            .expect("handoff")
-                            .push_back(stream);
-                        self.shared.wakeups[target].wake();
-                    }
+                    self.register_inbound(stream);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(_) => return, // transient (EMFILE, aborted handshake)
-            }
-        }
-    }
-
-    fn take_handoffs(&mut self) {
-        loop {
-            let stream = {
-                let mut q = self.shared.handoff[self.idx].lock().expect("handoff");
-                q.pop_front()
-            };
-            match stream {
-                Some(s) => self.register_inbound(s),
-                None => return,
             }
         }
     }
@@ -1490,15 +1437,14 @@ where
     /// Hands a raw data frame to the worker pool for MAC verification
     /// and decode. Frames are pinned to a worker by connection token, so
     /// per-connection frame order survives the offload; the worker
-    /// deposits the verdict in this shard's verified-frame mailbox and
-    /// pokes the shard's eventfd, and `drain_verified` picks it up at
-    /// the top of the next loop iteration.
+    /// deposits the verdict in the verified-frame mailbox and pokes the
+    /// eventfd, and `drain_verified` picks it up at the top of the next
+    /// loop iteration.
     fn offload_frame(&self, tok: u64, raw: RawFrame) {
         let verify = self.shared.verify.as_ref().expect("verify stage");
         verify.queue_depth.fetch_add(1, Ordering::Relaxed);
         verify.offloaded.fetch_add(1, Ordering::Relaxed);
         let shared = Arc::clone(&self.shared);
-        let shard = self.idx;
         let pool = Arc::clone(&verify.pool);
         pool.submit_to(
             tok as usize,
@@ -1512,29 +1458,26 @@ where
                     Ok(Frame::Hello(_)) => None,
                     Err(_) => Some(VerifiedFrame::Corrupt { token: tok }),
                 };
-                // The body buffer came out of the shard's pool; decode
+                // The body buffer came out of the runtime's pool; decode
                 // copied what it needed, so recycle it here.
                 shared.bufs.put(raw.body);
                 let v = shared.verify.as_ref().expect("verify stage");
                 if let Some(verdict) = verdict {
-                    v.inbox[shard]
-                        .lock()
-                        .expect("verify inbox")
-                        .push_back(verdict);
+                    v.inbox.lock().expect("verify inbox").push_back(verdict);
                 }
                 v.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                shared.wakeups[shard].wake();
+                shared.wakeup.wake();
             }),
         );
     }
 
-    /// Drains this shard's verified-frame mailbox: envelopes the worker
+    /// Drains the verified-frame mailbox: envelopes the worker
     /// pool authenticated are delivered in deposit order; corrupt
     /// verdicts close the offending connection (tolerating tokens whose
     /// connection is already gone).
     fn drain_verified(&mut self) {
         let batch = match self.shared.verify.as_ref() {
-            Some(v) => std::mem::take(&mut *v.inbox[self.idx].lock().expect("verify inbox")),
+            Some(v) => std::mem::take(&mut *v.inbox.lock().expect("verify inbox")),
             None => return,
         };
         for item in batch {
@@ -1603,13 +1546,13 @@ where
     }
 
     // ------------------------------------------------------------------
-    // Telemetry scrape endpoint (shard 0)
+    // Telemetry scrape endpoint
     // ------------------------------------------------------------------
 
     /// Adopts a freshly installed telemetry listener
-    /// ([`crate::runtime::NodeRuntime::serve_telemetry`]) into this
-    /// shard's epoll set. The armed flag keeps the common no-endpoint
-    /// case free of the mutex.
+    /// ([`crate::runtime::NodeRuntime::serve_telemetry`]) into the epoll
+    /// set. The armed flag keeps the common no-endpoint case free of the
+    /// mutex.
     fn adopt_telemetry_listener(&mut self) {
         if !self.shared.telemetry_armed.load(Ordering::Acquire) {
             return;
@@ -1629,9 +1572,7 @@ where
         self.telemetry = Some(listener);
     }
 
-    /// Accepts pending scrape connections. Telemetry connections stay
-    /// on shard 0 — scrapes are rare and short, so they never need the
-    /// round-robin handoff data connections get.
+    /// Accepts pending scrape connections.
     fn telemetry_accept(&mut self) {
         loop {
             let accepted = match &self.telemetry {
@@ -1821,15 +1762,6 @@ fn peer_trace_id(node: NodeId) -> u64 {
         NodeId::Replica(r) => (r.shard.0 as u64) * 1000 + r.index as u64,
         NodeId::Client(c) => 0x8000_0000_0000_0000 | c.0,
     }
-}
-
-/// Stable peer→shard assignment (Fibonacci hash over the node id).
-pub(crate) fn peer_shard_of(node: NodeId, nshards: usize) -> usize {
-    let h = match node {
-        NodeId::Replica(r) => ((r.shard.0 as u64) << 32) | r.index as u64,
-        NodeId::Client(c) => 0x8000_0000_0000_0000 | c.0,
-    };
-    (h.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % nshards.max(1)
 }
 
 #[cfg(test)]

@@ -8,16 +8,18 @@
 //!
 //! ## Thread model
 //!
-//! Per hosted node: **exactly `reactor_shards` reactor threads**
-//! (default one), independent of how many peers or clients are
-//! connected. Each reactor (`crate::reactor`) multiplexes its share of
-//! the node's sockets through one `epoll` instance: nonblocking
+//! Per hosted node: **exactly one reactor thread**, independent of how
+//! many peers or clients are connected, plus the optional verify pool
+//! (`pipeline_workers`). The reactor (`crate::reactor`) multiplexes
+//! every socket of the node through one `epoll` instance: nonblocking
 //! accept/read/write state machines per connection, per-peer outbound
 //! byte queues with backpressure watermarks (when a peer cannot keep
 //! up, new frames for it are dropped and counted rather than buffered
 //! without bound — BFT retransmission timers provide recovery, the same
 //! assumption the paper makes about unreliable channels), and the
-//! protocol timer wheel folded into the `epoll_wait` timeout.
+//! protocol timer wheel folded into the `epoll_wait` timeout. This
+//! module holds only what other threads share with it: counters, the
+//! verify mailbox, the telemetry hand-over and the stop flag.
 //!
 //! The previous runtime spawned two OS threads per peer connection plus
 //! a timer thread — at the paper's scale (428 nodes, 500 k clients)
@@ -30,16 +32,14 @@
 
 use crate::codec::{Envelope, FrameAuth};
 use crate::pool::WorkerPool;
-use crate::reactor::{self, EventFd, PeerQueue, TimerState};
+use crate::reactor::{EventFd, ReactorThread};
 use ringbft_types::sansio::ProtocolNode;
 use ringbft_types::{Instant, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::{HashMap, VecDeque};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver};
 use std::sync::{Arc, Mutex, Weak};
-use std::thread::JoinHandle;
 
 /// Marker for messages the runtime can carry: encodable, decodable, and
 /// movable across the runtime's threads.
@@ -198,9 +198,10 @@ pub struct NetCounters {
 }
 
 /// A bounded free-list of reusable byte buffers shared by a runtime's
-/// reactor shards: frame-reassembly scratch on the verify-offload read
-/// path and per-connection egress staging buffers both cycle through
-/// here instead of allocating per frame / per connection.
+/// reactor and its verify workers: frame-reassembly scratch on the
+/// verify-offload read path and per-connection egress staging buffers
+/// both cycle through here instead of allocating per frame / per
+/// connection.
 pub(crate) struct BufPool {
     free: Mutex<Vec<Vec<u8>>>,
     hits: AtomicU64,
@@ -288,7 +289,7 @@ pub struct NetStatsSnapshot {
     pub encodes_saved: u64,
 }
 
-/// Reactor-level instruments shared across a runtime's shards.
+/// Reactor-level instruments, read by metrics snapshots on any thread.
 ///
 /// Counters that are touched on every frame stay lock-free atomics; the
 /// epoll-wait histogram and the connection trace sit behind mutexes but
@@ -328,14 +329,14 @@ impl Default for NetObs {
 /// A telemetry route handler: maps a request path (`"/metrics"`,
 /// `"/trace"`) to `(content_type, body)`, or `None` for a 404.
 ///
-/// Called from reactor shard 0 while it serves a scrape request, so it
+/// Called from the reactor thread while it serves a scrape request, so it
 /// must not block for long; locking the hosted node briefly (via
 /// [`TelemetryHandle::with_node`]) is fine — the reactor never invokes
 /// it while holding the node lock.
 pub type TelemetryHandler = Box<dyn Fn(&str) -> Option<(String, String)> + Send>;
 
-/// Telemetry endpoint state: a listener waiting for reactor shard 0 to
-/// adopt it into its epoll set, and the installed route handler.
+/// Telemetry endpoint state: a listener waiting for the reactor to adopt
+/// it into its epoll set, and the installed route handler.
 pub(crate) struct TelemetryState {
     pub(crate) pending_listener: Option<TcpListener>,
     pub(crate) handler: Option<TelemetryHandler>,
@@ -346,18 +347,18 @@ pub(crate) enum VerifiedFrame<M> {
     /// Authenticated and decoded: deliver it to the hosted node.
     Ok { env: Envelope<M> },
     /// The MAC or decode failed: the connection is unrecoverable and
-    /// the owning reactor must drop it (stale tokens are tolerated —
+    /// the reactor must drop it (stale tokens are tolerated —
     /// the connection may already be gone by the time this lands).
     Corrupt { token: u64 },
 }
 
 /// The inbound verify/hash pipeline stage (`pipeline_workers > 0`).
 ///
-/// Reactor shards extract header-validated [`RawFrame`]s and pin them
+/// The reactor extracts header-validated [`RawFrame`]s and pins them
 /// to a worker by connection token (per-connection FIFO order); the
 /// worker runs the HMAC check and body decode, deposits the verdict in
-/// the owning shard's mailbox, and wakes that shard's eventfd — the
-/// same wake path every other cross-thread event uses. The hosted node
+/// the mailbox, and wakes the reactor's eventfd — the same wake path
+/// every other cross-thread event uses. The hosted node
 /// itself never sees a frame that has not been authenticated, exactly
 /// as on the inline path.
 ///
@@ -365,8 +366,8 @@ pub(crate) enum VerifiedFrame<M> {
 pub(crate) struct VerifyStage<M> {
     /// The `pipeline_workers` verify threads.
     pub(crate) pool: Arc<WorkerPool>,
-    /// Per-reactor-shard mailboxes of verify verdicts.
-    pub(crate) inbox: Vec<Mutex<VecDeque<VerifiedFrame<M>>>>,
+    /// Verify verdicts awaiting the reactor.
+    pub(crate) inbox: Mutex<VecDeque<VerifiedFrame<M>>>,
     /// Frames submitted to the pool but not yet verified.
     pub(crate) queue_depth: AtomicU64,
     /// Frames verified off-thread.
@@ -376,8 +377,8 @@ pub(crate) struct VerifyStage<M> {
     pub(crate) inline: AtomicU64,
 }
 
-/// State shared between the public [`NodeRuntime`] handle and its
-/// reactor shards.
+/// State shared between the public [`NodeRuntime`] handle, its reactor
+/// thread and its verify workers.
 pub(crate) struct Shared<M> {
     pub(crate) id: NodeId,
     pub(crate) clock: Clock,
@@ -387,23 +388,12 @@ pub(crate) struct Shared<M> {
     pub(crate) auth: FrameAuth,
     /// Port our own listener accepts on (advertised in Hello frames).
     pub(crate) listen_port: u16,
-    /// Protocol timer wheel; reactor shard 0 folds it into its
-    /// `epoll_wait` timeout.
-    pub(crate) timers: Mutex<TimerState>,
     pub(crate) counters: NetCounters,
     pub(crate) obs: NetObs,
     pub(crate) stop: AtomicBool,
-    /// Reactor shard count (fixed at launch).
-    pub(crate) nshards: usize,
-    /// Per-shard eventfd wakeups (cross-shard sends, earlier timer
-    /// deadlines, connection handoffs, shutdown poison).
-    pub(crate) wakeups: Vec<EventFd>,
-    /// Per-peer outbound byte queues (the backpressure boundary).
-    pub(crate) outq: Mutex<HashMap<NodeId, PeerQueue>>,
-    /// Per-shard sets of peers with freshly queued frames.
-    pub(crate) dirty: Vec<Mutex<HashSet<NodeId>>>,
-    /// Accepted connections awaiting adoption by their reactor shard.
-    pub(crate) handoff: Vec<Mutex<VecDeque<TcpStream>>>,
+    /// The reactor's eventfd (verified frames, a telemetry listener to
+    /// adopt, shutdown poison).
+    pub(crate) wakeup: EventFd,
     /// Batches and transactions the hosted node reported `Executed`.
     pub(crate) executed_batches: AtomicU64,
     pub(crate) executed_txns: AtomicU64,
@@ -420,9 +410,9 @@ pub(crate) struct Shared<M> {
     pub(crate) inbound_filter: Mutex<Option<Box<dyn Fn(NodeId, &M) -> bool + Send>>>,
     pub(crate) inbound_filter_armed: AtomicBool,
     /// Live-scrape endpoint ([`NodeRuntime::serve_telemetry`]): the
-    /// HTTP/1.0 listener reactor shard 0 serves, plus its route
-    /// handler. `telemetry_armed` lets the shard skip the mutex on
-    /// every loop iteration until an endpoint is installed.
+    /// HTTP/1.0 listener the reactor serves, plus its route handler.
+    /// `telemetry_armed` lets the reactor skip the mutex on every loop
+    /// iteration until an endpoint is installed.
     pub(crate) telemetry: Mutex<TelemetryState>,
     pub(crate) telemetry_armed: AtomicBool,
     /// The verify/hash offload stage, when `pipeline_workers > 0`.
@@ -432,11 +422,6 @@ pub(crate) struct Shared<M> {
 }
 
 impl<M> Shared<M> {
-    /// Stable peer→reactor-shard assignment.
-    pub(crate) fn peer_shard(&self, node: NodeId) -> usize {
-        reactor::peer_shard_of(node, self.nshards)
-    }
-
     /// Snapshot of the transport counters.
     pub(crate) fn stats_snapshot(&self) -> NetStatsSnapshot {
         let c = &self.counters;
@@ -581,10 +566,10 @@ impl<M, N> TelemetryHandle<M, N> {
     }
 }
 
-/// How long [`NodeRuntime::shutdown`] waits for the reactor threads to
+/// How long [`NodeRuntime::shutdown`] waits for the reactor thread to
 /// acknowledge the stop flag before declaring the shutdown unclean.
-/// Reactors never block (all I/O is nonblocking and every wait has a
-/// bounded timeout), so in practice they exit within one poll
+/// The reactor never blocks (all I/O is nonblocking and every wait has
+/// a bounded timeout), so in practice it exits within one poll
 /// iteration; the bound guards against a wedged node state machine.
 const SHUTDOWN_JOIN_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(5);
 
@@ -593,8 +578,7 @@ pub struct NodeRuntime<M: NetMsg, N: ProtocolNode<M> + Send + 'static> {
     shared: Arc<Shared<M>>,
     node: Arc<Mutex<N>>,
     local_addr: SocketAddr,
-    threads: Vec<JoinHandle<()>>,
-    exited: Receiver<usize>,
+    reactor: ReactorThread,
 }
 
 impl<M, N> NodeRuntime<M, N>
@@ -607,8 +591,8 @@ where
     /// one cluster must share the authenticator's seed). The listener
     /// must already be bound (bind with port 0 to let the kernel pick,
     /// then collect `local_addr` into the table). Spawns exactly one
-    /// reactor thread; see [`NodeRuntime::launch_with_pipeline`] for
-    /// multi-core I/O scaling.
+    /// reactor thread and verifies frames on it; see
+    /// [`NodeRuntime::launch_with_pipeline`] for a verify pool.
     pub fn launch(
         id: NodeId,
         node: N,
@@ -617,23 +601,19 @@ where
         clock: Clock,
         auth: FrameAuth,
     ) -> std::io::Result<NodeRuntime<M, N>> {
-        Self::launch_with_pipeline(id, node, listener, peers, clock, auth, 1, 0)
+        Self::launch_with_pipeline(id, node, listener, peers, clock, auth, 0)
     }
 
-    /// Like [`NodeRuntime::launch`], but multiplexes the node's sockets
-    /// across `reactor_shards` reactor threads (peers are partitioned
-    /// by a stable hash; shard 0 additionally owns the listener and the
-    /// timer wheel). The thread count is fixed at launch and
-    /// independent of how many peers or clients connect. It also runs a
+    /// Like [`NodeRuntime::launch`], but also runs a
     /// `pipeline_workers`-thread worker pool hosting the verify/hash
     /// stage: inbound frame MAC checks and body decodes run off the
-    /// reactor threads, pinned per connection so frame order is
+    /// reactor thread, pinned per connection so frame order is
     /// preserved, feeding verified messages back through the reactor's
     /// eventfd wake path. The hosted node itself runs on the reactor
-    /// threads, so the per-node thread budget is exactly
-    /// `reactor_shards + pipeline_workers`. `pipeline_workers = 0`
-    /// verifies inline.
-    #[allow(clippy::too_many_arguments)]
+    /// thread, so the per-node thread budget is exactly
+    /// `1 + pipeline_workers`, fixed at launch and independent of how
+    /// many peers or clients connect. `pipeline_workers = 0` verifies
+    /// inline.
     pub fn launch_with_pipeline(
         id: NodeId,
         node: N,
@@ -641,38 +621,27 @@ where
         peers: PeerTable,
         clock: Clock,
         auth: FrameAuth,
-        reactor_shards: usize,
         pipeline_workers: usize,
     ) -> std::io::Result<NodeRuntime<M, N>> {
-        let nshards = reactor_shards.max(1);
         let verify = (pipeline_workers > 0).then(|| VerifyStage {
             pool: Arc::new(WorkerPool::new(&format!("{id}-pipe"), pipeline_workers)),
-            inbox: (0..nshards).map(|_| Mutex::new(VecDeque::new())).collect(),
+            inbox: Mutex::new(VecDeque::new()),
             queue_depth: AtomicU64::new(0),
             offloaded: AtomicU64::new(0),
             inline: AtomicU64::new(0),
         });
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let mut wakeups = Vec::with_capacity(nshards);
-        for _ in 0..nshards {
-            wakeups.push(EventFd::new()?);
-        }
         let shared = Arc::new(Shared {
             id,
             clock,
             peers,
             auth,
             listen_port: local_addr.port(),
-            timers: Mutex::new(TimerState::new()),
             counters: NetCounters::default(),
             obs: NetObs::default(),
             stop: AtomicBool::new(false),
-            nshards,
-            wakeups,
-            outq: Mutex::new(HashMap::new()),
-            dirty: (0..nshards).map(|_| Mutex::new(HashSet::new())).collect(),
-            handoff: (0..nshards).map(|_| Mutex::new(VecDeque::new())).collect(),
+            wakeup: EventFd::new()?,
             executed_batches: AtomicU64::new(0),
             executed_txns: AtomicU64::new(0),
             view_log: Mutex::new(Vec::new()),
@@ -687,35 +656,12 @@ where
             bufs: BufPool::new(),
         });
         let node = Arc::new(Mutex::new(node));
-
-        let (exit_tx, exited) = mpsc::channel();
-        let mut threads = Vec::with_capacity(nshards);
-        let mut listener = Some(listener);
-        for i in 0..nshards {
-            let shared = Arc::clone(&shared);
-            let node = Arc::clone(&node);
-            let listener = if i == 0 { listener.take() } else { None };
-            let exit_tx = exit_tx.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("{id}-reactor{i}"))
-                    .spawn(move || {
-                        // `run_shard` consumes the node handle, so the
-                        // exit marker is only sent once this thread no
-                        // longer holds a reference to the node —
-                        // `shutdown` unwraps it after the marker.
-                        reactor::run_shard(shared, node, i, listener);
-                        let _ = exit_tx.send(i);
-                    })
-                    .expect("spawn reactor thread"),
-            );
-        }
+        let reactor = ReactorThread::spawn(Arc::clone(&shared), Arc::clone(&node), listener)?;
         Ok(NodeRuntime {
             shared,
             node,
             local_addr,
-            threads,
-            exited,
+            reactor,
         })
     }
 
@@ -729,12 +675,6 @@ where
         self.local_addr
     }
 
-    /// The number of reactor threads this runtime runs (fixed at
-    /// launch, independent of connection count).
-    pub fn reactor_shards(&self) -> usize {
-        self.shared.nshards
-    }
-
     /// The number of pipeline worker threads (0 when the runtime was
     /// launched without an offload stage).
     pub fn pipeline_workers(&self) -> usize {
@@ -743,7 +683,7 @@ where
 
     /// `(offloaded, inline)` frame-verification counts: how many
     /// inbound data frames were MAC-checked on the worker pool versus
-    /// decoded inline on a reactor thread (Hello frames and the
+    /// decoded inline on the reactor thread (Hello frames and the
     /// zero-worker path). Both zero without an offload stage.
     pub fn verify_stats(&self) -> (u64, u64) {
         match &self.shared.verify {
@@ -811,7 +751,7 @@ where
     }
 
     /// Starts serving a minimal HTTP/1.0 scrape endpoint on `listener`,
-    /// directly off reactor shard 0's epoll loop (no extra thread).
+    /// directly off the reactor's epoll loop (no extra thread).
     /// `handler` maps a request path to `(content_type, body)`; unknown
     /// paths get a 404, non-GET requests a 405. Returns the bound
     /// address. Build the handler from [`NodeRuntime::telemetry_handle`]
@@ -829,8 +769,8 @@ where
             t.handler = Some(Box::new(handler));
         }
         self.shared.telemetry_armed.store(true, Ordering::Release);
-        // Shard 0 adopts the listener on its next loop iteration.
-        self.shared.wakeups[0].wake();
+        // The reactor adopts the listener on its next loop iteration.
+        self.shared.wakeup.wake();
         Ok(addr)
     }
 
@@ -849,42 +789,22 @@ where
         self.shared.view_log.lock().expect("view log").clone()
     }
 
-    /// Stops the reactor threads and tears the node down, returning it.
+    /// Stops the reactor thread and tears the node down, returning it.
     ///
-    /// Fast path: the stop flag is set and every shard's eventfd is
-    /// poisoned, so each reactor observes the flag on its very next
-    /// poll return instead of waiting out a timeout. The join is
-    /// bounded ([`SHUTDOWN_JOIN_TIMEOUT`]): a shard that fails to
-    /// acknowledge in time (a wedged node state machine — reactor I/O
-    /// itself never blocks) is abandoned and `None` is returned rather
-    /// than hanging the caller, the failure mode the old runtime had
-    /// when a writer thread wedged mid-`write`.
-    pub fn shutdown(mut self) -> Option<N>
+    /// Fast path: the stop flag is set and the reactor's eventfd is
+    /// poisoned, so it observes the flag on its very next poll return
+    /// instead of waiting out a timeout. The join is bounded (5 s): a
+    /// reactor that fails to acknowledge in time (a wedged node state
+    /// machine — reactor I/O itself never blocks) is abandoned and
+    /// `None` is returned rather than hanging the caller, the failure
+    /// mode the old runtime had when a writer thread wedged mid-`write`.
+    pub fn shutdown(self) -> Option<N>
     where
         N: Send,
     {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        for w in &self.shared.wakeups {
-            w.wake();
-        }
-        let deadline = std::time::Instant::now() + SHUTDOWN_JOIN_TIMEOUT;
-        let mut acked = 0;
-        while acked < self.threads.len() {
-            let left = deadline.saturating_duration_since(std::time::Instant::now());
-            match self.exited.recv_timeout(left) {
-                Ok(_) => acked += 1,
-                Err(_) => break,
-            }
-        }
-        if acked < self.threads.len() {
-            // Unclean: a reactor never acknowledged. Abandon the
-            // threads (they hold clones of the node Arc, so the node
-            // cannot be handed back).
-            self.threads.clear();
+        if !self.reactor.stop(&self.shared, SHUTDOWN_JOIN_TIMEOUT) {
+            // The abandoned reactor still holds the node.
             return None;
-        }
-        for t in self.threads.drain(..) {
-            let _ = t.join();
         }
         match Arc::try_unwrap(self.node) {
             Ok(m) => m.into_inner().ok(),

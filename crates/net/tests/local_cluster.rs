@@ -21,7 +21,7 @@ use ringbft_types::{
 };
 use std::collections::{HashMap, HashSet};
 use std::net::TcpListener;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 
 /// A deterministic test client: injects a fixed list of transactions at
 /// start, collects replies, and marks a transaction complete once f+1
@@ -146,10 +146,29 @@ fn key_in(cfg: &SystemConfig, shard: u32, offset: u64) -> u64 {
 
 const DEADLINE: std::time::Duration = std::time::Duration::from_secs(60);
 
+/// Held by every test while its cluster runs: shared by most, exclusive
+/// by the one that reads this process's thread names, because tests
+/// running concurrently host runtimes with the same replica ids.
+static RUNTIMES: RwLock<()> = RwLock::new(());
+
+fn shared_runtimes() -> RwLockReadGuard<'static, ()> {
+    RUNTIMES.read().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Names of this process's live threads.
+fn thread_names() -> Vec<String> {
+    std::fs::read_dir("/proc/self/task")
+        .expect("procfs")
+        .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+        .map(|name| name.trim_end().to_string())
+        .collect()
+}
+
 /// Acceptance test: 2 shards × 4 replicas over loopback TCP commit a
 /// single-shard transaction, a simple cst and a complex cst end-to-end.
 #[test]
 fn two_shards_commit_all_transaction_classes_over_tcp() {
+    let _runtimes = shared_runtimes();
     let cfg = quick_cfg(2, 4);
     let mk_complex = |id: u64| {
         Transaction::new(
@@ -350,6 +369,7 @@ fn run_phase(cluster: &LocalCluster, cfg: &SystemConfig, txns: Vec<Transaction>)
 /// dangling delta chain.
 #[test]
 fn replica_blank_restart_catches_up_via_state_transfer_over_tcp() {
+    let _runtimes = shared_runtimes();
     let mut cfg = quick_cfg(3, 4);
     cfg.checkpoint_interval = 4;
     cfg.full_snapshot_every = 2;
@@ -463,6 +483,7 @@ fn replica_blank_restart_catches_up_via_state_transfer_over_tcp() {
 /// same-shard peer, with no checkpoint state transfer involved.
 #[test]
 fn commit_hole_repaired_via_certificate_fetch_over_tcp() {
+    let _runtimes = shared_runtimes();
     let mut cfg = quick_cfg(2, 4);
     // A checkpoint window far wider than the traffic in this test: the
     // only repair path available is certificate fetch.
@@ -551,6 +572,7 @@ fn commit_hole_repaired_via_certificate_fetch_over_tcp() {
 /// anything).
 #[test]
 fn pipelined_cluster_offloads_verification() {
+    let _alone = RUNTIMES.write().unwrap_or_else(|e| e.into_inner());
     let mut cfg = quick_cfg(1, 4);
     cfg.clients = 16;
     cfg.cross_shard_rate = 0.0;
@@ -573,6 +595,25 @@ fn pipelined_cluster_offloads_verification() {
         ok,
         "pipelined workload stalled: {total}/{target} completions before the deadline"
     );
+
+    // Each runtime runs exactly one reactor thread, named as
+    // `benchmark/` expects, plus its verify pool; checked after the
+    // workload so every thread has started and named itself.
+    let names = thread_names();
+    for rt in cluster.replica_runtimes() {
+        let id = rt.id();
+        let mut own: Vec<String> = names
+            .iter()
+            .filter(|name| name.starts_with(&format!("{id}-")))
+            .cloned()
+            .collect();
+        own.sort();
+        let mut expected: Vec<String> = (0..rt.pipeline_workers())
+            .map(|w| format!("{id}-pipe-w{w}"))
+            .collect();
+        expected.push(format!("{id}-reactor0"));
+        assert_eq!(own, expected, "{id}: threads of one runtime");
+    }
 
     // Data frames actually took the offload path, and the transport
     // metrics expose the pipeline instruments.
@@ -610,6 +651,7 @@ fn pipelined_cluster_offloads_verification() {
 /// transactions continuously.
 #[test]
 fn closed_loop_workload_sustains_throughput_over_tcp() {
+    let _runtimes = shared_runtimes();
     let mut cfg = quick_cfg(3, 4);
     cfg.clients = 24;
     cfg.cross_shard_rate = 0.3;
@@ -652,6 +694,7 @@ fn closed_loop_workload_sustains_throughput_over_tcp() {
 /// with its shard.
 #[test]
 fn replica_durable_restart_replays_wal_over_tcp() {
+    let _runtimes = shared_runtimes();
     let mut cfg = quick_cfg(3, 4);
     cfg.checkpoint_interval = 4;
     let victim = ReplicaId::new(ShardId(1), 2); // a backup, not a primary

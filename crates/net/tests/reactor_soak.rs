@@ -3,7 +3,7 @@
 //! The old runtime spawned two OS threads per peer connection, so its
 //! thread (and stack) footprint grew with the client population. The
 //! reactor's contract is the opposite: a running node uses a *fixed*
-//! thread count (`reactor_shards` per hosted node) and holds file
+//! thread count (one reactor thread per hosted node) and holds file
 //! descriptors only for live connections, no matter how many clients
 //! come and go.
 //!
@@ -71,7 +71,7 @@ fn connection_churn_leaks_no_fds_and_keeps_thread_count_fixed() {
     let mut cluster = LocalCluster::launch_durable(cfg.clone(), &dir).expect("launch cluster");
 
     // Baselines after the cluster is up but before any client exists.
-    // The 8 replica runtimes have spawned their (single-shard) reactors
+    // The 8 replica runtimes have spawned their reactors
     // and hold listener + epoll + eventfd fds; none of that may grow
     // with client churn.
     let base_threads = thread_count();

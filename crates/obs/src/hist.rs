@@ -50,7 +50,7 @@ impl std::fmt::Debug for Histogram {
 }
 
 impl Histogram {
-    /// A histogram at the default resolution ([`DEFAULT_SUB_BITS`]).
+    /// A histogram at the default resolution (`DEFAULT_SUB_BITS`).
     pub fn new() -> Histogram {
         Histogram::with_sub_bits(DEFAULT_SUB_BITS)
     }

@@ -1,5 +1,5 @@
 //! The replica's typed write-ahead ledger over the generic
-//! [`Storage`](ringbft_store::wal::Storage) byte log: what a RingBFT
+//! [`Storage`] byte log: what a RingBFT
 //! replica persists, when it fsyncs, and how a restart turns the log
 //! back into state.
 //!

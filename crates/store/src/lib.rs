@@ -6,7 +6,7 @@
 //! * [`locks`] — `k_max`-ordered lock admission (§4.3.5, Example 4.4),
 //!   the shard-local half of RingBFT's deadlock-freedom argument.
 //! * [`wal`] — the append-only write-ahead log substrate behind the
-//!   [`Storage`](wal::Storage) trait: checksummed record framing with
+//!   [`Storage`] trait: checksummed record framing with
 //!   torn-tail truncation, an in-memory backend for the deterministic
 //!   simulator and a file backend for real deployments.
 

@@ -232,25 +232,23 @@ pub struct SystemConfig {
     /// (`ringbft_crypto::KeyStore`): every process of one cluster must
     /// share it so frame authenticators (HMACs, §3) verify.
     pub auth_seed: u64,
-    /// Epoll reactor threads per hosted node in the real-network
-    /// runtime (`ringbft-net`): each node's sockets are partitioned
-    /// across this many poll loops by a stable peer hash. The per-node
-    /// thread count is *fixed* at this value regardless of how many
-    /// peers or clients connect (the old runtime spawned two threads
-    /// per connection). 1 (the default) is right for loopback tests
-    /// and small deployments; raise it to spread socket I/O across
-    /// cores on replicas terminating many client connections. Ignored
-    /// by the discrete-event simulator.
+    /// Unused: nothing reads it, and [`SystemConfig::validate`] accepts
+    /// only 1, because every `ringbft-net` runtime runs exactly one
+    /// reactor thread per hosted node. The field stays only because the
+    /// wall-clock benchmark assigns it; it goes with the benchmark
+    /// change that ROADMAP P3 schedules.
     pub reactor_shards: usize,
     /// Verify workers per node: `0` (the default) checks inbound frame
-    /// MACs and decodes bodies on the reactor threads. A positive value
+    /// MACs and decodes bodies on the reactor thread. A positive value
     /// makes the TCP runtime run those checks on a fixed pool of that
     /// many threads, and the simulator model that many workers in its
     /// CPU scheduler. Replicas always execute in place and never read
     /// it. The simulator's model still charges fragment execution to
     /// those workers as well as verification, so its modelled scaling
-    /// factor is not a verify-only figure. The recommended sizing is
-    /// `min(4, cores − reactor_shards − 1)` (`ringbft_net::default_workers`).
+    /// factor is not a verify-only figure. A TCP node runs
+    /// `1 + pipeline_workers` threads: its reactor plus this pool. The
+    /// recommended sizing is `min(4, cores − 2)`
+    /// (`ringbft_net::default_workers`).
     pub pipeline_workers: usize,
     /// Ablation switch: send cross-shard Forward/Execute messages to
     /// *every* replica of the next shard instead of only the same-index
@@ -367,8 +365,10 @@ impl SystemConfig {
             if s.id.index() != i {
                 return Err(format!("shard at position {i} has id {}", s.id));
             }
-            if s.n < 3 * s.f() + 1 {
-                return Err(format!("shard {} violates n ≥ 3f+1", s.id));
+            // Checked before anything computes `f = ⌊(n − 1) / 3⌋`; every
+            // `n ≥ 1` then satisfies `n ≥ 3f + 1`.
+            if s.n == 0 {
+                return Err(format!("shard {} has no replicas", s.id));
             }
         }
         if !(0.0..=1.0).contains(&self.cross_shard_rate) {
@@ -401,8 +401,8 @@ impl SystemConfig {
         if self.num_keys < self.z() as u64 {
             return Err("need at least one key per shard".into());
         }
-        if self.reactor_shards == 0 || self.reactor_shards > 64 {
-            return Err("reactor_shards must be within 1..=64".into());
+        if self.reactor_shards != 1 {
+            return Err("reactor_shards must be 1 (one reactor thread per node)".into());
         }
         if self.pipeline_workers > 64 {
             return Err("pipeline_workers must be within 0..=64".into());
@@ -477,12 +477,11 @@ mod tests {
     fn reactor_shards_validated() {
         let mut cfg = SystemConfig::uniform(ProtocolKind::RingBft, 2, 4);
         assert_eq!(cfg.reactor_shards, 1);
-        cfg.reactor_shards = 0;
-        assert!(cfg.validate().is_err());
-        cfg.reactor_shards = 65;
-        assert!(cfg.validate().is_err());
-        cfg.reactor_shards = 4;
         cfg.validate().unwrap();
+        for bad in [0, 2, 65] {
+            cfg.reactor_shards = bad;
+            assert!(cfg.validate().is_err(), "{bad}");
+        }
     }
 
     #[test]
@@ -509,6 +508,11 @@ mod tests {
 
         let mut cfg = SystemConfig::uniform(ProtocolKind::RingBft, 3, 4);
         cfg.batch_size = 0;
+        assert!(cfg.validate().is_err());
+
+        // A zero-replica shard, which must not reach `ShardConfig::f`.
+        let mut cfg = SystemConfig::uniform(ProtocolKind::RingBft, 3, 4);
+        cfg.shards[1].n = 0;
         assert!(cfg.validate().is_err());
 
         let mut cfg = SystemConfig::uniform(ProtocolKind::RingBft, 3, 4);

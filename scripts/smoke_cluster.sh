@@ -187,9 +187,9 @@ if [[ "$KILL_AT" -gt 0 ]]; then
 
     # Reactor thread model: with the cluster fully connected and the
     # workload's 100 logical clients live, a process hosting H replicas
-    # runs exactly H * (reactor_shards + pipeline_workers) threads
-    # (reactor_shards = 1 in the example config; pipeline_workers is
-    # sized to the machine by --example-config, 0 on small hosts) plus
+    # runs exactly H * (1 + pipeline_workers) threads (one reactor per
+    # replica; pipeline_workers is sized to the machine by
+    # --example-config, 0 on small hosts) plus
     # the main thread — connection count must not move it. The shard-1
     # process hosts 4 replicas: allow that budget + main + 1 slack.
     PIPE_WORKERS=$(sed -n 's/.*"pipeline_workers": \([0-9]*\).*/\1/p' "$CONFIG" | head -1)
