@@ -23,6 +23,7 @@
 use ringbft_net::codec::FrameAuth;
 use ringbft_net::config::{load_cluster_config, parse_replica_name, render_cluster_config};
 use ringbft_net::runtime::{Clock, NodeRuntime, PeerTable};
+use ringbft_net::telemetry;
 use ringbft_sim::{AnyMsg, AnyNode, SimClient};
 use ringbft_types::{ClientId, NodeId, ProtocolKind, SystemConfig};
 use std::net::TcpListener;
@@ -352,10 +353,7 @@ fn main() {
                     std::process::exit(1);
                 }
             };
-            match rt.serve_telemetry(
-                listener,
-                ringbft_net::telemetry::standard_routes(rt.telemetry_handle()),
-            ) {
+            match rt.serve_telemetry(listener, telemetry::standard_routes) {
                 Ok(addr) => println!(
                     "telemetry for {} on http://127.0.0.1:{}/metrics",
                     rt.id(),
@@ -484,8 +482,8 @@ fn main() {
     }
 }
 
-/// The final snapshot written to `--metrics-path`: per-hosted-node
-/// protocol metrics, transport metrics, and event traces, plus the
+/// The final snapshot written to `--metrics-path`: per hosted node the
+/// `/metrics` fields plus both trace rings as arrays, and the
 /// client-latency histogram, as one JSON object.
 fn metrics_snapshot(
     runtimes: &[NodeRuntime<AnyMsg, AnyNode>],
@@ -497,19 +495,17 @@ fn metrics_snapshot(
         if i > 0 {
             nodes.push(',');
         }
-        let mut nw = ObjectWriter::new();
-        nw.field_str("id", &rt.id().to_string());
-        match rt.with_node(|n| n.metrics_json()) {
-            Some(m) => nw.field_raw("metrics", &m),
-            None => nw.field_raw("metrics", "null"),
-        };
-        nw.field_raw("net", &rt.metrics_json());
-        nw.field_raw(
-            "trace",
-            &jsonl_to_array(&rt.with_node(|n| n.trace_jsonl()).unwrap_or_default()),
-        );
-        nw.field_raw("net_trace", &jsonl_to_array(&rt.trace_jsonl()));
-        nodes.push_str(&nw.finish());
+        let net = rt.net_telemetry();
+        nodes.push_str(&rt.with_node(|n| {
+            let mut nw = ObjectWriter::new();
+            telemetry::metrics_fields(&mut nw, n, &net);
+            nw.field_raw(
+                "trace",
+                &jsonl_to_array(&n.trace_jsonl().unwrap_or_default()),
+            )
+            .field_raw("net_trace", &jsonl_to_array(&net.trace_jsonl));
+            nw.finish()
+        }));
     }
     nodes.push(']');
     let mut w = ObjectWriter::new();
@@ -521,14 +517,12 @@ fn metrics_snapshot(
     out
 }
 
-/// The `--trace-dump-path` payload: every hosted node's replica trace
-/// ring followed by its transport ring, as JSON lines. Span events in
-/// the dump feed `ringbft_obs::SpanCollector::ingest_dump` directly.
+/// The `--trace-dump-path` payload: every hosted node's `/trace` body.
 fn trace_dump(runtimes: &[NodeRuntime<AnyMsg, AnyNode>]) -> String {
     let mut out = String::new();
     for rt in runtimes {
-        out.push_str(&rt.with_node(|n| n.trace_jsonl()).unwrap_or_default());
-        out.push_str(&rt.trace_jsonl());
+        let net = rt.net_telemetry();
+        out.push_str(&rt.with_node(|n| telemetry::trace_body(n, &net)));
     }
     out
 }

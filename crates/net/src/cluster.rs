@@ -330,10 +330,7 @@ impl LocalCluster {
             .find(|rt| rt.id() == NodeId::Replica(r))
             .expect("unknown replica");
         let listener = TcpListener::bind("127.0.0.1:0")?;
-        rt.serve_telemetry(
-            listener,
-            crate::telemetry::standard_routes(rt.telemetry_handle()),
-        )
+        rt.serve_telemetry(listener, crate::telemetry::standard_routes)
     }
 
     /// Runs `f` on the runtime hosting replica `r`.
@@ -372,8 +369,8 @@ impl LocalCluster {
 
     /// Stops every runtime (clients first, so replica sockets close
     /// cleanly afterwards). Returns whether every shutdown was *clean*:
-    /// each runtime's reactor thread acknowledged the poisoned-eventfd
-    /// stop within the bounded join timeout. Tests assert this so a
+    /// each runtime's reactor thread handed its node back within the
+    /// bounded join timeout. Tests assert this so a
     /// wedged reactor cannot hide behind a green run.
     pub fn shutdown(self) -> bool {
         let mut clean = true;

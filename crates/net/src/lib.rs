@@ -12,7 +12,8 @@
 //!   plus the incremental [`FrameAssembler`](codec::FrameAssembler)
 //!   the reactor's nonblocking reads feed.
 //! * [`runtime`] — [`NodeRuntime`]: hosts one protocol node on a TCP
-//!   listener with one epoll reactor thread — nonblocking
+//!   listener with one epoll reactor thread, which owns the node —
+//!   nonblocking
 //!   accept/read/write state machines, per-peer outbound byte queues
 //!   with backpressure watermarks, and the four `TimerKind` watchdogs
 //!   folded into the `epoll_wait` timeout.
@@ -59,4 +60,4 @@ pub use cluster::{DurableRestart, LocalCluster};
 pub use codec::{encode_frame, CodecError, Envelope, FrameAuth};
 pub use config::{load_cluster_config, parse_cluster_config, ClusterConfig, ConfigError};
 pub use pool::default_workers;
-pub use runtime::{Clock, NetStatsSnapshot, NodeRuntime, PeerTable, TelemetryHandle};
+pub use runtime::{Clock, NetStatsSnapshot, NetTelemetry, NodeRuntime, PeerTable};

@@ -23,12 +23,16 @@
 //!   entries (generation-checked, so cancels and re-arms behave exactly
 //!   like the simulator's) between poll iterations.
 //!
-//! Other threads reach the reactor only through the runtime's shared
-//! state and its one eventfd: verify workers deposit verdicts in a
-//! mailbox, `serve_telemetry` parks a listener for adoption, and
-//! shutdown sets the stop flag. The hosted node sits behind a mutex
-//! only so that `with_node` and telemetry handlers can inspect it;
-//! every protocol call is made from the reactor thread.
+//! The reactor also owns, by value, the hosted node and everything else
+//! only it writes: the inbound filter, the telemetry listener and its
+//! routes, the view log, the transport instruments and the buffer free
+//! list. Other threads reach it through its eventfd and one command
+//! mailbox ([`ReactorThread`]): a command is a closure the reactor runs
+//! on itself, answered on a one-shot channel, or a *lend* — the reactor
+//! sends the node to a `with_node` caller and blocks until the caller's
+//! closure hands it back. Verify workers deposit verdicts in their own
+//! inbox, and `shutdown` closes the mailbox and receives the node from
+//! the exiting thread.
 //!
 //! The kernel interface is a minimal raw-FFI [`sys`] module
 //! (`epoll_create1`/`epoll_ctl`/`epoll_wait`/`eventfd`, plus
@@ -40,17 +44,18 @@ use crate::codec::{
     decode_raw_frame, encode_body, encode_hello_frame, frame_prefix, Envelope, Frame,
     FrameAssembler, Hello, RawFrame, PREFIX_BYTES,
 };
-use crate::runtime::{Shared, VerifiedFrame};
+use crate::runtime::{NetMsg, NetTelemetry, Shared, TelemetryRoutes, VerifiedFrame};
+use ringbft_obs::{Histogram, TraceRing};
 use ringbft_types::sansio::ProtocolNode;
-use ringbft_types::{Action, NodeId, TimerKind};
+use ringbft_types::{Action, Instant, NodeId, TimerKind};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::io::{Read, Write};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, FromRawFd, RawFd};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{self, Receiver};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, Receiver, SendError, Sender, SyncSender, TryRecvError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Raw Linux syscall surface. Numeric constants are the x86-64/ABI-
@@ -121,8 +126,7 @@ pub(crate) mod sys {
 }
 
 /// An `eventfd`-backed wakeup channel: threads outside the reactor poke
-/// its `epoll_wait` (verified frames, a telemetry listener to adopt,
-/// shutdown poison).
+/// its `epoll_wait` (verify verdicts, mailbox commands, shutdown).
 #[derive(Debug)]
 pub(crate) struct EventFd(RawFd);
 
@@ -139,10 +143,9 @@ impl EventFd {
         self.0
     }
 
-    /// Makes the reactor's next (or current) `epoll_wait` return. At
-    /// shutdown this is the "poison" fast path: the stop flag is
-    /// already set, so the woken reactor exits its loop immediately
-    /// instead of waiting out its poll timeout.
+    /// Makes the reactor's next (or current) `epoll_wait` return, so it
+    /// drains the verify inbox and its mailbox without waiting out its
+    /// poll timeout.
     pub fn wake(&self) {
         let one: u64 = 1;
         // EAGAIN (counter saturated) still leaves the fd readable, which
@@ -334,7 +337,7 @@ const RECONNECT_FLUSH_ATTEMPTS: u32 = 5;
 /// nor failed by then is torn down and retried.
 const CONNECT_TIMEOUT: std::time::Duration = std::time::Duration::from_millis(500);
 
-/// Poll timeout when nothing is scheduled (periodic stop-flag check).
+/// Poll timeout when nothing is scheduled.
 const IDLE_POLL: std::time::Duration = std::time::Duration::from_millis(250);
 
 /// One queued outbound frame in serialize-once form: a per-peer fixed
@@ -516,15 +519,94 @@ struct TelemetryConn {
     responding: bool,
 }
 
-/// The reactor: an epoll loop owning the listener, every connection of
-/// the runtime, the per-peer outbound queues and the timer wheel.
+/// A content-aware inbound drop rule
+/// ([`NodeRuntime::set_inbound_filter`](crate::runtime::NodeRuntime::set_inbound_filter)).
+pub(crate) type InboundFilter<M> = Box<dyn Fn(NodeId, &M) -> bool + Send>;
+
+/// A bounded free list of reusable byte buffers: frame-reassembly
+/// scratch on the verify-offload read path (verify workers hand each
+/// body back with its verdict) and per-connection egress staging
+/// buffers cycle through here instead of allocating per frame or per
+/// connection.
+#[derive(Default)]
+struct BufPool {
+    free: Vec<Vec<u8>>,
+    hits: u64,
+    misses: u64,
+}
+
+impl BufPool {
+    /// Buffers retained at most; excess returns simply drop.
+    const MAX_POOLED: usize = 64;
+    /// Fresh-buffer capacity on a pool miss (one comfortable frame).
+    const MIN_CAPACITY: usize = 4 * 1024;
+    /// Buffers that ballooned past this are dropped rather than
+    /// retained, so one huge body cannot pin memory forever.
+    const MAX_RETAINED_CAPACITY: usize = 1024 * 1024;
+
+    /// An empty buffer, reused when the free list has one.
+    fn take(&mut self) -> Vec<u8> {
+        match self.free.pop() {
+            Some(buf) => {
+                self.hits += 1;
+                buf
+            }
+            None => {
+                self.misses += 1;
+                Vec::with_capacity(Self::MIN_CAPACITY)
+            }
+        }
+    }
+
+    /// Returns a buffer to the free list (cleared; oversized or
+    /// capacity-less buffers are dropped).
+    fn put(&mut self, mut buf: Vec<u8>) {
+        if buf.capacity() == 0 || buf.capacity() > Self::MAX_RETAINED_CAPACITY {
+            return;
+        }
+        buf.clear();
+        if self.free.len() < Self::MAX_POOLED {
+            self.free.push(buf);
+        }
+    }
+}
+
+/// Retained connection-lifecycle events per runtime.
+const NET_TRACE_CAPACITY: usize = 256;
+
+/// Transport instruments beyond the shared
+/// [`NetCounters`](crate::runtime::NetCounters).
+struct NetObs {
+    /// Nanoseconds spent inside each `epoll_wait` call.
+    epoll_wait: Histogram,
+    /// High-water mark of any single peer queue's buffered bytes.
+    queue_hwm_bytes: u64,
+    /// Frames rejected because a peer queue sat at its watermark.
+    backpressure_hits: u64,
+    /// Socket reads that ended with a partial frame still buffered in
+    /// the reassembler (a frame split across reads — normal under load,
+    /// but a sustained climb means undersized reads or a trickling
+    /// peer).
+    reassembly_stalls: u64,
+    /// Connection-lifecycle trace (reconnect attempts), timestamped on
+    /// the runtime clock.
+    trace: TraceRing,
+}
+
+/// The reactor: an epoll loop owning the hosted node, the listener,
+/// every connection of the runtime, the per-peer outbound queues, the
+/// timer wheel and everything else only it writes.
 struct Reactor<M, N> {
     shared: Arc<Shared<M>>,
-    node: Arc<Mutex<N>>,
+    /// The hosted node. Every protocol call is made here; `with_node`
+    /// borrows it through the mailbox.
+    node: N,
+    /// Commands from other threads, drained when the eventfd fires.
+    mailbox: Receiver<Command<M, N>>,
     epoll: Epoll,
     listener: TcpListener,
-    /// Telemetry scrape listener, once adopted.
-    telemetry: Option<TcpListener>,
+    /// Telemetry scrape listener and its routes, once served.
+    telemetry: Option<(TcpListener, TelemetryRoutes<N>)>,
     /// In-flight telemetry scrape connections by token.
     tconns: HashMap<u64, TelemetryConn>,
     conns: HashMap<u64, Conn>,
@@ -547,75 +629,74 @@ struct Reactor<M, N> {
     attempts: HashMap<NodeId, u32>,
     /// Peers whose next dial must wait for a backoff deadline.
     backoff_until: HashMap<NodeId, u64>,
+    /// Content-aware inbound fault injection: a frame for which the
+    /// filter returns true is counted and discarded before delivery —
+    /// the TCP twin of the simulator's `World::set_drop_filter`.
+    filter: Option<InboundFilter<M>>,
+    /// View changes the node reported, on the runtime clock.
+    view_log: Vec<(Instant, u64)>,
+    obs: NetObs,
+    /// Reusable buffers for frame reassembly and egress staging.
+    bufs: BufPool,
 }
 
-/// A runtime's handle on its reactor thread.
-pub(crate) struct ReactorThread {
+/// Work another thread posts to the reactor's mailbox.
+enum Command<M, N> {
+    /// Send the node on `out`, then block until it comes back on `back`.
+    Lend {
+        out: SyncSender<N>,
+        back: Receiver<N>,
+    },
+    /// Run a closure on the reactor thread; it answers on a one-shot
+    /// channel of its own.
+    Call(Job<M, N>),
+}
+
+type Job<M, N> = Box<dyn FnOnce(&mut Reactor<M, N>) + Send>;
+
+/// Why a mailbox call found no reactor.
+const REACTOR_EXITED: &str =
+    "the reactor thread exited (its node or a with_node borrower panicked)";
+
+/// A runtime's handle on its reactor thread, and the only way into it.
+pub(crate) struct ReactorThread<M, N> {
+    shared: Arc<Shared<M>>,
+    mailbox: Sender<Command<M, N>>,
     handle: JoinHandle<()>,
-    /// Receives one marker once the thread has dropped its node handle.
-    exited: Receiver<()>,
+    /// Receives the node once the thread's loop has ended.
+    exited: Receiver<N>,
 }
 
-impl ReactorThread {
-    /// Spawns the reactor thread hosting `node` on `listener` until
-    /// `shared.stop` is set. The `0` in its name `<node>-reactor0` is
-    /// kept because `benchmark/` finds the reactor's CPU time by it.
-    pub(crate) fn spawn<M, N>(
-        shared: Arc<Shared<M>>,
-        node: Arc<Mutex<N>>,
-        listener: TcpListener,
-    ) -> std::io::Result<ReactorThread>
-    where
-        M: crate::runtime::NetMsg + ringbft_simnet::SimMessage,
-        N: ProtocolNode<M> + Send + 'static,
-    {
-        let (exit_tx, exited) = mpsc::channel();
-        let handle = std::thread::Builder::new()
-            .name(format!("{}-reactor0", shared.id))
-            .spawn(move || {
-                // `run` consumes the reactor and with it the node
-                // handle, so the exit marker is only sent once this
-                // thread no longer holds a reference to the node —
-                // `shutdown` unwraps it after the marker.
-                if let Some(reactor) = Reactor::new(shared, node, listener) {
-                    reactor.run();
-                }
-                let _ = exit_tx.send(());
-            })?;
-        Ok(ReactorThread { handle, exited })
-    }
-
-    /// Sets the stop flag, poisons the eventfd and waits up to
-    /// `timeout` for the thread to exit. False means it never
-    /// acknowledged (a wedged node state machine — reactor I/O itself
-    /// never blocks): the thread is abandoned, still holding the node.
-    pub(crate) fn stop<M>(self, shared: &Shared<M>, timeout: std::time::Duration) -> bool {
-        shared.stop.store(true, Ordering::SeqCst);
-        shared.wakeup.wake();
-        self.exited.recv_timeout(timeout).is_ok() && self.handle.join().is_ok()
-    }
-}
-
-impl<M, N> Reactor<M, N>
+impl<M, N> ReactorThread<M, N>
 where
-    M: crate::runtime::NetMsg + ringbft_simnet::SimMessage,
+    M: NetMsg + ringbft_simnet::SimMessage,
     N: ProtocolNode<M> + Send + 'static,
 {
-    /// Registers the eventfd and the listener with a fresh epoll
-    /// instance; `None` when the kernel refuses either.
-    fn new(shared: Arc<Shared<M>>, node: Arc<Mutex<N>>, listener: TcpListener) -> Option<Self> {
-        // fd exhaustion at spawn leaves nothing to drive.
-        let epoll = Epoll::new().ok()?;
-        // Without the eventfd the reactor could not be woken; without
-        // the listener the node would be unreachable.
-        if !epoll.add(shared.wakeup.raw(), TOKEN_WAKE, sys::EPOLLIN)
-            || !epoll.add(listener.as_raw_fd(), TOKEN_LISTEN, sys::EPOLLIN)
-        {
-            return None;
+    /// Registers the eventfd and `listener` with a fresh epoll instance
+    /// on the caller's thread, so that fd exhaustion fails the launch
+    /// rather than leaving a runtime without a reactor, then spawns the
+    /// reactor thread hosting `node`. The `0` in its name
+    /// `<node>-reactor0` is kept because `benchmark/` finds the
+    /// reactor's CPU time by it.
+    pub(crate) fn spawn(
+        shared: Arc<Shared<M>>,
+        node: N,
+        listener: TcpListener,
+    ) -> std::io::Result<ReactorThread<M, N>> {
+        let epoll = Epoll::new()?;
+        for (fd, token) in [
+            (shared.wakeup.raw(), TOKEN_WAKE),
+            (listener.as_raw_fd(), TOKEN_LISTEN),
+        ] {
+            if !epoll.add(fd, token, sys::EPOLLIN) {
+                return Err(std::io::Error::last_os_error());
+            }
         }
-        Some(Reactor {
-            shared,
+        let (mailbox, commands) = mpsc::channel();
+        let reactor = Reactor {
+            shared: Arc::clone(&shared),
             node,
+            mailbox: commands,
             epoll,
             listener,
             telemetry: None,
@@ -630,31 +711,134 @@ where
             next_dial: DIAL_RETRY + 1,
             attempts: HashMap::new(),
             backoff_until: HashMap::new(),
+            filter: None,
+            view_log: Vec::new(),
+            obs: NetObs {
+                epoll_wait: Histogram::new(),
+                queue_hwm_bytes: 0,
+                backpressure_hits: 0,
+                reassembly_stalls: 0,
+                trace: TraceRing::new(NET_TRACE_CAPACITY),
+            },
+            bufs: BufPool::default(),
+        };
+        let (exit_tx, exited) = mpsc::channel();
+        let handle = std::thread::Builder::new()
+            .name(format!("{}-reactor0", shared.id))
+            .spawn(move || {
+                if let Some(node) = reactor.run() {
+                    let _ = exit_tx.send(node);
+                }
+            })?;
+        Ok(ReactorThread {
+            shared,
+            mailbox,
+            handle,
+            exited,
         })
     }
 
-    /// Runs until the runtime's stop flag is set. Takes `self` by value
-    /// so the node handle drops before the thread reports its exit
-    /// (bounded-join shutdown relies on that ordering to hand the node
-    /// back).
-    fn run(mut self) {
+    fn post(&self, command: Command<M, N>) {
+        self.mailbox.send(command).expect(REACTOR_EXITED);
+        self.shared.wakeup.wake();
+    }
+
+    /// Runs `f` on the reactor thread and returns its answer.
+    fn call<R: Send + 'static>(
+        &self,
+        f: impl FnOnce(&mut Reactor<M, N>) -> R + Send + 'static,
+    ) -> R {
+        let (tx, rx) = mpsc::sync_channel(1);
+        self.post(Command::Call(Box::new(move |reactor| {
+            let _ = tx.send(f(reactor));
+        })));
+        rx.recv().expect(REACTOR_EXITED)
+    }
+
+    /// Borrows the node: the reactor sends it here and waits, with
+    /// event processing paused, until `f` returns and the node goes
+    /// back. If `f` panics the node is lost and the reactor exits.
+    pub(crate) fn with_node<R>(&self, f: impl FnOnce(&mut N) -> R) -> R {
+        let (out, lent) = mpsc::sync_channel(1);
+        let (back, returned) = mpsc::sync_channel(1);
+        self.post(Command::Lend {
+            out,
+            back: returned,
+        });
+        let mut node = lent.recv().expect(REACTOR_EXITED);
+        let answer = f(&mut node);
+        let _ = back.send(node);
+        answer
+    }
+
+    pub(crate) fn set_inbound_filter(&self, filter: Option<InboundFilter<M>>) {
+        self.call(move |r| r.filter = filter);
+    }
+
+    /// Adopts `listener` into the epoll set and answers its scrapes
+    /// with `routes`.
+    pub(crate) fn serve_telemetry(
+        &self,
+        listener: TcpListener,
+        routes: TelemetryRoutes<N>,
+    ) -> std::io::Result<()> {
+        self.call(move |r| {
+            if !r
+                .epoll
+                .add(listener.as_raw_fd(), TOKEN_TELEMETRY, sys::EPOLLIN)
+            {
+                return Err(std::io::Error::last_os_error());
+            }
+            r.telemetry = Some((listener, routes));
+            Ok(())
+        })
+    }
+
+    pub(crate) fn metrics_json(&self) -> String {
+        self.call(|r| r.metrics_json())
+    }
+
+    pub(crate) fn net_telemetry(&self) -> NetTelemetry {
+        self.call(|r| r.net_telemetry())
+    }
+
+    pub(crate) fn view_log(&self) -> Vec<(Instant, u64)> {
+        self.call(|r| r.view_log.clone())
+    }
+
+    /// Closes the mailbox, wakes the reactor and waits up to `timeout`
+    /// for the thread to exit and hand back the node. `None` means it
+    /// never acknowledged (a wedged node state machine — reactor I/O
+    /// itself never blocks), and the thread is abandoned still holding
+    /// the node, or that a `with_node` borrower panicked with it.
+    pub(crate) fn stop(self, timeout: std::time::Duration) -> Option<N> {
+        drop(self.mailbox);
+        self.shared.wakeup.wake();
+        let node = self.exited.recv_timeout(timeout).ok()?;
+        self.handle.join().ok()?;
+        Some(node)
+    }
+}
+
+impl<M, N> Reactor<M, N>
+where
+    M: NetMsg + ringbft_simnet::SimMessage,
+    N: ProtocolNode<M> + Send + 'static,
+{
+    /// Runs until the mailbox closes, then returns the node (`None` if
+    /// a borrower never gave it back). Dropping the reactor closes
+    /// every fd it owned.
+    fn run(mut self) -> Option<N> {
         // The hosted node starts on the reactor, exactly as the old
         // event loop started it.
         let now = self.shared.clock.now();
-        let actions = {
-            let mut n = self.node.lock().expect("node lock");
-            n.on_start(now)
-        };
+        let actions = self.node.on_start(now);
         let mut pending = VecDeque::new();
         self.apply_actions(actions, &mut pending);
         self.drain_pending(pending);
         let mut events = vec![sys::EpollEvent { events: 0, data: 0 }; 256];
         loop {
-            if self.shared.stop.load(Ordering::SeqCst) {
-                return;
-            }
             self.drain_verified();
-            self.adopt_telemetry_listener();
             self.fire_due_timers();
             self.process_reconnects();
             // Flush *after* timers so a send produced by a timer
@@ -662,24 +846,35 @@ where
             // Event-driven sends from the previous iteration's handlers
             // are covered too.
             self.flush_dirty_peers();
-            if self.shared.stop.load(Ordering::SeqCst) {
-                return;
-            }
             let timeout = self.poll_timeout();
             let wait_start = self.shared.clock.now();
             let n = self.epoll.wait(&mut events, timeout);
             // Time actually spent blocked in the kernel: the idle/busy
             // profile of the reactor (near the poll timeout when idle,
             // near zero when saturated).
-            {
-                let waited = self.shared.clock.now().since(wait_start);
-                let mut h = self.shared.obs.epoll_wait.lock().expect("epoll hist");
-                h.record(waited.as_nanos());
-            }
+            let waited = self.shared.clock.now().since(wait_start);
+            self.obs.epoll_wait.record(waited.as_nanos());
             for ev in events.iter().take(n) {
                 let (token, bits) = (ev.data, ev.events);
                 match token {
-                    TOKEN_WAKE => self.shared.wakeup.drain(),
+                    TOKEN_WAKE => {
+                        self.shared.wakeup.drain();
+                        loop {
+                            match self.mailbox.try_recv() {
+                                Ok(Command::Call(f)) => f(&mut self),
+                                Ok(Command::Lend { out, back }) => {
+                                    // A borrower whose closure panicked
+                                    // never sends the node back: exit.
+                                    self.node = match out.send(self.node) {
+                                        Ok(()) => back.recv().ok()?,
+                                        Err(SendError(node)) => node,
+                                    };
+                                }
+                                Err(TryRecvError::Empty) => break,
+                                Err(TryRecvError::Disconnected) => return Some(self.node),
+                            }
+                        }
+                    }
                     TOKEN_LISTEN => self.accept_ready(),
                     TOKEN_TELEMETRY => self.telemetry_accept(),
                     tok if self.tconns.contains_key(&tok) => self.telemetry_ready(tok, bits),
@@ -687,8 +882,6 @@ where
                 }
             }
         }
-        // Dropping `conns`/`listener`/`epoll` closes every fd the
-        // reactor owned.
     }
 
     /// The `epoll_wait` timeout: the earliest of the timer wheel and the
@@ -720,10 +913,7 @@ where
                 .messages_delivered
                 .fetch_add(1, Ordering::Relaxed);
             let now = self.shared.clock.now();
-            let actions = {
-                let mut n = self.node.lock().expect("node lock");
-                n.on_message(now, from, msg)
-            };
+            let actions = self.node.on_message(now, from, msg);
             self.apply_actions(actions, &mut pending);
         }
     }
@@ -752,11 +942,7 @@ where
                         .fetch_add(txns as u64, Ordering::Relaxed);
                 }
                 Action::ViewChanged { view } => {
-                    self.shared
-                        .view_log
-                        .lock()
-                        .expect("view log")
-                        .push((self.shared.clock.now(), view));
+                    self.view_log.push((self.shared.clock.now(), view));
                 }
             }
         }
@@ -862,13 +1048,10 @@ where
                 .counters
                 .messages_dropped
                 .fetch_add(1, Ordering::Relaxed);
-            shared.obs.backpressure_hits.fetch_add(1, Ordering::Relaxed);
+            self.obs.backpressure_hits += 1;
             return;
         }
-        shared
-            .obs
-            .queue_hwm_bytes
-            .fetch_max(depth, Ordering::Relaxed);
+        self.obs.queue_hwm_bytes = self.obs.queue_hwm_bytes.max(depth);
         shared
             .counters
             .messages_sent
@@ -895,10 +1078,7 @@ where
                 .timers_fired
                 .fetch_add(1, Ordering::Relaxed);
             let now = self.shared.clock.now();
-            let actions = {
-                let mut n = self.node.lock().expect("node lock");
-                n.on_timer(now, kind, token)
-            };
+            let actions = self.node.on_timer(now, kind, token);
             let mut pending = VecDeque::new();
             self.apply_actions(actions, &mut pending);
             self.drain_pending(pending);
@@ -974,7 +1154,7 @@ where
                 .reconnects
                 .fetch_add(1, Ordering::Relaxed);
             let now = self.shared.clock.now().as_nanos();
-            self.shared.obs.trace.lock().expect("net trace").push(
+            self.obs.trace.push(
                 now,
                 "reconnect",
                 &[("peer", peer_trace_id(peer)), ("attempt", attempt as u64)],
@@ -1008,7 +1188,7 @@ where
                         },
                         peer_ip,
                         asm: FrameAssembler::new(),
-                        wbuf: self.shared.bufs.take(),
+                        wbuf: self.bufs.take(),
                         wpos: 0,
                         wframes: 0,
                         interest: sys::EPOLLIN | sys::EPOLLOUT | sys::EPOLLRDHUP,
@@ -1217,7 +1397,7 @@ where
             return;
         };
         self.epoll.del(conn.stream.as_raw_fd());
-        self.shared.bufs.put(conn.wbuf);
+        self.bufs.put(conn.wbuf);
         if let ConnKind::Outbound { peer, .. } = conn.kind {
             self.by_peer.remove(&peer);
             if conn.wframes > 0 {
@@ -1358,12 +1538,12 @@ where
                     // decodes happen on the worker pool. Bodies land in
                     // pooled buffers (returned after decode) so the
                     // steady-state read path allocates nothing.
-                    let mut scratch = self.shared.bufs.take();
+                    let mut scratch = self.bufs.take();
                     loop {
                         match conn.asm.next_raw_frame_in(&mut scratch) {
                             Ok(Some(r)) => {
                                 raws.push(r);
-                                scratch = self.shared.bufs.take();
+                                scratch = self.bufs.take();
                             }
                             Ok(None) => break,
                             Err(_) => {
@@ -1372,7 +1552,7 @@ where
                             }
                         }
                     }
-                    self.shared.bufs.put(scratch);
+                    self.bufs.put(scratch);
                 } else {
                     loop {
                         match conn.asm.next_frame::<M>(&self.shared.auth, self.shared.id) {
@@ -1395,10 +1575,7 @@ where
                 // A partial frame stayed buffered after this read: the
                 // frame straddled the read (normal under load) or the
                 // peer is trickling bytes.
-                self.shared
-                    .obs
-                    .reassembly_stalls
-                    .fetch_add(1, Ordering::Relaxed);
+                self.obs.reassembly_stalls += 1;
             }
             for frame in frames {
                 self.handle_frame(peer_ip, frame);
@@ -1413,7 +1590,7 @@ where
                             if let Some(v) = &self.shared.verify {
                                 v.inline.fetch_add(1, Ordering::Relaxed);
                             }
-                            self.shared.bufs.put(raw.body);
+                            self.bufs.put(raw.body);
                             self.handle_frame(peer_ip, f);
                         }
                         Err(_) => {
@@ -1437,53 +1614,34 @@ where
     /// Hands a raw data frame to the worker pool for MAC verification
     /// and decode. Frames are pinned to a worker by connection token, so
     /// per-connection frame order survives the offload; the worker
-    /// deposits the verdict in the verified-frame mailbox and pokes the
-    /// eventfd, and `drain_verified` picks it up at the top of the next
-    /// loop iteration.
+    /// deposits the verdict in the verify inbox and pokes the eventfd,
+    /// and `drain_verified` picks it up at the top of the next loop
+    /// iteration.
     fn offload_frame(&self, tok: u64, raw: RawFrame) {
         let verify = self.shared.verify.as_ref().expect("verify stage");
         verify.queue_depth.fetch_add(1, Ordering::Relaxed);
         verify.offloaded.fetch_add(1, Ordering::Relaxed);
         let shared = Arc::clone(&self.shared);
-        let pool = Arc::clone(&verify.pool);
-        pool.submit_to(
+        verify.pool.submit_to(
             tok as usize,
-            Box::new(move || {
-                let verdict = match decode_raw_frame::<M>(&raw, &shared.auth, shared.id) {
-                    Ok(Frame::Data(env)) => Some(VerifiedFrame::Ok { env }),
-                    // Hellos never reach the pool (decoded inline), but
-                    // a frame claiming the hello flag without it set in
-                    // the extractor's view cannot happen — flags were
-                    // parsed once. Drop defensively.
-                    Ok(Frame::Hello(_)) => None,
-                    Err(_) => Some(VerifiedFrame::Corrupt { token: tok }),
-                };
-                // The body buffer came out of the runtime's pool; decode
-                // copied what it needed, so recycle it here.
-                shared.bufs.put(raw.body);
-                let v = shared.verify.as_ref().expect("verify stage");
-                if let Some(verdict) = verdict {
-                    v.inbox.lock().expect("verify inbox").push_back(verdict);
-                }
-                v.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                shared.wakeup.wake();
-            }),
+            Box::new(move || shared.verify_frame(tok, raw)),
         );
     }
 
-    /// Drains the verified-frame mailbox: envelopes the worker
-    /// pool authenticated are delivered in deposit order; corrupt
-    /// verdicts close the offending connection (tolerating tokens whose
-    /// connection is already gone).
+    /// Drains the verify inbox: envelopes the worker pool authenticated
+    /// are delivered in deposit order, and corrupt verdicts close the
+    /// offending connection (tolerating tokens whose connection is
+    /// already gone). Each frame's body buffer goes back to the pool.
     fn drain_verified(&mut self) {
         let batch = match self.shared.verify.as_ref() {
             Some(v) => std::mem::take(&mut *v.inbox.lock().expect("verify inbox")),
             None => return,
         };
-        for item in batch {
-            match item {
-                VerifiedFrame::Ok { env } => self.deliver_env(env),
-                VerifiedFrame::Corrupt { token } => self.close_conn(token),
+        for VerifiedFrame { token, env, body } in batch {
+            self.bufs.put(body);
+            match env {
+                Some(env) => self.deliver_env(env),
+                None => self.close_conn(token),
             }
         }
     }
@@ -1518,24 +1676,14 @@ where
 
     /// Delivers an authenticated envelope to the hosted node, applying
     /// the address check and any installed inbound drop rule. Shared by
-    /// the inline decode path and the worker-verified mailbox.
+    /// the inline decode path and the verify inbox.
     fn deliver_env(&mut self, env: Envelope<M>) {
         // Deliver only traffic addressed to (an alias of) us;
         // anything else indicates a stale peer table.
         if self.shared.peers.resolve(env.to) != self.shared.id {
             return;
         }
-        // Fast path: the atomic keeps the no-filter case (every
-        // production run) free of the shared lock.
-        let filtered = self.shared.inbound_filter_armed.load(Ordering::Acquire)
-            && self
-                .shared
-                .inbound_filter
-                .lock()
-                .expect("filter lock")
-                .as_ref()
-                .is_some_and(|f| f(env.from, &env.msg));
-        if filtered {
+        if self.filter.as_ref().is_some_and(|f| f(env.from, &env.msg)) {
             self.shared
                 .counters
                 .messages_filtered
@@ -1549,34 +1697,73 @@ where
     // Telemetry scrape endpoint
     // ------------------------------------------------------------------
 
-    /// Adopts a freshly installed telemetry listener
-    /// ([`crate::runtime::NodeRuntime::serve_telemetry`]) into the epoll
-    /// set. The armed flag keeps the common no-endpoint case free of the
-    /// mutex.
-    fn adopt_telemetry_listener(&mut self) {
-        if !self.shared.telemetry_armed.load(Ordering::Acquire) {
-            return;
-        }
-        let listener = {
-            let mut t = self.shared.telemetry.lock().expect("telemetry lock");
-            t.pending_listener.take()
+    /// Transport metrics as one stable JSON object: the shared counters,
+    /// the reactor's own instruments and the verify stage's.
+    fn metrics_json(&self) -> String {
+        let c = self.shared.stats_snapshot();
+        let mut cw = ringbft_obs::json::ObjectWriter::new();
+        cw.field_u64("net.broadcasts", c.broadcasts)
+            .field_u64("net.bytes_sent", c.bytes_sent)
+            .field_u64("net.egress_pool_hits", self.bufs.hits)
+            .field_u64("net.egress_pool_misses", self.bufs.misses)
+            .field_u64("net.encodes_saved", c.encodes_saved)
+            .field_u64("net.messages_delivered", c.messages_delivered)
+            .field_u64("net.messages_dropped", c.messages_dropped)
+            .field_u64("net.messages_filtered", c.messages_filtered)
+            .field_u64("net.messages_sent", c.messages_sent)
+            .field_u64("net.messages_undeliverable", c.messages_undeliverable)
+            .field_u64("net.modeled_bytes_sent", c.modeled_bytes_sent)
+            .field_u64("net.backpressure_hits", self.obs.backpressure_hits)
+            .field_u64("net.reassembly_stalls", self.obs.reassembly_stalls)
+            .field_u64("net.reconnects", c.reconnects)
+            .field_u64("net.timers_fired", c.timers_fired);
+        let verify = self.shared.verify.as_ref();
+        let (v_off, v_inline, v_depth) = match verify {
+            Some(v) => (
+                v.offloaded.load(Ordering::Relaxed),
+                v.inline.load(Ordering::Relaxed),
+                v.queue_depth.load(Ordering::Relaxed),
+            ),
+            None => (0, 0, 0),
         };
-        self.shared.telemetry_armed.store(false, Ordering::Release);
-        let Some(listener) = listener else { return };
-        if !self
-            .epoll
-            .add(listener.as_raw_fd(), TOKEN_TELEMETRY, sys::EPOLLIN)
-        {
-            return; // unwatchable: scrapers see a closed port
+        let pool = verify.map(|v| v.pool.stats()).unwrap_or_default();
+        cw.field_u64("pipeline.verify_inline", v_inline)
+            .field_u64("pipeline.verify_offloaded", v_off)
+            .field_u64("pipeline.worker_busy_ns", pool.busy_ns)
+            .field_u64("pipeline.worker_idle_ns", pool.idle_ns)
+            .field_u64("pipeline.worker_tasks", pool.tasks);
+        let mut gw = ringbft_obs::json::ObjectWriter::new();
+        gw.field_u64("net.peer_queue_hwm_bytes", self.obs.queue_hwm_bytes)
+            .field_u64("pipeline.verify_queue_depth", v_depth)
+            .field_u64(
+                "pipeline.workers",
+                verify.map_or(0, |v| v.pool.workers()) as u64,
+            );
+        let mut hw = ringbft_obs::json::ObjectWriter::new();
+        hw.field_raw(
+            "net.epoll_wait_ns",
+            &ringbft_obs::histogram_json(&self.obs.epoll_wait),
+        );
+        let mut w = ringbft_obs::json::ObjectWriter::new();
+        w.field_raw("counters", &cw.finish())
+            .field_raw("gauges", &gw.finish())
+            .field_raw("histograms", &hw.finish());
+        w.finish()
+    }
+
+    fn net_telemetry(&self) -> NetTelemetry {
+        NetTelemetry {
+            id: self.shared.id,
+            metrics_json: self.metrics_json(),
+            trace_jsonl: self.obs.trace.dump_jsonl(),
         }
-        self.telemetry = Some(listener);
     }
 
     /// Accepts pending scrape connections.
     fn telemetry_accept(&mut self) {
         loop {
             let accepted = match &self.telemetry {
-                Some(l) => l.accept(),
+                Some((listener, _)) => listener.accept(),
                 None => return,
             };
             match accepted {
@@ -1665,7 +1852,7 @@ where
         }
     }
 
-    /// Parses the request line, runs the installed route handler, and
+    /// Parses the request line, runs the installed routes, and
     /// stages the HTTP/1.0 response.
     fn telemetry_respond(&mut self, tok: u64) {
         let (method, path) = {
@@ -1687,9 +1874,9 @@ where
         let response = if method != "GET" {
             http_response(405, "Method Not Allowed", "text/plain", "only GET\n")
         } else {
-            let served = {
-                let t = self.shared.telemetry.lock().expect("telemetry lock");
-                t.handler.as_ref().and_then(|h| h(&path))
+            let served = match &self.telemetry {
+                Some((_, routes)) => routes(&path, &self.node, &self.net_telemetry()),
+                None => None,
             };
             match served {
                 Some((content_type, body)) => http_response(200, "OK", &content_type, &body),

@@ -17,9 +17,12 @@
 //! up, new frames for it are dropped and counted rather than buffered
 //! without bound — BFT retransmission timers provide recovery, the same
 //! assumption the paper makes about unreliable channels), and the
-//! protocol timer wheel folded into the `epoll_wait` timeout. This
-//! module holds only what other threads share with it: counters, the
-//! verify mailbox, the telemetry hand-over and the stop flag.
+//! protocol timer wheel folded into the `epoll_wait` timeout. The
+//! reactor owns the hosted node and every other piece of state only it
+//! writes; [`NodeRuntime`]'s accessors reach them through its command
+//! mailbox. This module holds only what other threads share with it:
+//! the routing table, atomic counters, the verify inbox and the
+//! eventfd.
 //!
 //! The previous runtime spawned two OS threads per peer connection plus
 //! a timer thread — at the paper's scale (428 nodes, 500 k clients)
@@ -30,7 +33,7 @@
 //! epoch (`Clock`), so all nodes of one process observe one timebase,
 //! mirroring `Instant::ZERO` at simulation start.
 
-use crate::codec::{Envelope, FrameAuth};
+use crate::codec::{decode_raw_frame, Envelope, Frame, FrameAuth, RawFrame};
 use crate::pool::WorkerPool;
 use crate::reactor::{EventFd, ReactorThread};
 use ringbft_types::sansio::ProtocolNode;
@@ -38,8 +41,8 @@ use ringbft_types::{Instant, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Marker for messages the runtime can carry: encodable, decodable, and
 /// movable across the runtime's threads.
@@ -197,71 +200,6 @@ pub struct NetCounters {
     pub encodes_saved: AtomicU64,
 }
 
-/// A bounded free-list of reusable byte buffers shared by a runtime's
-/// reactor and its verify workers: frame-reassembly scratch on the
-/// verify-offload read path and per-connection egress staging buffers
-/// both cycle through here instead of allocating per frame / per
-/// connection.
-pub(crate) struct BufPool {
-    free: Mutex<Vec<Vec<u8>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl BufPool {
-    /// Buffers retained at most; excess returns simply drop.
-    const MAX_POOLED: usize = 64;
-    /// Fresh-buffer capacity on a pool miss (one comfortable frame).
-    const MIN_CAPACITY: usize = 4 * 1024;
-    /// Buffers that ballooned past this are dropped rather than
-    /// retained, so one huge body cannot pin memory forever.
-    const MAX_RETAINED_CAPACITY: usize = 1024 * 1024;
-
-    fn new() -> BufPool {
-        BufPool {
-            free: Mutex::new(Vec::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// An empty buffer, reused when the free list has one.
-    pub(crate) fn take(&self) -> Vec<u8> {
-        let pooled = self.free.lock().expect("buf pool").pop();
-        match pooled {
-            Some(buf) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                buf
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                Vec::with_capacity(Self::MIN_CAPACITY)
-            }
-        }
-    }
-
-    /// Returns a buffer to the free list (cleared; oversized or
-    /// capacity-less buffers are dropped).
-    pub(crate) fn put(&self, mut buf: Vec<u8>) {
-        if buf.capacity() == 0 || buf.capacity() > Self::MAX_RETAINED_CAPACITY {
-            return;
-        }
-        buf.clear();
-        let mut free = self.free.lock().expect("buf pool");
-        if free.len() < Self::MAX_POOLED {
-            free.push(buf);
-        }
-    }
-
-    fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-}
-
 /// A point-in-time copy of [`NetCounters`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStatsSnapshot {
@@ -289,67 +227,35 @@ pub struct NetStatsSnapshot {
     pub encodes_saved: u64,
 }
 
-/// Reactor-level instruments, read by metrics snapshots on any thread.
-///
-/// Counters that are touched on every frame stay lock-free atomics; the
-/// epoll-wait histogram and the connection trace sit behind mutexes but
-/// are only taken once per poll return / per lifecycle event.
-pub(crate) struct NetObs {
-    /// Nanoseconds spent inside each `epoll_wait` call.
-    pub(crate) epoll_wait: Mutex<ringbft_obs::Histogram>,
-    /// High-water mark of any single peer queue's buffered bytes.
-    pub(crate) queue_hwm_bytes: AtomicU64,
-    /// Frames rejected because a peer queue sat at its watermark.
-    pub(crate) backpressure_hits: AtomicU64,
-    /// Socket reads that ended with a partial frame still buffered in
-    /// the reassembler (a frame split across reads — normal under load,
-    /// but a sustained climb means undersized reads or a trickling
-    /// peer).
-    pub(crate) reassembly_stalls: AtomicU64,
-    /// Connection-lifecycle trace (reconnect attempts), timestamped on
-    /// the runtime clock.
-    pub(crate) trace: Mutex<ringbft_obs::TraceRing>,
-}
+/// A telemetry route table: maps a request path (`"/metrics"`,
+/// `"/trace"`) to `(content_type, body)`, or `None` for a 404. The
+/// reactor calls it while it serves a scrape, with the hosted node and
+/// the runtime's transport instruments.
+pub type TelemetryRoutes<N> =
+    fn(path: &str, node: &N, net: &NetTelemetry) -> Option<(String, String)>;
 
-/// Retained connection-lifecycle events per runtime.
-const NET_TRACE_CAPACITY: usize = 256;
-
-impl Default for NetObs {
-    fn default() -> NetObs {
-        NetObs {
-            epoll_wait: Mutex::new(ringbft_obs::Histogram::new()),
-            queue_hwm_bytes: AtomicU64::new(0),
-            backpressure_hits: AtomicU64::new(0),
-            reassembly_stalls: AtomicU64::new(0),
-            trace: Mutex::new(ringbft_obs::TraceRing::new(NET_TRACE_CAPACITY)),
-        }
-    }
-}
-
-/// A telemetry route handler: maps a request path (`"/metrics"`,
-/// `"/trace"`) to `(content_type, body)`, or `None` for a 404.
-///
-/// Called from the reactor thread while it serves a scrape request, so it
-/// must not block for long; locking the hosted node briefly (via
-/// [`TelemetryHandle::with_node`]) is fine — the reactor never invokes
-/// it while holding the node lock.
-pub type TelemetryHandler = Box<dyn Fn(&str) -> Option<(String, String)> + Send>;
-
-/// Telemetry endpoint state: a listener waiting for the reactor to adopt
-/// it into its epoll set, and the installed route handler.
-pub(crate) struct TelemetryState {
-    pub(crate) pending_listener: Option<TcpListener>,
-    pub(crate) handler: Option<TelemetryHandler>,
+/// One runtime's transport instruments, rendered.
+#[derive(Debug, Clone)]
+pub struct NetTelemetry {
+    /// The node id the runtime hosts.
+    pub id: NodeId,
+    /// [`NodeRuntime::metrics_json`].
+    pub metrics_json: String,
+    /// The connection-lifecycle event trace (reconnect attempts) as
+    /// JSON lines.
+    pub trace_jsonl: String,
 }
 
 /// A frame that went through the off-thread verify stage.
-pub(crate) enum VerifiedFrame<M> {
-    /// Authenticated and decoded: deliver it to the hosted node.
-    Ok { env: Envelope<M> },
-    /// The MAC or decode failed: the connection is unrecoverable and
-    /// the reactor must drop it (stale tokens are tolerated —
-    /// the connection may already be gone by the time this lands).
-    Corrupt { token: u64 },
+pub(crate) struct VerifiedFrame<M> {
+    /// The connection it arrived on.
+    pub(crate) token: u64,
+    /// The authenticated envelope, or `None` when the MAC or decode
+    /// failed: the connection is unrecoverable and the reactor drops it
+    /// (it may already be gone by the time this lands).
+    pub(crate) env: Option<Envelope<M>>,
+    /// The frame's body buffer, back for the reactor's pool.
+    pub(crate) body: Vec<u8>,
 }
 
 /// The inbound verify/hash pipeline stage (`pipeline_workers > 0`).
@@ -357,7 +263,7 @@ pub(crate) enum VerifiedFrame<M> {
 /// The reactor extracts header-validated [`RawFrame`]s and pins them
 /// to a worker by connection token (per-connection FIFO order); the
 /// worker runs the HMAC check and body decode, deposits the verdict in
-/// the mailbox, and wakes the reactor's eventfd — the same wake path
+/// the inbox, and wakes the reactor's eventfd — the same wake path
 /// every other cross-thread event uses. The hosted node
 /// itself never sees a frame that has not been authenticated, exactly
 /// as on the inline path.
@@ -389,36 +295,14 @@ pub(crate) struct Shared<M> {
     /// Port our own listener accepts on (advertised in Hello frames).
     pub(crate) listen_port: u16,
     pub(crate) counters: NetCounters,
-    pub(crate) obs: NetObs,
-    pub(crate) stop: AtomicBool,
-    /// The reactor's eventfd (verified frames, a telemetry listener to
-    /// adopt, shutdown poison).
+    /// The reactor's eventfd (verify verdicts, mailbox commands,
+    /// shutdown).
     pub(crate) wakeup: EventFd,
     /// Batches and transactions the hosted node reported `Executed`.
     pub(crate) executed_batches: AtomicU64,
     pub(crate) executed_txns: AtomicU64,
-    pub(crate) view_log: Mutex<Vec<(Instant, u64)>>,
-    /// Content-aware inbound fault injection: a frame for which the
-    /// filter returns true is counted and discarded before delivery —
-    /// the TCP twin of the simulator's `World::set_drop_filter`, used by
-    /// fault-scenario tests to suppress targeted traffic (e.g. every
-    /// Commit for one sequence) on a real-socket cluster.
-    /// `inbound_filter_armed` is the hot-path guard: production runs
-    /// never install a filter, and readers must not pay a shared mutex
-    /// per frame for a test-only feature.
-    #[allow(clippy::type_complexity)]
-    pub(crate) inbound_filter: Mutex<Option<Box<dyn Fn(NodeId, &M) -> bool + Send>>>,
-    pub(crate) inbound_filter_armed: AtomicBool,
-    /// Live-scrape endpoint ([`NodeRuntime::serve_telemetry`]): the
-    /// HTTP/1.0 listener the reactor serves, plus its route handler.
-    /// `telemetry_armed` lets the reactor skip the mutex on every loop
-    /// iteration until an endpoint is installed.
-    pub(crate) telemetry: Mutex<TelemetryState>,
-    pub(crate) telemetry_armed: AtomicBool,
     /// The verify/hash offload stage, when `pipeline_workers > 0`.
     pub(crate) verify: Option<VerifyStage<M>>,
-    /// Reusable buffers for frame reassembly and egress staging.
-    pub(crate) bufs: BufPool,
 }
 
 impl<M> Shared<M> {
@@ -439,135 +323,34 @@ impl<M> Shared<M> {
             encodes_saved: c.encodes_saved.load(Ordering::Relaxed),
         }
     }
+}
 
-    /// Transport metrics as one stable JSON object (shared between the
-    /// exit snapshot and the live scrape endpoint, so both report the
-    /// exact same instruments).
-    pub(crate) fn metrics_json(&self) -> String {
-        let c = self.stats_snapshot();
-        let mut cw = ringbft_obs::json::ObjectWriter::new();
-        cw.field_u64("net.broadcasts", c.broadcasts)
-            .field_u64("net.bytes_sent", c.bytes_sent)
-            .field_u64("net.egress_pool_hits", self.bufs.hits())
-            .field_u64("net.egress_pool_misses", self.bufs.misses())
-            .field_u64("net.encodes_saved", c.encodes_saved)
-            .field_u64("net.messages_delivered", c.messages_delivered)
-            .field_u64("net.messages_dropped", c.messages_dropped)
-            .field_u64("net.messages_filtered", c.messages_filtered)
-            .field_u64("net.messages_sent", c.messages_sent)
-            .field_u64("net.messages_undeliverable", c.messages_undeliverable)
-            .field_u64("net.modeled_bytes_sent", c.modeled_bytes_sent)
-            .field_u64(
-                "net.backpressure_hits",
-                self.obs.backpressure_hits.load(Ordering::Relaxed),
-            )
-            .field_u64(
-                "net.reassembly_stalls",
-                self.obs.reassembly_stalls.load(Ordering::Relaxed),
-            )
-            .field_u64("net.reconnects", c.reconnects)
-            .field_u64("net.timers_fired", c.timers_fired);
-        let (v_off, v_inline, v_depth) = match &self.verify {
-            Some(v) => (
-                v.offloaded.load(Ordering::Relaxed),
-                v.inline.load(Ordering::Relaxed),
-                v.queue_depth.load(Ordering::Relaxed),
-            ),
-            None => (0, 0, 0),
+impl<M: NetMsg> Shared<M> {
+    /// A verify worker's task: MAC-checks and decodes `raw`, deposits
+    /// the verdict with the body buffer in the inbox, and wakes the
+    /// reactor.
+    pub(crate) fn verify_frame(&self, token: u64, raw: RawFrame) {
+        let env = match decode_raw_frame::<M>(&raw, &self.auth, self.id) {
+            Ok(Frame::Data(env)) => Some(env),
+            // Hellos are verified inline and never reach the pool.
+            Ok(Frame::Hello(_)) | Err(_) => None,
         };
-        let pool_stats = self.verify.as_ref().map(|v| v.pool.stats());
-        cw.field_u64("pipeline.verify_inline", v_inline)
-            .field_u64("pipeline.verify_offloaded", v_off)
-            .field_u64(
-                "pipeline.worker_busy_ns",
-                pool_stats.as_ref().map_or(0, |s| s.busy_ns),
-            )
-            .field_u64(
-                "pipeline.worker_idle_ns",
-                pool_stats.as_ref().map_or(0, |s| s.idle_ns),
-            )
-            .field_u64(
-                "pipeline.worker_tasks",
-                pool_stats.as_ref().map_or(0, |s| s.tasks),
-            );
-        let mut gw = ringbft_obs::json::ObjectWriter::new();
-        gw.field_u64(
-            "net.peer_queue_hwm_bytes",
-            self.obs.queue_hwm_bytes.load(Ordering::Relaxed),
-        )
-        .field_u64("pipeline.verify_queue_depth", v_depth)
-        .field_u64(
-            "pipeline.workers",
-            self.verify.as_ref().map_or(0, |v| v.pool.workers()) as u64,
-        );
-        let mut hw = ringbft_obs::json::ObjectWriter::new();
-        {
-            let h = self.obs.epoll_wait.lock().expect("epoll hist");
-            hw.field_raw("net.epoll_wait_ns", &ringbft_obs::histogram_json(&h));
-        }
-        let mut w = ringbft_obs::json::ObjectWriter::new();
-        w.field_raw("counters", &cw.finish())
-            .field_raw("gauges", &gw.finish())
-            .field_raw("histograms", &hw.finish());
-        w.finish()
-    }
-
-    /// The connection-lifecycle event trace as JSON lines.
-    pub(crate) fn trace_jsonl(&self) -> String {
-        self.obs.trace.lock().expect("net trace").dump_jsonl()
-    }
-}
-
-/// A weak handle for telemetry route handlers: grants a scrape request
-/// access to the transport instruments and the hosted node without
-/// keeping either alive — once the runtime shuts down, every accessor
-/// returns `None`, so an installed handler can never block the node
-/// from being handed back by [`NodeRuntime::shutdown`].
-pub struct TelemetryHandle<M, N> {
-    id: NodeId,
-    shared: Weak<Shared<M>>,
-    node: Weak<Mutex<N>>,
-}
-
-impl<M, N> Clone for TelemetryHandle<M, N> {
-    fn clone(&self) -> Self {
-        TelemetryHandle {
-            id: self.id,
-            shared: self.shared.clone(),
-            node: self.node.clone(),
-        }
-    }
-}
-
-impl<M, N> TelemetryHandle<M, N> {
-    /// The node id the runtime hosts.
-    pub fn id(&self) -> NodeId {
-        self.id
-    }
-
-    /// The transport metrics JSON ([`NodeRuntime::metrics_json`]), or
-    /// `None` after the runtime shut down.
-    pub fn net_metrics_json(&self) -> Option<String> {
-        Some(self.shared.upgrade()?.metrics_json())
-    }
-
-    /// The connection-lifecycle trace as JSON lines, or `None` after
-    /// the runtime shut down.
-    pub fn net_trace_jsonl(&self) -> Option<String> {
-        Some(self.shared.upgrade()?.trace_jsonl())
-    }
-
-    /// Runs `f` with exclusive access to the hosted node (pauses event
-    /// processing — keep it short), or `None` after shutdown.
-    pub fn with_node<R>(&self, f: impl FnOnce(&mut N) -> R) -> Option<R> {
-        let node = self.node.upgrade()?;
-        let mut n = node.lock().expect("node lock");
-        Some(f(&mut n))
+        let v = self.verify.as_ref().expect("verify stage");
+        v.inbox
+            .lock()
+            .expect("verify inbox")
+            .push_back(VerifiedFrame {
+                token,
+                env,
+                body: raw.body,
+            });
+        v.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        self.wakeup.wake();
     }
 }
 
 /// How long [`NodeRuntime::shutdown`] waits for the reactor thread to
-/// acknowledge the stop flag before declaring the shutdown unclean.
+/// hand back the node before declaring the shutdown unclean.
 /// The reactor never blocks (all I/O is nonblocking and every wait has
 /// a bounded timeout), so in practice it exits within one poll
 /// iteration; the bound guards against a wedged node state machine.
@@ -576,9 +359,8 @@ const SHUTDOWN_JOIN_TIMEOUT: std::time::Duration = std::time::Duration::from_sec
 /// Hosts one protocol node over TCP.
 pub struct NodeRuntime<M: NetMsg, N: ProtocolNode<M> + Send + 'static> {
     shared: Arc<Shared<M>>,
-    node: Arc<Mutex<N>>,
     local_addr: SocketAddr,
-    reactor: ReactorThread,
+    reactor: ReactorThread<M, N>,
 }
 
 impl<M, N> NodeRuntime<M, N>
@@ -639,27 +421,14 @@ where
             auth,
             listen_port: local_addr.port(),
             counters: NetCounters::default(),
-            obs: NetObs::default(),
-            stop: AtomicBool::new(false),
             wakeup: EventFd::new()?,
             executed_batches: AtomicU64::new(0),
             executed_txns: AtomicU64::new(0),
-            view_log: Mutex::new(Vec::new()),
-            inbound_filter: Mutex::new(None),
-            inbound_filter_armed: AtomicBool::new(false),
-            telemetry: Mutex::new(TelemetryState {
-                pending_listener: None,
-                handler: None,
-            }),
-            telemetry_armed: AtomicBool::new(false),
             verify,
-            bufs: BufPool::new(),
         });
-        let node = Arc::new(Mutex::new(node));
-        let reactor = ReactorThread::spawn(Arc::clone(&shared), Arc::clone(&node), listener)?;
+        let reactor = ReactorThread::spawn(Arc::clone(&shared), node, listener)?;
         Ok(NodeRuntime {
             shared,
-            node,
             local_addr,
             reactor,
         })
@@ -695,10 +464,19 @@ where
         }
     }
 
-    /// Runs `f` with exclusive access to the hosted node (pauses event
-    /// processing for the duration — keep it short).
+    /// Lends the hosted node to `f` on the calling thread: the reactor
+    /// hands the node over and pauses event processing until `f`
+    /// returns it, so keep `f` short. `f` must not call back into this
+    /// runtime (beyond `id`, `stats` and the `executed_*` counters),
+    /// because the reactor cannot answer while it waits for the node.
+    ///
+    /// # Panics
+    ///
+    /// If the reactor thread has exited: its node panicked, or an
+    /// earlier `f` panicked and never gave the node back. This and
+    /// every other accessor that asks the reactor panic alike.
     pub fn with_node<R>(&self, f: impl FnOnce(&mut N) -> R) -> R {
-        f(&mut self.node.lock().expect("node lock"))
+        self.reactor.with_node(f)
     }
 
     /// Installs (or replaces) a content-aware inbound drop rule: every
@@ -706,20 +484,16 @@ where
     /// counted in `messages_filtered` and never delivered to the node.
     /// Pass-through for Hello frames (routing must keep working).
     /// Intended for fault-scenario tests; `clear_inbound_filter`
-    /// restores normal delivery.
+    /// restores normal delivery. The rule is in force when this
+    /// returns.
     pub fn set_inbound_filter(&self, filter: impl Fn(NodeId, &M) -> bool + Send + 'static) {
-        *self.shared.inbound_filter.lock().expect("filter lock") = Some(Box::new(filter));
-        self.shared
-            .inbound_filter_armed
-            .store(true, Ordering::Release);
+        self.reactor.set_inbound_filter(Some(Box::new(filter)));
     }
 
-    /// Removes an installed inbound drop rule.
+    /// Removes an installed inbound drop rule; normal delivery is back
+    /// when this returns.
     pub fn clear_inbound_filter(&self) {
-        self.shared
-            .inbound_filter_armed
-            .store(false, Ordering::Release);
-        *self.shared.inbound_filter.lock().expect("filter lock") = None;
+        self.reactor.set_inbound_filter(None);
     }
 
     /// Snapshot of the transport counters.
@@ -732,45 +506,29 @@ where
     /// histogram, peer-queue high-water mark, backpressure hits,
     /// frame-reassembly stalls).
     pub fn metrics_json(&self) -> String {
-        self.shared.metrics_json()
+        self.reactor.metrics_json()
     }
 
-    /// The connection-lifecycle event trace as JSON lines.
-    pub fn trace_jsonl(&self) -> String {
-        self.shared.trace_jsonl()
-    }
-
-    /// A weak telemetry handle for building scrape-route handlers; see
-    /// [`TelemetryHandle`].
-    pub fn telemetry_handle(&self) -> TelemetryHandle<M, N> {
-        TelemetryHandle {
-            id: self.shared.id,
-            shared: Arc::downgrade(&self.shared),
-            node: Arc::downgrade(&self.node),
-        }
+    /// [`NodeRuntime::metrics_json`] and the connection-lifecycle event
+    /// trace, as telemetry routes receive them.
+    pub fn net_telemetry(&self) -> NetTelemetry {
+        self.reactor.net_telemetry()
     }
 
     /// Starts serving a minimal HTTP/1.0 scrape endpoint on `listener`,
-    /// directly off the reactor's epoll loop (no extra thread).
-    /// `handler` maps a request path to `(content_type, body)`; unknown
+    /// directly off the reactor's epoll loop (no extra thread). The
+    /// reactor answers each GET with `routes`, called with the path,
+    /// the hosted node and [`NodeRuntime::net_telemetry`]; unknown
     /// paths get a 404, non-GET requests a 405. Returns the bound
-    /// address. Build the handler from [`NodeRuntime::telemetry_handle`]
-    /// so it does not keep the runtime alive.
+    /// address once the reactor listens on it.
     pub fn serve_telemetry(
         &self,
         listener: TcpListener,
-        handler: impl Fn(&str) -> Option<(String, String)> + Send + 'static,
+        routes: TelemetryRoutes<N>,
     ) -> std::io::Result<SocketAddr> {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        {
-            let mut t = self.shared.telemetry.lock().expect("telemetry lock");
-            t.pending_listener = Some(listener);
-            t.handler = Some(Box::new(handler));
-        }
-        self.shared.telemetry_armed.store(true, Ordering::Release);
-        // The reactor adopts the listener on its next loop iteration.
-        self.shared.wakeup.wake();
+        self.reactor.serve_telemetry(listener, routes)?;
         Ok(addr)
     }
 
@@ -786,29 +544,19 @@ where
 
     /// Copy of the view-change log.
     pub fn view_log(&self) -> Vec<(Instant, u64)> {
-        self.shared.view_log.lock().expect("view log").clone()
+        self.reactor.view_log()
     }
 
-    /// Stops the reactor thread and tears the node down, returning it.
+    /// Stops the reactor thread and returns the node it hands back.
     ///
-    /// Fast path: the stop flag is set and the reactor's eventfd is
-    /// poisoned, so it observes the flag on its very next poll return
-    /// instead of waiting out a timeout. The join is bounded (5 s): a
-    /// reactor that fails to acknowledge in time (a wedged node state
-    /// machine — reactor I/O itself never blocks) is abandoned and
-    /// `None` is returned rather than hanging the caller, the failure
-    /// mode the old runtime had when a writer thread wedged mid-`write`.
-    pub fn shutdown(self) -> Option<N>
-    where
-        N: Send,
-    {
-        if !self.reactor.stop(&self.shared, SHUTDOWN_JOIN_TIMEOUT) {
-            // The abandoned reactor still holds the node.
-            return None;
-        }
-        match Arc::try_unwrap(self.node) {
-            Ok(m) => m.into_inner().ok(),
-            Err(_) => None,
-        }
+    /// The mailbox is closed and the reactor's eventfd poked, so it
+    /// exits on its very next poll return instead of waiting out a
+    /// timeout. The wait is bounded (5 s): a reactor that fails to
+    /// acknowledge in time (a wedged node state machine — reactor I/O
+    /// itself never blocks) is abandoned and `None` is returned rather
+    /// than hanging the caller. `None` also means a `with_node`
+    /// borrower panicked and the node was lost.
+    pub fn shutdown(self) -> Option<N> {
+        self.reactor.stop(SHUTDOWN_JOIN_TIMEOUT)
     }
 }

@@ -1,62 +1,61 @@
 //! Standard telemetry scrape routes for hosted nodes.
 //!
-//! [`NodeRuntime::serve_telemetry`](crate::runtime::NodeRuntime::serve_telemetry)
-//! accepts any route handler; this module provides the canonical one
-//! for [`AnyNode`] runtimes, so `ringbft-node`, [`LocalCluster`]-based
-//! tests, and scripts all scrape the same shape:
+//! [`NodeRuntime::serve_telemetry`] accepts any [`TelemetryRoutes`];
+//! [`standard_routes`] is the canonical one for [`AnyNode`] runtimes, so
+//! `ringbft-node`, [`LocalCluster`]-based tests, and scripts all scrape
+//! the same shape:
 //!
 //! * `GET /metrics` — one JSON object `{"id", "metrics", "net"}`: the
 //!   hosted node's registry + phase-histogram snapshot and the
-//!   transport instruments. `metrics` and `net` are produced by the
-//!   exact same functions the exit snapshot (`--metrics-path`) uses,
+//!   transport instruments ([`metrics_fields`]). The exit snapshot
+//!   (`ringbft-node --metrics-path`) writes the same fields per node,
 //!   so a live scrape and the final snapshot can be compared counter
 //!   for counter.
 //! * `GET /trace` — the node's replica trace ring followed by the
-//!   transport's connection-lifecycle ring, as JSON lines. Span events
-//!   in this dump feed `ringbft_obs::SpanCollector::ingest_dump`
+//!   transport's connection-lifecycle ring, as JSON lines
+//!   ([`trace_body`], also `ringbft-node --trace-dump-path`). Span
+//!   events in this dump feed `ringbft_obs::SpanCollector::ingest_dump`
 //!   directly.
 //!
+//! [`NodeRuntime::serve_telemetry`]: crate::runtime::NodeRuntime::serve_telemetry
+//! [`TelemetryRoutes`]: crate::runtime::TelemetryRoutes
 //! [`LocalCluster`]: crate::cluster::LocalCluster
 
-use crate::runtime::TelemetryHandle;
-use ringbft_sim::{AnyMsg, AnyNode};
+use crate::runtime::NetTelemetry;
+use ringbft_obs::json::ObjectWriter;
+use ringbft_sim::AnyNode;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
-/// Builds the `/metrics` body for one runtime: the same composition the
-/// exit snapshot writes per node.
-pub fn metrics_body(handle: &TelemetryHandle<AnyMsg, AnyNode>) -> String {
-    let mut w = ringbft_obs::json::ObjectWriter::new();
-    w.field_str("id", &handle.id().to_string());
-    match handle.with_node(|n| n.metrics_json()).flatten() {
-        Some(m) => w.field_raw("metrics", &m),
-        None => w.field_raw("metrics", "null"),
-    };
-    w.field_raw(
-        "net",
-        &handle.net_metrics_json().unwrap_or_else(|| "null".into()),
-    );
+/// Writes one runtime's `/metrics` fields into `w`: its `id`, the
+/// node's registry snapshot as `metrics` (`null` when the protocol is
+/// not instrumented) and the transport instruments as `net`.
+pub fn metrics_fields(w: &mut ObjectWriter, node: &AnyNode, net: &NetTelemetry) {
+    w.field_str("id", &net.id.to_string())
+        .field_raw("metrics", node.metrics_json().as_deref().unwrap_or("null"))
+        .field_raw("net", &net.metrics_json);
+}
+
+/// The `/metrics` body: [`metrics_fields`] as one JSON object.
+pub fn metrics_body(node: &AnyNode, net: &NetTelemetry) -> String {
+    let mut w = ObjectWriter::new();
+    metrics_fields(&mut w, node, net);
     w.finish()
 }
 
-/// Builds the `/trace` body for one runtime: the replica trace ring
-/// (span + protocol events) followed by the transport ring, JSONL.
-pub fn trace_body(handle: &TelemetryHandle<AnyMsg, AnyNode>) -> String {
-    let mut out = handle
-        .with_node(|n| n.trace_jsonl())
-        .flatten()
-        .unwrap_or_default();
-    out.push_str(&handle.net_trace_jsonl().unwrap_or_default());
+/// The `/trace` body: the replica trace ring (span + protocol events)
+/// followed by the transport ring, JSONL.
+pub fn trace_body(node: &AnyNode, net: &NetTelemetry) -> String {
+    let mut out = node.trace_jsonl().unwrap_or_default();
+    out.push_str(&net.trace_jsonl);
     out
 }
 
-/// The canonical route handler for an [`AnyNode`] runtime.
-pub fn standard_routes(
-    handle: TelemetryHandle<AnyMsg, AnyNode>,
-) -> impl Fn(&str) -> Option<(String, String)> + Send + 'static {
-    move |path| match path {
-        "/metrics" => Some(("application/json".into(), metrics_body(&handle))),
-        "/trace" => Some(("application/x-ndjson".into(), trace_body(&handle))),
+/// The canonical routes of an [`AnyNode`] runtime.
+pub fn standard_routes(path: &str, node: &AnyNode, net: &NetTelemetry) -> Option<(String, String)> {
+    match path {
+        "/metrics" => Some(("application/json".into(), metrics_body(node, net))),
+        "/trace" => Some(("application/x-ndjson".into(), trace_body(node, net))),
         _ => None,
     }
 }

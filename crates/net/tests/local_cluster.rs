@@ -9,10 +9,12 @@
 //! stack).
 
 use ringbft_core::RingMsg;
-use ringbft_net::runtime::NodeRuntime;
+use ringbft_net::codec::FrameAuth;
+use ringbft_net::runtime::{Clock, NodeRuntime, PeerTable};
+use ringbft_net::telemetry::{http_get, standard_routes};
 use ringbft_net::LocalCluster;
 use ringbft_pbft::PbftMsg;
-use ringbft_sim::AnyMsg;
+use ringbft_sim::{AnyMsg, AnyNode, SimClient};
 use ringbft_types::sansio::ProtocolNode;
 use ringbft_types::txn::{Digest, RemoteRead, Transaction};
 use ringbft_types::{
@@ -162,6 +164,39 @@ fn thread_names() -> Vec<String> {
         .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
         .map(|name| name.trim_end().to_string())
         .collect()
+}
+
+/// Polls `pred` until it holds or [`DEADLINE`] passes.
+fn eventually(mut pred: impl FnMut() -> bool) -> bool {
+    let deadline = std::time::Instant::now() + DEADLINE;
+    while !pred() {
+        if std::time::Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(25));
+    }
+    true
+}
+
+/// The value of counter `name` in a runtime's `metrics_json`.
+fn counter(metrics: &str, name: &str) -> u64 {
+    let key = format!("\"{name}\":");
+    let at = metrics
+        .find(&key)
+        .unwrap_or_else(|| panic!("{name} missing from {metrics}"))
+        + key.len();
+    metrics[at..]
+        .split(|c: char| !c.is_ascii_digit())
+        .next()
+        .and_then(|v| v.parse().ok())
+        .expect("counter value")
+}
+
+fn ring(node: &AnyNode) -> &ringbft_core::RingReplica {
+    match node {
+        AnyNode::Ring(r) => r,
+        _ => panic!("ring replica expected"),
+    }
 }
 
 /// Acceptance test: 2 shards × 4 replicas over loopback TCP commit a
@@ -627,6 +662,17 @@ fn pipelined_cluster_offloads_verification() {
             "{}: pipeline instruments missing from {metrics}",
             rt.id()
         );
+        // Each verdict hands its body buffer back to the reactor's
+        // pool, so misses are bounded by the buffers live at once, not
+        // by the frames verified. Before the pool became a reactor
+        // field this read 26-53 misses for 470-661 offloaded frames;
+        // losing the buffers would miss once per offloaded frame.
+        let misses = counter(&metrics, "net.egress_pool_misses");
+        assert!(
+            misses < 128,
+            "{}: {misses} pool misses over {offloaded} offloaded frames",
+            rt.id()
+        );
     }
 
     // Off-thread verification must not break replica agreement.
@@ -839,4 +885,120 @@ fn replica_durable_restart_replays_wal_over_tcp() {
         "clean shutdown did not close the log"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The runtime contract now that the reactor owns its node: while a
+/// workload runs, `with_node` lends the node to a closure that borrows
+/// a local, both scrape routes answer off the reactor, `view_log`
+/// answers, an inbound filter is in force from the moment
+/// `set_inbound_filter` returns until `clear_inbound_filter` returns,
+/// and `shutdown` hands the node back.
+#[test]
+fn reactor_owned_node_serves_every_accessor_under_load() {
+    let _runtimes = shared_runtimes();
+    let mut cfg = quick_cfg(1, 4);
+    cfg.clients = 8;
+    cfg.cross_shard_rate = 0.0;
+    cfg.involved_shards = 1;
+    let (peers, clock, auth) = (
+        PeerTable::new(),
+        Clock::start(),
+        FrameAuth::from_seed(cfg.auth_seed),
+    );
+    let deployment = ringbft_sim::nodes::deployment(&cfg);
+    let listeners: Vec<TcpListener> = deployment
+        .iter()
+        .map(|(r, _, _)| {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind replica");
+            peers.insert(NodeId::Replica(*r), listener.local_addr().expect("addr"));
+            listener
+        })
+        .collect();
+    let launch = |id: NodeId, node: AnyNode, listener: TcpListener| {
+        NodeRuntime::launch(
+            id,
+            node,
+            listener,
+            peers.clone(),
+            clock.clone(),
+            auth.clone(),
+        )
+        .expect("launch runtime")
+    };
+    let replicas: Vec<NodeRuntime<AnyMsg, AnyNode>> = deployment
+        .into_iter()
+        .zip(listeners)
+        .map(|((r, _, node), listener)| launch(NodeId::Replica(r), node, listener))
+        .collect();
+    let host = NodeId::Client(ClientId(3_000_000));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind host");
+    peers.insert(host, listener.local_addr().expect("addr"));
+    for c in 3_000_001..3_000_008 {
+        peers.add_alias(NodeId::Client(ClientId(c)), host);
+    }
+    let client = SimClient::new(cfg.clone(), 11, 3_000_000, 8);
+    let host = launch(host, AnyNode::Client(Box::new(client)), listener);
+    let completions = || {
+        host.with_node(|n| match n {
+            AnyNode::Client(c) => c.completions.len(),
+            _ => 0,
+        })
+    };
+    assert!(eventually(|| completions() >= 20), "workload stalled");
+
+    // A backup, so the shard keeps committing while it is filtered.
+    let backup = &replicas[2];
+    let mut executed = 0;
+    backup.with_node(|n| executed = ring(n).stats().executed_batches);
+    assert!(executed > 0, "the backup executed nothing");
+
+    let addr = backup
+        .serve_telemetry(
+            TcpListener::bind("127.0.0.1:0").expect("bind telemetry"),
+            standard_routes,
+        )
+        .expect("serve telemetry");
+    let (status, body) = http_get(addr, "/metrics").expect("scrape /metrics");
+    assert_eq!(status, 200, "/metrics: {body}");
+    assert!(body.contains("\"id\":\"S0r2\""), "wrong node: {body}");
+    let (status, body) = http_get(addr, "/trace").expect("scrape /trace");
+    assert_eq!(status, 200, "/trace: {body}");
+
+    let views = backup.view_log();
+    assert!(views.windows(2).all(|w| w[0].0 <= w[1].0), "{views:?}");
+
+    // From the return of `set_inbound_filter` on, nothing reaches the
+    // node, so it cannot execute however much traffic it drops...
+    backup.set_inbound_filter(|_, _| true);
+    let (filtered, batches) = (backup.stats().messages_filtered, backup.executed_batches());
+    assert!(
+        eventually(|| backup.stats().messages_filtered >= filtered + 50),
+        "the filter dropped nothing"
+    );
+    assert_eq!(
+        backup.executed_batches(),
+        batches,
+        "the node executed behind a drop-everything filter"
+    );
+    // ...and from the return of `clear_inbound_filter` on, nothing is
+    // filtered.
+    backup.clear_inbound_filter();
+    let (filtered, delivered) = (
+        backup.stats().messages_filtered,
+        backup.stats().messages_delivered,
+    );
+    assert!(
+        eventually(|| backup.stats().messages_delivered >= delivered + 50),
+        "delivery never resumed"
+    );
+    assert_eq!(backup.stats().messages_filtered, filtered);
+
+    backup.with_node(|n| executed = ring(n).stats().executed_batches);
+    assert!(host.shutdown().is_some(), "unclean workload host shutdown");
+    for (i, rt) in replicas.into_iter().enumerate() {
+        let node = rt.shutdown().expect("shutdown hands the node back");
+        if i == 2 {
+            assert!(ring(&node).stats().executed_batches >= executed);
+        }
+    }
 }
