@@ -2,25 +2,33 @@
 //! regression — used by `scripts/check_bench.sh` in CI.
 //!
 //! ```text
-//! bench_check BASELINE.json CANDIDATE.json [--tolerance 0.2] [--p99-tolerance 0.5]
+//! bench_check BASELINE.json CANDIDATE.json
 //! ```
 //!
 //! A regression is:
 //!
-//! * any protocol losing more than `tolerance` (default 20 %) of its
-//!   baseline `throughput_tps`,
-//! * any protocol's `p99_latency_s` growing more than `p99-tolerance`
-//!   (default 50 % — tail latency moves more than throughput) over its
-//!   baseline,
-//! * any scenario flag (`safety_ok` / `liveness_ok` — any boolean key
-//!   ending in `_ok`, wherever it appears) that was true in the
-//!   baseline turning false,
+//! * any protocol losing more than [`TOLERANCE`] of its baseline
+//!   `throughput_tps`,
+//! * any protocol's `p99_latency_s` growing more than
+//!   [`P99_TOLERANCE`] over its baseline,
+//! * any scenario flag (any boolean key ending in `_ok`, wherever it
+//!   appears) that was true in the baseline turning false,
 //! * a protocol or flag present in the baseline but missing from the
 //!   candidate.
+//!
+//! Both snapshots hold simulated time only, so the tolerances absorb
+//! model changes a PR makes on purpose, not host noise.
 //!
 //! Schema-version mismatches are an error in their own right: the files
 //! describe different workloads and must not be compared — regenerate
 //! and commit the baseline together with the schema bump.
+
+/// Allowed relative loss of a protocol's throughput.
+const TOLERANCE: f64 = 0.20;
+
+/// Allowed relative growth of a protocol's p99 latency; looser than
+/// [`TOLERANCE`] because tail latency moves more than throughput.
+const P99_TOLERANCE: f64 = 0.50;
 
 fn load(path: &str) -> serde_json::Value {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -65,43 +73,16 @@ fn lookup<'a>(value: &'a serde_json::Value, path: &str) -> Option<&'a serde_json
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut paths = Vec::new();
-    let mut tolerance = 0.20f64;
-    let mut p99_tolerance = 0.50f64;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--tolerance" => {
-                i += 1;
-                tolerance = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--tolerance needs a fraction (e.g. 0.2)");
-                    std::process::exit(2);
-                });
-            }
-            "--p99-tolerance" => {
-                i += 1;
-                p99_tolerance = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--p99-tolerance needs a fraction (e.g. 0.5)");
-                    std::process::exit(2);
-                });
-            }
-            "--help" | "-h" => {
-                println!(
-                    "bench_check BASELINE.json CANDIDATE.json [--tolerance 0.2] \
-                     [--p99-tolerance 0.5]"
-                );
-                return;
-            }
-            other if other.starts_with('-') => {
-                eprintln!("unknown flag `{other}`");
-                std::process::exit(2);
-            }
-            other => paths.push(other.to_string()),
-        }
-        i += 1;
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("bench_check BASELINE.json CANDIDATE.json");
+        return;
     }
-    let [baseline_path, candidate_path] = paths.as_slice() else {
-        eprintln!("bench_check BASELINE.json CANDIDATE.json [--tolerance 0.2]");
+    if let Some(flag) = args.iter().find(|a| a.starts_with('-')) {
+        eprintln!("unknown flag `{flag}`");
+        std::process::exit(2);
+    }
+    let [baseline_path, candidate_path] = args.as_slice() else {
+        eprintln!("bench_check BASELINE.json CANDIDATE.json");
         std::process::exit(2);
     };
     let baseline = load(baseline_path);
@@ -138,7 +119,7 @@ fn main() {
             .and_then(|t| t.as_f64());
         match cand_tps {
             None => failures.push(format!("protocol {name}: missing from candidate")),
-            Some(tps) if tps < base_tps * (1.0 - tolerance) => failures.push(format!(
+            Some(tps) if tps < base_tps * (1.0 - TOLERANCE) => failures.push(format!(
                 "protocol {name}: throughput {tps:.0} txn/s is {:.1}% below baseline {base_tps:.0}",
                 (1.0 - tps / base_tps) * 100.0
             )),
@@ -164,7 +145,7 @@ fn main() {
             None => failures.push(format!(
                 "protocol {name}: p99_latency_s missing from candidate"
             )),
-            Some(p99) if p99 > base_p99 * (1.0 + p99_tolerance) => failures.push(format!(
+            Some(p99) if p99 > base_p99 * (1.0 + P99_TOLERANCE) => failures.push(format!(
                 "protocol {name}: p99 latency {:.0} ms is {:.1}% above baseline {:.0} ms",
                 p99 * 1e3,
                 (p99 / base_p99 - 1.0) * 100.0,
@@ -197,7 +178,7 @@ fn main() {
     if failures.is_empty() {
         eprintln!(
             "bench_check: no regressions (tolerance {:.0}%)",
-            tolerance * 100.0
+            TOLERANCE * 100.0
         );
         return;
     }

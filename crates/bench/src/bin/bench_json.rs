@@ -6,11 +6,14 @@
 //! cargo run --release -p ringbft-bench --bin bench_json -- out.json --seed 9
 //! ```
 //!
-//! Runs a fixed quick-scale workload per protocol (deterministic in the
-//! seed) on the simulated WAN and records throughput and latency
-//! percentiles. Subsequent PRs diff this file to catch perf
-//! regressions; the workload must therefore stay byte-for-byte stable —
-//! change it only together with a new `schema_version`.
+//! Every number in the file is simulated: each section runs a fixed
+//! quick-scale workload on the discrete-event WAN, so two runs with one
+//! seed write byte-identical files. `scripts/check_bench.sh` diffs a
+//! fresh run against the committed snapshot with `bench_check`; the
+//! workload must therefore stay stable — change it only together with a
+//! new `schema_version`. The real runtime is timed by `benchmark/`, and
+//! its invariants (thread budget, serialize-once egress, verify offload,
+//! store convergence, clean shutdown) are asserted by `crates/net/tests`.
 
 use ringbft_sim::Scenario;
 use ringbft_types::{ProtocolKind, ReplicaId, ShardId, SystemConfig};
@@ -19,77 +22,30 @@ use std::io::Write as _;
 /// Bump when the benchmark workload or JSON layout changes, so trend
 /// tooling never compares across incompatible definitions.
 ///
-/// v2: per-message frame-authenticator CPU cost added to the simulator
-/// model, and a `recovery` section (replica blank-restart catch-up).
+/// The v12 layout, one object per scenario, each carrying boolean `*_ok`
+/// flags that `bench_check` keeps from turning false:
 ///
-/// v3: a `hole_fetch` section (targeted commit-certificate recovery)
-/// and explicit `safety_ok` / `liveness_ok` flags on the fault
-/// scenarios — `scripts/check_bench.sh` fails a PR that regresses
-/// throughput by > 20 % or loses any of these flags.
-///
-/// v4: a `state_transfer` section (delta checkpointing): a laggard one
-/// checkpoint window behind recovers via a verified delta chain, and
-/// the `delta_vs_full_ok` flag gates that the recovery moved less data
-/// than a full-snapshot transfer would have.
-///
-/// v5: a `net` section — a real loopback-TCP cluster under the epoll
-/// reactor runtime, recording `threads_per_node` (must stay ≤ 2 — the
-/// one reactor thread plus one of headroom — gated by
-/// `scripts/check_bench.sh`: the
-/// thread-per-connection runtime this replaced would blow straight
-/// through it), `peak_fds`, and `reconnects`.
-///
-/// v6: tail latency from mergeable log-bucketed histograms —
-/// `p99_latency_s` / `p999_latency_s` per protocol (gated by
-/// `scripts/check_bench.sh`) plus a `phases` object breaking RingBFT's
-/// client latency into per-phase consensus timers (admission,
-/// preprepare→commit, commit→execute, execute→reply, cst forward /
-/// execute) merged across every replica.
-///
-/// v7: a `tracing` section — cross-shard causal tracing at the default
-/// sample rate (1/64): sampled-cst timeline counts, mean ring hops, and
-/// the p99-bucket critical-path breakdown per `(hop, phase)` step, plus
-/// an overhead comparison against the identical workload with tracing
-/// disabled. `tracing_overhead_ok` gates that tracing at the default
-/// rate costs < 3 % throughput (deterministic simulated time, so the
-/// gate cannot flake on machine speed).
-///
-/// v8: a `pipeline` section — the multi-core protocol pipeline
-/// (crypto + execution off the consensus thread). `scaling_factor` is
-/// the modeled saturated throughput at `workers` pipeline workers over
-/// 1 worker (simulated CPU time, so the gate holds on any host — CI
-/// runners may have a single core); `verify_offload_ratio` and the
-/// per-node thread accounting come from a real loopback cluster with
-/// the worker pool enabled. `scaling_ok` gates the ≥ 1.8× knee plus the
-/// loopback run's safety/liveness, and the `net.threads_per_node` gate
-/// widens to `1 + pipeline_workers + 1` (reactor, pool, headroom).
-///
-/// v9: a `durability` section — the group-committed write-ahead ledger.
-/// A replica is killed mid-run (node state dropped, log truncated to
-/// the synced watermark — power-loss semantics) and restarted from its
-/// log: `restart_bytes_local` is what the replay restored without
-/// touching the network, `restart_bytes_transferred` the wire tail
-/// top-up, gated (`durable_restart_ok`, enforced by
-/// `scripts/check_bench.sh`) at < 25 % of the full-snapshot baseline a
-/// blank restart would have moved. `recovery_ms` tracks
-/// restart-to-first-execution latency across PRs.
-///
-/// v10: an `open_loop` section — a Poisson arrival process drives the
-/// sharded quick cluster at a swept offered rate (closed-loop clients
-/// self-throttle at capacity and hide the saturation knee), recording
-/// the latency-vs-offered-load curve and `knee_tps`, the highest
-/// offered rate still served at ≥ 90 % (`knee_ok` gated by
-/// `scripts/check_bench.sh`), plus a light-load adaptive-batching
-/// comparison. The `net` section gains the serialize-once fan-out
-/// counters (`broadcasts`, `encodes_saved`, `encodes_per_broadcast`,
-/// gated ≤ 1 via `serialize_once_ok`).
-///
-/// v11: every gate is a `*_ok` flag that `bench_check` enforces —
-/// `phases_ok` on the RingBFT entry (per-phase timers present and
-/// populated) and `threads_ok` in `net` and `pipeline`
-/// (`threads_per_node ≤ 1 + workers + 1`: one reactor, the verify
-/// pool, one thread of headroom).
-const SCHEMA_VERSION: u64 = 11;
+/// * `protocols`: throughput and latency percentiles of every protocol
+///   on the quick workload, and RingBFT's per-phase consensus timers
+///   (`phases_ok`);
+/// * `recovery`: a blank restart caught up by state transfer;
+/// * `hole_fetch`: one missed sequence repaired by a fetched commit
+///   certificate;
+/// * `state_transfer`: a laggard recovered by a verified delta chain
+///   that moved less than a full snapshot (`delta_vs_full_ok`);
+/// * `pipeline`: modeled saturated throughput at [`PIPELINE_WORKERS`]
+///   workers over one (`scaling_ok` at ≥ 1.8×);
+/// * `tracing`: causal-span timelines at 1/64 sampling and their
+///   throughput cost against tracing off;
+/// * `durability`: a kill -9 restart replayed from the write-ahead log,
+///   with the wire top-up under 25 % of a blank restart's transfer;
+/// * `open_loop`: the latency-vs-offered-load curve under Poisson
+///   arrivals, its knee (`knee_ok`), and adaptive batching at light
+///   load.
+const SCHEMA_VERSION: u64 = 12;
+
+/// Modeled pipeline workers of the `pipeline` scenario.
+const PIPELINE_WORKERS: usize = 4;
 
 fn quick_cfg(kind: ProtocolKind) -> SystemConfig {
     let (z, n) = if kind.is_sharded() { (3, 4) } else { (1, 4) };
@@ -106,7 +62,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out_path = "BENCH_ringbft.json".to_string();
     let mut seed = 42u64;
-    let mut pipeline_workers = 4usize;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -117,21 +72,8 @@ fn main() {
                     std::process::exit(2);
                 });
             }
-            "--pipeline-workers" => {
-                i += 1;
-                pipeline_workers = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--pipeline-workers needs an integer ≥ 1");
-                    std::process::exit(2);
-                });
-                if pipeline_workers == 0 {
-                    eprintln!("--pipeline-workers needs an integer ≥ 1");
-                    std::process::exit(2);
-                }
-            }
             "--help" | "-h" => {
-                println!(
-                    "bench_json [OUT_PATH] [--seed N] [--pipeline-workers N] — write BENCH_ringbft.json"
-                );
+                println!("bench_json [OUT_PATH] [--seed N] — write BENCH_ringbft.json");
                 return;
             }
             other if other.starts_with('-') => {
@@ -356,106 +298,13 @@ fn main() {
         })
     };
 
-    // Real-socket reactor scenario: a loopback 2×4 RingBFT cluster plus
-    // one workload host, all hosted by the epoll reactor runtime. What
-    // matters here is the runtime's *footprint*, not peak throughput:
-    // thread count per hosted node must stay fixed (the reactor
-    // contract; the old runtime spawned 2 threads per connection), and
-    // fds/reconnects are tracked across PRs.
-    eprintln!("bench net (loopback TCP reactor) ...");
-    let net = {
-        use ringbft_types::Duration;
-        let mut cfg = SystemConfig::uniform(ProtocolKind::RingBft, 2, 4);
-        cfg.num_keys = 4_000;
-        cfg.clients = 32;
-        cfg.batch_size = 4;
-        cfg.cross_shard_rate = 0.3;
-        cfg.timers.local = Duration::from_millis(800);
-        cfg.timers.remote = Duration::from_millis(1600);
-        cfg.timers.transmit = Duration::from_millis(2400);
-        cfg.timers.client = Duration::from_millis(3200);
-        let proc_count = |dir: &str| std::fs::read_dir(dir).map(|d| d.count()).unwrap_or(0);
-        let threads_before = proc_count("/proc/self/task");
-        let t0 = std::time::Instant::now();
-        let mut cluster = ringbft_net::LocalCluster::launch(cfg).expect("launch net cluster");
-        cluster
-            .spawn_workload_host(seed, 1_000_000, 32)
-            .expect("spawn workload host");
-        let hosted_nodes = 8 + 1; // replicas + the workload host
-        let threads_during = proc_count("/proc/self/task");
-        let mut peak_fds = 0usize;
-        while t0.elapsed() < std::time::Duration::from_secs(4) {
-            peak_fds = peak_fds.max(proc_count("/proc/self/fd"));
-            std::thread::sleep(std::time::Duration::from_millis(100));
-        }
-        let completed = cluster.total_completions();
-        let (reconnects, broadcasts, encodes_saved) =
-            cluster
-                .replica_runtimes()
-                .fold((0u64, 0u64, 0u64), |(r, b, e), rt| {
-                    let s = rt.stats();
-                    (r + s.reconnects, b + s.broadcasts, e + s.encodes_saved)
-                });
-        let clean = cluster.shutdown();
-        let threads_per_node =
-            (threads_during.saturating_sub(threads_before)) as f64 / hosted_nodes as f64;
-        // Serialize-once fan-out accounting: every `SendMany` with R
-        // remote destinations performs exactly one payload encode and
-        // records R − 1 saved re-encodes, so the broadcast frames minus
-        // the saved encodes over the broadcast count must come out at
-        // one body serialization per broadcast.
-        let encodes_per_broadcast = if broadcasts > 0 {
-            ((broadcasts + encodes_saved) - encodes_saved) as f64 / broadcasts as f64
-        } else {
-            f64::INFINITY
-        };
-        eprintln!(
-            "  {threads_per_node:.2} threads/node, \
-             peak {peak_fds} fds, {reconnects} reconnects, {completed} txns, \
-             {broadcasts} broadcasts saving {encodes_saved} encodes \
-             ({:.1}s wall)",
-            t0.elapsed().as_secs_f64()
-        );
-        serde_json::json!({
-            "pipeline_workers": 0u64,
-            "hosted_nodes": hosted_nodes as u64,
-            "threads_per_node": threads_per_node,
-            "peak_fds": peak_fds as u64,
-            "reconnects": reconnects,
-            "completed_txns": completed as u64,
-            "broadcasts": broadcasts,
-            "encodes_saved": encodes_saved,
-            "encodes_per_broadcast": encodes_per_broadcast,
-            // A fixed thread count per hosted node, independent of how
-            // many peers and clients connect: one reactor plus one of
-            // headroom (no pipeline workers here).
-            "threads_ok": threads_per_node <= 2.0,
-            // Broadcast fan-outs happened and each one skipped at least
-            // one per-destination re-serialization (mean fan-out ≥ 2 on
-            // this topology): losing this flag means egress fell back to
-            // encoding the payload once per peer.
-            "serialize_once_ok": broadcasts > 0
-                && encodes_saved >= broadcasts
-                && encodes_per_broadcast <= 1.0,
-            // The cluster made progress over real sockets and every
-            // reactor acknowledged the poisoned-eventfd shutdown within
-            // the bounded join timeout.
-            "liveness_ok": completed > 0 && clean,
-        })
-    };
-
     // Pipeline scenario: the multi-core protocol pipeline. The scaling
     // knee runs in *simulated* CPU time (the worker model schedules
-    // verify/exec offload costs across N modeled cores), so the
+    // verify/exec offload costs across the modeled cores), so the
     // measured factor is deterministic and independent of how many
-    // physical cores the bench host has. The offload ratio and thread
-    // accounting come from a real loopback cluster with the worker pool
-    // actually enabled.
-    eprintln!(
-        "bench pipeline (modeled core scaling + loopback offload, {pipeline_workers} workers) ..."
-    );
+    // physical cores the bench host has.
+    eprintln!("bench pipeline (modeled core scaling, {PIPELINE_WORKERS} workers) ...");
     let pipeline = {
-        use ringbft_types::Duration;
         let model_run = |w: usize| {
             // A saturating single-shard workload: enough closed-loop
             // clients that batches queue behind the consensus thread,
@@ -475,88 +324,24 @@ fn main() {
         };
         let t0 = std::time::Instant::now();
         let base = model_run(1);
-        let scaled = model_run(pipeline_workers);
+        let scaled = model_run(PIPELINE_WORKERS);
         let scaling_factor = scaled.throughput_tps / base.throughput_tps;
-
-        // Real sockets, real worker threads: a loopback shard with the
-        // verify stage on the worker pool.
-        let mut cfg = SystemConfig::uniform(ProtocolKind::RingBft, 1, 4);
-        cfg.num_keys = 4_000;
-        cfg.clients = 32;
-        cfg.batch_size = 4;
-        cfg.cross_shard_rate = 0.0;
-        cfg.involved_shards = 1;
-        cfg.pipeline_workers = pipeline_workers;
-        cfg.timers.local = Duration::from_millis(800);
-        cfg.timers.remote = Duration::from_millis(1600);
-        cfg.timers.transmit = Duration::from_millis(2400);
-        cfg.timers.client = Duration::from_millis(3200);
-        let proc_count = |dir: &str| std::fs::read_dir(dir).map(|d| d.count()).unwrap_or(0);
-        let threads_before = proc_count("/proc/self/task");
-        let t1 = std::time::Instant::now();
-        let mut cluster = ringbft_net::LocalCluster::launch(cfg).expect("launch pipeline cluster");
-        cluster
-            .spawn_workload_host(seed, 2_000_000, 32)
-            .expect("spawn workload host");
-        let hosted_nodes = 4 + 1; // replicas + the workload host
-        let threads_during = proc_count("/proc/self/task");
-        while t1.elapsed() < std::time::Duration::from_secs(4) {
-            std::thread::sleep(std::time::Duration::from_millis(100));
-        }
-        let completed = cluster.total_completions();
-        let (offloaded, inline): (u64, u64) = cluster
-            .replica_runtimes()
-            .map(|rt| rt.verify_stats())
-            .fold((0, 0), |(a, b), (o, i)| (a + o, b + i));
-        let verify_offload_ratio = if offloaded + inline > 0 {
-            offloaded as f64 / (offloaded + inline) as f64
-        } else {
-            0.0
-        };
-        // Replicas agree on the store despite off-thread verification.
-        let safety_ok = cluster.wait_until(std::time::Duration::from_secs(30), |c| {
-            let prints: Vec<u64> = (0..4u32)
-                .map(|i| {
-                    c.with_replica(ReplicaId::new(ShardId(0), i), |n| match n {
-                        ringbft_sim::AnyNode::Ring(r) => r.store().state_fingerprint(),
-                        _ => panic!("ring replica expected"),
-                    })
-                })
-                .collect();
-            prints.windows(2).all(|w| w[0] == w[1])
-        });
-        let clean = cluster.shutdown();
-        let threads_per_node =
-            (threads_during.saturating_sub(threads_before)) as f64 / hosted_nodes as f64;
-        let liveness_ok = completed > 0 && clean;
         eprintln!(
-            "  {scaling_factor:.2}x modeled at {pipeline_workers} workers \
-             ({:.0} → {:.0} tps), {verify_offload_ratio:.2} offload ratio, \
-             {threads_per_node:.2} threads/node, {completed} txns ({:.1}s wall)",
+            "  {scaling_factor:.2}x modeled at {PIPELINE_WORKERS} workers \
+             ({:.0} → {:.0} tps) ({:.1}s wall)",
             base.throughput_tps,
             scaled.throughput_tps,
             t0.elapsed().as_secs_f64()
         );
         serde_json::json!({
-            "workers": pipeline_workers as u64,
+            "workers": PIPELINE_WORKERS as u64,
             "scaling_factor": scaling_factor,
             "throughput_1w_tps": base.throughput_tps,
             "throughput_nw_tps": scaled.throughput_tps,
             "exec_jobs_modeled": scaled.pipeline.exec_jobs,
-            "verify_offload_ratio": verify_offload_ratio,
-            "verify_offloaded": offloaded,
-            "verify_inline": inline,
-            "completed_txns": completed as u64,
-            "threads_per_node": threads_per_node,
-            // The worker pool widens the per-node thread budget by
-            // exactly its own size.
-            "threads_ok": threads_per_node <= (pipeline_workers + 2) as f64,
-            "safety_ok": safety_ok,
-            "liveness_ok": liveness_ok,
-            // The tentpole gate: N workers buy at least 1.8x modeled
-            // saturated throughput over one worker, without costing
-            // agreement or progress on the real-socket cluster.
-            "scaling_ok": scaling_factor >= 1.8 && safety_ok && liveness_ok,
+            // The modeled knee: the workers buy at least 1.8x saturated
+            // throughput over one worker.
+            "scaling_ok": scaling_factor >= 1.8,
         })
     };
 
@@ -805,8 +590,7 @@ fn main() {
             "recovery": "RingBFT 3x4, S1r2 crash@3s + blank restart@4s, checkpoint interval 16",
             "hole_fetch": "RingBFT 3x4, S1r2 misses all quorum traffic for seq 10, checkpoint interval 512",
             "state_transfer": "RingBFT 2x4, S0r2 dark 2.0-3.2s (~1 checkpoint window), delta-chain catch-up, interval 256",
-            "net": "RingBFT 2x4 + 32-client host on loopback TCP (epoll reactor), 4s",
-            "pipeline": "RingBFT 1x4 saturated (3000 clients, batch 50, local topology) modeled at 1 vs N workers; loopback 1x4 + 32-client host with the worker pool enabled, 4s",
+            "pipeline": "RingBFT 1x4 saturated (3000 clients, batch 50, local topology) modeled at 1 vs 4 workers",
             "tracing": "RingBFT 3x4 sharded quick workload, trace_sample_rate 64 vs 0 (same seed)",
             "durability": "RingBFT 2x4, S1r2 kill -9@10s + durable WAL restart@10.5s, interval 256",
             "open_loop": "RingBFT 3x4 quick workload under Poisson arrivals, offered rate swept 5k-60k tps, 3s per point; adaptive-batching pair at 500 tps",
@@ -819,7 +603,6 @@ fn main() {
         "recovery": recovery,
         "hole_fetch": hole_fetch,
         "state_transfer": state_transfer,
-        "net": net,
         "pipeline": pipeline,
         "tracing": tracing,
         "durability": durability,

@@ -38,6 +38,7 @@
 use ringbft_types::{
     Duration, ProtocolKind, Region, ReplicaId, ShardConfig, ShardId, SystemConfig,
 };
+use serde_json::Value;
 use std::collections::HashMap;
 use std::net::SocketAddr;
 
@@ -144,6 +145,20 @@ fn check_keys(v: &serde_json::Value, known: &[&str], within: &str) -> Result<(),
     Ok(())
 }
 
+/// Reads an optional knob `v` (named `name` in errors) with `read`. A
+/// knob that is present but of the wrong type is an error naming the
+/// key and the expected type, as loud as an unknown key: the replica
+/// must not run on the paper default the file meant to override.
+fn typed<'a, T>(
+    v: Option<&'a Value>,
+    name: &str,
+    want: &str,
+    read: impl FnOnce(&'a Value) -> Option<T>,
+) -> Result<Option<T>, ConfigError> {
+    v.map(|v| read(v).ok_or_else(|| ConfigError(format!("bad `{name}` (want {want})"))))
+        .transpose()
+}
+
 /// Parses a cluster file's text.
 pub fn parse_cluster_config(text: &str) -> Result<ClusterConfig, ConfigError> {
     let doc = serde_json::from_str(text).map_err(|e| ConfigError(e.to_string()))?;
@@ -173,7 +188,13 @@ pub fn parse_cluster_config(text: &str) -> Result<ClusterConfig, ConfigError> {
         if n == 0 {
             return err(format!("shard {i}: `n` must be at least 1"));
         }
-        let region = match s.get("region").and_then(|v| v.as_str()) {
+        let region = typed(
+            s.get("region"),
+            &format!("shards[{i}].region"),
+            "a name",
+            Value::as_str,
+        )?;
+        let region = match region {
             Some(name) => region_by_name(name)
                 .ok_or_else(|| ConfigError(format!("shard {i}: unknown region `{name}`")))?,
             None => Region::for_shard(i),
@@ -192,51 +213,59 @@ pub fn parse_cluster_config(text: &str) -> Result<ClusterConfig, ConfigError> {
     system.shards = shards;
     system.involved_shards = z;
 
-    let u64_knob = |key: &str| doc.get(key).and_then(|v| v.as_u64());
-    if let Some(v) = u64_knob("batch_size") {
+    let u64_knob = |key: &str| typed(doc.get(key), key, "a non-negative integer", Value::as_u64);
+    if let Some(v) = u64_knob("batch_size")? {
         system.batch_size = v as usize;
     }
-    if let Some(v) = u64_knob("num_keys") {
+    if let Some(v) = u64_knob("num_keys")? {
         system.num_keys = v;
     }
-    if let Some(v) = u64_knob("clients") {
+    if let Some(v) = u64_knob("clients")? {
         system.clients = v as usize;
     }
-    if let Some(v) = u64_knob("involved_shards") {
+    if let Some(v) = u64_knob("involved_shards")? {
         system.involved_shards = v as usize;
     }
-    if let Some(v) = u64_knob("remote_reads") {
+    if let Some(v) = u64_knob("remote_reads")? {
         system.remote_reads = v as usize;
     }
-    if let Some(v) = u64_knob("ring_offset") {
+    if let Some(v) = u64_knob("ring_offset")? {
         system.ring_offset = u32::try_from(v)
             .map_err(|_| ConfigError(format!("`ring_offset` {v} is out of range")))?;
     }
-    if let Some(v) = u64_knob("checkpoint_interval") {
+    if let Some(v) = u64_knob("checkpoint_interval")? {
         system.checkpoint_interval = v;
     }
-    if let Some(v) = u64_knob("state_chunk_records") {
+    if let Some(v) = u64_knob("state_chunk_records")? {
         system.state_chunk_records = v as usize;
     }
-    if let Some(v) = u64_knob("full_snapshot_every") {
+    if let Some(v) = u64_knob("full_snapshot_every")? {
         system.full_snapshot_every = v;
     }
-    if let Some(v) = u64_knob("auth_seed") {
+    if let Some(v) = u64_knob("auth_seed")? {
         system.auth_seed = v;
     }
-    if let Some(v) = u64_knob("pipeline_workers") {
+    if let Some(v) = u64_knob("pipeline_workers")? {
         system.pipeline_workers = v as usize;
     }
-    if let Some(v) = u64_knob("trace_sample_rate") {
+    if let Some(v) = u64_knob("trace_sample_rate")? {
         system.trace_sample_rate = v;
     }
-    if let Some(v) = doc.get("cross_shard_rate").and_then(|v| v.as_f64()) {
+    if let Some(v) = typed(
+        doc.get("cross_shard_rate"),
+        "cross_shard_rate",
+        "a number",
+        Value::as_f64,
+    )? {
         system.cross_shard_rate = v;
     }
-    if let Some(v) = doc.get("adaptive_batching") {
-        system.adaptive_batching = v
-            .as_bool()
-            .ok_or_else(|| ConfigError("bad `adaptive_batching` (want true or false)".into()))?;
+    if let Some(v) = typed(
+        doc.get("adaptive_batching"),
+        "adaptive_batching",
+        "true or false",
+        Value::as_bool,
+    )? {
+        system.adaptive_batching = v;
     }
     if let Some(v) = doc.get("durability") {
         // The serde spelling of `Durability`: "none", "strict", or
@@ -259,15 +288,18 @@ pub fn parse_cluster_config(text: &str) -> Result<ClusterConfig, ConfigError> {
     if let Some(t) = doc.get("timers_ms") {
         check_keys(t, &["local", "remote", "transmit", "client"], "`timers_ms`")?;
         let timer = |key: &str, fallback: Duration| {
-            t.get(key)
-                .and_then(|v| v.as_u64())
-                .map(Duration::from_millis)
-                .unwrap_or(fallback)
+            let ms = typed(
+                t.get(key),
+                &format!("timers_ms.{key}"),
+                "integer milliseconds",
+                Value::as_u64,
+            )?;
+            Ok::<_, ConfigError>(ms.map_or(fallback, Duration::from_millis))
         };
-        system.timers.local = timer("local", system.timers.local);
-        system.timers.remote = timer("remote", system.timers.remote);
-        system.timers.transmit = timer("transmit", system.timers.transmit);
-        system.timers.client = timer("client", system.timers.client);
+        system.timers.local = timer("local", system.timers.local)?;
+        system.timers.remote = timer("remote", system.timers.remote)?;
+        system.timers.transmit = timer("transmit", system.timers.transmit)?;
+        system.timers.client = timer("client", system.timers.client)?;
     }
     system
         .validate()
@@ -516,7 +548,8 @@ mod tests {
         .is_err());
         // Numbers that must not panic or be silently accepted: a
         // zero-replica shard (first or later), an offset beyond u32,
-        // and unknown keys inside nested objects.
+        // unknown keys inside nested objects, and knobs of the wrong
+        // type (which would otherwise leave the paper default in place).
         for bad in [
             r#""shards": [{ "n": 4 }, { "n": 0 }]"#,
             r#""shards": [{ "n": 0 }]"#,
@@ -524,10 +557,26 @@ mod tests {
             r#""shards": [{ "n": 4 }], "timers_ms": { "locl": 100 }"#,
             r#""shards": [{ "n": 4, "regoin": "Iowa" }]"#,
             r#""shards": [{ "n": 4 }], "durability": { "batched": 50, "x": 1 }"#,
+            r#""shards": [{ "n": 4 }], "batch_size": "500""#,
+            r#""shards": [{ "n": 4 }], "batch_size": -1"#,
+            r#""shards": [{ "n": 4 }], "checkpoint_interval": 1.5"#,
+            r#""shards": [{ "n": 4 }], "cross_shard_rate": "0.3""#,
+            r#""shards": [{ "n": 4 }], "timers_ms": { "local": "100" }"#,
+            r#""shards": [{ "n": 4 }], "pipeline_workers": true"#,
+            r#""shards": [{ "n": 4, "region": 2 }]"#,
         ] {
             let text = format!(r#"{{ "protocol": "RingBft", {bad}, "peers": {{}} }}"#);
             assert!(parse_cluster_config(&text).is_err(), "{bad}");
         }
+        let err = parse_cluster_config(
+            r#"{ "protocol": "RingBft", "shards": [{ "n": 4 }],
+                 "timers_ms": { "local": "100" }, "peers": {} }"#,
+        )
+        .unwrap_err();
+        assert!(
+            err.0.contains("`timers_ms.local`") && err.0.contains("integer"),
+            "{err}"
+        );
     }
 
     #[test]

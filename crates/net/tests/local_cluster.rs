@@ -601,95 +601,109 @@ fn commit_hole_repaired_via_certificate_fetch_over_tcp() {
 }
 
 /// Acceptance test (pipeline): a cluster launched with
-/// `pipeline_workers = 2` completes a closed-loop workload with frame
-/// verification running on the worker pool, and replicas of the shard
-/// still converge to identical stores (the offload must not reorder
-/// anything).
+/// `pipeline_workers` ∈ {1, 2, 4} completes a closed-loop workload with
+/// frame verification running on the worker pool, and replicas of the
+/// shard still converge to identical stores (the offload must not
+/// reorder anything).
 #[test]
 fn pipelined_cluster_offloads_verification() {
     let _alone = RUNTIMES.write().unwrap_or_else(|e| e.into_inner());
-    let mut cfg = quick_cfg(1, 4);
-    cfg.clients = 16;
-    cfg.cross_shard_rate = 0.0;
-    cfg.involved_shards = 1;
-    cfg.batch_size = 2;
-    cfg.pipeline_workers = 2;
-    let mut cluster = LocalCluster::launch(cfg).expect("launch cluster");
+    for workers in [1, 2, 4] {
+        let mut cfg = quick_cfg(1, 4);
+        cfg.clients = 16;
+        cfg.cross_shard_rate = 0.0;
+        cfg.involved_shards = 1;
+        cfg.batch_size = 2;
+        cfg.pipeline_workers = workers;
+        let mut cluster = LocalCluster::launch(cfg).expect("launch cluster");
 
-    for rt in cluster.replica_runtimes() {
-        assert_eq!(rt.pipeline_workers(), 2);
-    }
+        for rt in cluster.replica_runtimes() {
+            assert_eq!(rt.pipeline_workers(), workers);
+        }
 
-    cluster
-        .spawn_workload_host(7, 2_000_000, 16)
-        .expect("spawn workload");
-    let target = 60usize;
-    let ok = cluster.wait_until(DEADLINE, |c| c.total_completions() >= target);
-    let total = cluster.total_completions();
-    assert!(
-        ok,
-        "pipelined workload stalled: {total}/{target} completions before the deadline"
-    );
-
-    // Each runtime runs exactly one reactor thread, named as
-    // `benchmark/` expects, plus its verify pool; checked after the
-    // workload so every thread has started and named itself.
-    let names = thread_names();
-    for rt in cluster.replica_runtimes() {
-        let id = rt.id();
-        let mut own: Vec<String> = names
-            .iter()
-            .filter(|name| name.starts_with(&format!("{id}-")))
-            .cloned()
-            .collect();
-        own.sort();
-        let mut expected: Vec<String> = (0..rt.pipeline_workers())
-            .map(|w| format!("{id}-pipe-w{w}"))
-            .collect();
-        expected.push(format!("{id}-reactor0"));
-        assert_eq!(own, expected, "{id}: threads of one runtime");
-    }
-
-    // Data frames actually took the offload path, and the transport
-    // metrics expose the pipeline instruments.
-    for rt in cluster.replica_runtimes() {
-        let (offloaded, _inline) = rt.verify_stats();
-        assert!(offloaded > 0, "{}: no frames were offloaded", rt.id());
-        let metrics = rt.metrics_json();
+        cluster
+            .spawn_workload_host(7, 2_000_000, 16)
+            .expect("spawn workload");
+        let target = 60usize;
+        let ok = cluster.wait_until(DEADLINE, |c| c.total_completions() >= target);
+        let total = cluster.total_completions();
         assert!(
-            metrics.contains("\"pipeline.verify_offloaded\"")
-                && metrics.contains("\"pipeline.workers\":2"),
-            "{}: pipeline instruments missing from {metrics}",
-            rt.id()
+            ok,
+            "{workers} workers: pipelined workload stalled: \
+             {total}/{target} completions before the deadline"
         );
-        // Each verdict hands its body buffer back to the reactor's
-        // pool, so misses are bounded by the buffers live at once, not
-        // by the frames verified. Before the pool became a reactor
-        // field this read 26-53 misses for 470-661 offloaded frames;
-        // losing the buffers would miss once per offloaded frame.
-        let misses = counter(&metrics, "net.egress_pool_misses");
-        assert!(
-            misses < 128,
-            "{}: {misses} pool misses over {offloaded} offloaded frames",
-            rt.id()
-        );
-    }
 
-    // Off-thread verification must not break replica agreement.
-    let converged = cluster.wait_until(DEADLINE, |c| {
-        let prints: Vec<u64> = (0..4u32)
-            .map(|i| {
-                c.with_replica(ReplicaId::new(ShardId(0), i), |n| match n {
-                    ringbft_sim::AnyNode::Ring(r) => r.store().state_fingerprint(),
-                    _ => panic!("ring replica expected"),
+        // Each runtime runs exactly one reactor thread, named as
+        // `benchmark/` expects, plus its verify pool; checked after the
+        // workload so every thread has started and named itself.
+        let names = thread_names();
+        for rt in cluster.replica_runtimes() {
+            let id = rt.id();
+            let mut own: Vec<String> = names
+                .iter()
+                .filter(|name| name.starts_with(&format!("{id}-")))
+                .cloned()
+                .collect();
+            own.sort();
+            let mut expected: Vec<String> =
+                (0..workers).map(|w| format!("{id}-pipe-w{w}")).collect();
+            expected.push(format!("{id}-reactor0"));
+            assert_eq!(own, expected, "{id}: threads of one runtime");
+        }
+
+        // Data frames actually took the offload path, and the transport
+        // metrics expose the pipeline instruments.
+        for rt in cluster.replica_runtimes() {
+            let (offloaded, _inline) = rt.verify_stats();
+            assert!(
+                offloaded > 0,
+                "{}: no frames were offloaded at {workers} workers",
+                rt.id()
+            );
+            let metrics = rt.metrics_json();
+            assert!(
+                metrics.contains("\"pipeline.verify_offloaded\"")
+                    && metrics.contains(&format!("\"pipeline.workers\":{workers}")),
+                "{}: pipeline instruments missing from {metrics}",
+                rt.id()
+            );
+            // Each verdict hands its body buffer back to the reactor's
+            // pool, so misses are bounded by the buffers live at once,
+            // not by the frames verified. Before the pool became a
+            // reactor field this read 26-53 misses for 470-661
+            // offloaded frames at 2 workers; losing the buffers would
+            // miss once per offloaded frame.
+            let misses = counter(&metrics, "net.egress_pool_misses");
+            assert!(
+                misses < 128,
+                "{}: {misses} pool misses over {offloaded} offloaded frames \
+                 at {workers} workers",
+                rt.id()
+            );
+        }
+
+        // Off-thread verification must not break replica agreement.
+        let converged = cluster.wait_until(DEADLINE, |c| {
+            let prints: Vec<u64> = (0..4u32)
+                .map(|i| {
+                    c.with_replica(ReplicaId::new(ShardId(0), i), |n| match n {
+                        ringbft_sim::AnyNode::Ring(r) => r.store().state_fingerprint(),
+                        _ => panic!("ring replica expected"),
+                    })
                 })
-            })
-            .collect();
-        prints.windows(2).all(|w| w[0] == w[1])
-    });
-    assert!(converged, "stores diverged under the threaded pipeline");
+                .collect();
+            prints.windows(2).all(|w| w[0] == w[1])
+        });
+        assert!(
+            converged,
+            "stores diverged under the threaded pipeline at {workers} workers"
+        );
 
-    assert!(cluster.shutdown(), "cluster shutdown was not clean");
+        assert!(
+            cluster.shutdown(),
+            "cluster shutdown was not clean at {workers} workers"
+        );
+    }
 }
 
 /// Closed-loop workload over 3 shards: the simulator's own `SimClient`

@@ -115,7 +115,8 @@ mod tests {
     }
 
     /// Modelling pipeline workers must raise throughput on a saturated
-    /// single-shard workload — the knee the core-scaling CI job gates.
+    /// single-shard workload — the knee `BENCH_ringbft.json`'s
+    /// `pipeline.scaling_ok` gates.
     #[test]
     fn modeled_workers_scale_saturated_throughput() {
         let run = |workers: usize| {

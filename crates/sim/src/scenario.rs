@@ -880,16 +880,22 @@ impl Scenario {
             .map(|(i, n)| (i as f64, *n as f64))
             .collect();
 
-        // Recovery metrics: first execution by the restarted replica
-        // after its blank restart, and throughput since the restart.
-        let recovery = self.blank_restart.map(|(_, restart_s, replica)| {
-            let restart_at = Instant::ZERO + Duration::from_secs_f64(restart_s);
-            let catchup_s = world
+        // Seconds from `restart_at` to `replica`'s first execution at or
+        // after it, if any.
+        let catchup_s_of = |replica: ReplicaId, restart_at: Instant| -> Option<f64> {
+            world
                 .exec_log
                 .iter()
                 .filter(|e| e.node == NodeId::Replica(replica) && e.at >= restart_at)
                 .map(|e| e.at.since(restart_at).as_secs_f64())
-                .next();
+                .next()
+        };
+
+        // Recovery metrics: first execution by the restarted replica
+        // after its blank restart, and throughput since the restart.
+        let recovery = self.blank_restart.map(|(_, restart_s, replica)| {
+            let restart_at = Instant::ZERO + Duration::from_secs_f64(restart_s);
+            let catchup_s = catchup_s_of(replica, restart_at);
             let window_s = (end.since(restart_at)).as_secs_f64().max(1e-9);
             let post = completions
                 .iter()
@@ -960,12 +966,7 @@ impl Scenario {
         // a blank restart, and whether the tail top-up reconverged.
         let durable_restart = self.durable_restart.map(|(_, restart_s, replica)| {
             let restart_at = Instant::ZERO + Duration::from_secs_f64(restart_s);
-            let catchup_s = world
-                .exec_log
-                .iter()
-                .filter(|e| e.node == NodeId::Replica(replica) && e.at >= restart_at)
-                .map(|e| e.at.since(restart_at).as_secs_f64())
-                .next();
+            let catchup_s = catchup_s_of(replica, restart_at);
             let (restart_bytes_local, recovered_seq) = durable_restored.get();
             let (stats, watermark, store_len, wal_syncs, wal_len_bytes) =
                 match world.node(NodeId::Replica(replica)) {
@@ -1052,25 +1053,6 @@ impl Scenario {
                         ),
                         _ => (Default::default(), 0, 0, 0),
                     };
-                let peer_max_watermark = cfg
-                    .shard(replica.shard)
-                    .replicas()
-                    .filter(|r| *r != *replica)
-                    .filter_map(|r| match world.node(NodeId::Replica(r)) {
-                        Some(AnyNode::Ring(n)) => Some(n.exec_watermark()),
-                        _ => None,
-                    })
-                    .max()
-                    .unwrap_or(0);
-                // Modeled bytes of one full transfer of the final store.
-                let per = cfg.state_chunk_records.max(1);
-                let mut full_baseline_bytes = ringbft_types::wire::state_plan_bytes(1);
-                let mut left = store_len;
-                while left > 0 {
-                    let take = left.min(per);
-                    full_baseline_bytes += ringbft_types::wire::state_chunk_bytes(take);
-                    left -= take;
-                }
                 DeltaTransferReport {
                     replica: *replica,
                     dark_from_s: *dark_from_s,
@@ -1079,10 +1061,11 @@ impl Scenario {
                     full_installs: stats.full_installs,
                     delta_bytes: stats.bytes_delta,
                     full_bytes: stats.bytes_full,
-                    full_baseline_bytes,
+                    // Modeled bytes of one full transfer of the final store.
+                    full_baseline_bytes: full_transfer_bytes(store_len),
                     bad_digests: stats.bad_digests,
                     exec_watermark: watermark,
-                    peer_max_watermark,
+                    peer_max_watermark: peer_max_watermark_of(*replica),
                     stable_seq: stable,
                 }
             })
