@@ -181,10 +181,13 @@ pub fn parse_cluster_config(text: &str) -> Result<ClusterConfig, ConfigError> {
     let mut shards = Vec::new();
     for (i, s) in shard_docs.iter().enumerate() {
         check_keys(s, &["n", "region"], &format!("shard {i}"))?;
-        let n = s
-            .get("n")
-            .and_then(|v| v.as_u64())
-            .ok_or_else(|| ConfigError(format!("shard {i}: missing `n`")))?;
+        let n = typed(
+            s.get("n"),
+            &format!("shards[{i}].n"),
+            "a positive integer",
+            Value::as_u64,
+        )?
+        .ok_or_else(|| ConfigError(format!("shard {i}: missing `n`")))?;
         if n == 0 {
             return err(format!("shard {i}: `n` must be at least 1"));
         }
@@ -285,7 +288,9 @@ pub fn parse_cluster_config(text: &str) -> Result<ClusterConfig, ConfigError> {
             ConfigError("bad `durability` (want \"none\", \"strict\" or {\"batched\": ms})".into())
         })?;
     }
-    if let Some(t) = doc.get("timers_ms") {
+    if let Some(t) = typed(doc.get("timers_ms"), "timers_ms", "an object", |v| {
+        v.as_object().map(|_| v)
+    })? {
         check_keys(t, &["local", "remote", "transmit", "client"], "`timers_ms`")?;
         let timer = |key: &str, fallback: Duration| {
             let ms = typed(
@@ -564,6 +569,9 @@ mod tests {
             r#""shards": [{ "n": 4 }], "timers_ms": { "local": "100" }"#,
             r#""shards": [{ "n": 4 }], "pipeline_workers": true"#,
             r#""shards": [{ "n": 4, "region": 2 }]"#,
+            r#""shards": [{ "n": "4" }]"#,
+            r#""shards": [{ "n": 4 }], "timers_ms": 100"#,
+            r#""shards": [{ "n": 4 }], "timers_ms": "100""#,
         ] {
             let text = format!(r#"{{ "protocol": "RingBft", {bad}, "peers": {{}} }}"#);
             assert!(parse_cluster_config(&text).is_err(), "{bad}");
@@ -577,6 +585,11 @@ mod tests {
             err.0.contains("`timers_ms.local`") && err.0.contains("integer"),
             "{err}"
         );
+        let err = parse_cluster_config(
+            r#"{ "protocol": "RingBft", "shards": [{ "n": "4" }], "peers": {} }"#,
+        )
+        .unwrap_err();
+        assert!(err.0.contains("`shards[0].n`"), "{err}");
     }
 
     #[test]

@@ -3,28 +3,16 @@
 # crate under crates/, the lines before the file's first `#[cfg(test)]`
 # (the whole file when it has none). Integration tests, benches and
 # examples live outside `src/` and are not counted. This is the measure
-# a refactor reports before and after.
-#
-#   scripts/loc.sh                  # every crate, then the total
-#   scripts/loc.sh core net         # only the named crates
+# a refactor reports before and after. Prints every crate, then the total.
 
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-if [ "$#" -gt 0 ]; then
-    crates=("$@")
-else
-    crates=()
-    for dir in crates/*/; do
-        crates+=("$(basename "$dir")")
-    done
-fi
-
 total=0
-for crate in "${crates[@]}"; do
-    [ -d "crates/$crate/src" ] || { echo "loc.sh: no crate crates/$crate" >&2; exit 2; }
-    lines=$(find "crates/$crate/src" -name '*.rs' -print0 | LC_ALL=C sort -z |
+for dir in crates/*/; do
+    crate=$(basename "$dir")
+    lines=$(find "$dir/src" -name '*.rs' -print0 | LC_ALL=C sort -z |
         xargs -0 awk '
             FNR == 1 { counting = 1 }
             /^[[:space:]]*#\[cfg\(test\)\]/ { counting = 0 }
