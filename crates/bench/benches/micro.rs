@@ -222,8 +222,8 @@ fn bench_codec(c: &mut Criterion) {
     g.bench_function("decode_preprepare100", |b| {
         b.iter(|| decode_raw_frame::<AnyMsg>(black_box(&raw), &auth, env.to).expect("decode"))
     });
-    // Reassembly from segmented reads: the reactor's ingress path
-    // (frames arrive in TCP-sized chunks, scratch buffers pooled).
+    // Reassembly from segmented reads (frames arrive in TCP-sized
+    // chunks, each body handed back as the next scratch buffer).
     g.bench_function("assemble_preprepare100_1k_chunks", |b| {
         b.iter(|| {
             let mut asm = FrameAssembler::new();

@@ -12,8 +12,8 @@
 //! fresh run against the committed snapshot with `bench_check`; the
 //! workload must therefore stay stable — change it only together with a
 //! new `schema_version`. The real runtime is timed by `benchmark/`, and
-//! its invariants (thread budget, serialize-once egress, verify offload,
-//! store convergence, clean shutdown) are asserted by `crates/net/tests`.
+//! its invariants (thread budget, serialize-once egress, store
+//! convergence, clean shutdown) are asserted by `crates/net/tests`.
 
 use ringbft_sim::Scenario;
 use ringbft_types::{ProtocolKind, ReplicaId, ShardId, SystemConfig};
@@ -22,7 +22,7 @@ use std::io::Write as _;
 /// Bump when the benchmark workload or JSON layout changes, so trend
 /// tooling never compares across incompatible definitions.
 ///
-/// The v12 layout, one object per scenario, each carrying boolean `*_ok`
+/// The v13 layout, one object per scenario, each carrying boolean `*_ok`
 /// flags that `bench_check` keeps from turning false:
 ///
 /// * `protocols`: throughput and latency percentiles of every protocol
@@ -33,8 +33,6 @@ use std::io::Write as _;
 ///   certificate;
 /// * `state_transfer`: a laggard recovered by a verified delta chain
 ///   that moved less than a full snapshot (`delta_vs_full_ok`);
-/// * `pipeline`: modeled saturated throughput at [`PIPELINE_WORKERS`]
-///   workers over one (`scaling_ok` at ≥ 1.8×);
 /// * `tracing`: causal-span timelines at 1/64 sampling and their
 ///   throughput cost against tracing off;
 /// * `durability`: a kill -9 restart replayed from the write-ahead log,
@@ -42,10 +40,7 @@ use std::io::Write as _;
 /// * `open_loop`: the latency-vs-offered-load curve under Poisson
 ///   arrivals, its knee (`knee_ok`), and adaptive batching at light
 ///   load.
-const SCHEMA_VERSION: u64 = 12;
-
-/// Modeled pipeline workers of the `pipeline` scenario.
-const PIPELINE_WORKERS: usize = 4;
+const SCHEMA_VERSION: u64 = 13;
 
 fn quick_cfg(kind: ProtocolKind) -> SystemConfig {
     let (z, n) = if kind.is_sharded() { (3, 4) } else { (1, 4) };
@@ -298,53 +293,6 @@ fn main() {
         })
     };
 
-    // Pipeline scenario: the multi-core protocol pipeline. The scaling
-    // knee runs in *simulated* CPU time (the worker model schedules
-    // verify/exec offload costs across the modeled cores), so the
-    // measured factor is deterministic and independent of how many
-    // physical cores the bench host has.
-    eprintln!("bench pipeline (modeled core scaling, {PIPELINE_WORKERS} workers) ...");
-    let pipeline = {
-        let model_run = |w: usize| {
-            // A saturating single-shard workload: enough closed-loop
-            // clients that batches queue behind the consensus thread,
-            // so offloading crypto + execution moves the knee.
-            let mut cfg = SystemConfig::uniform(ProtocolKind::RingBft, 1, 4);
-            cfg.num_keys = 6_000;
-            cfg.clients = 3_000;
-            cfg.batch_size = 50;
-            cfg.cross_shard_rate = 0.0;
-            cfg.involved_shards = 1;
-            Scenario::new(cfg, seed)
-                .warmup_secs(1.0)
-                .measure_secs(4.0)
-                .local_topology(true)
-                .model_workers(w)
-                .run()
-        };
-        let t0 = std::time::Instant::now();
-        let base = model_run(1);
-        let scaled = model_run(PIPELINE_WORKERS);
-        let scaling_factor = scaled.throughput_tps / base.throughput_tps;
-        eprintln!(
-            "  {scaling_factor:.2}x modeled at {PIPELINE_WORKERS} workers \
-             ({:.0} → {:.0} tps) ({:.1}s wall)",
-            base.throughput_tps,
-            scaled.throughput_tps,
-            t0.elapsed().as_secs_f64()
-        );
-        serde_json::json!({
-            "workers": PIPELINE_WORKERS as u64,
-            "scaling_factor": scaling_factor,
-            "throughput_1w_tps": base.throughput_tps,
-            "throughput_nw_tps": scaled.throughput_tps,
-            "exec_jobs_modeled": scaled.pipeline.exec_jobs,
-            // The modeled knee: the workers buy at least 1.8x saturated
-            // throughput over one worker.
-            "scaling_ok": scaling_factor >= 1.8,
-        })
-    };
-
     // Causal-tracing scenario: the standard sharded quick workload with
     // tracing at the default 1/64 sample rate, against the identical
     // workload (same seed) with tracing disabled. Both run in simulated
@@ -590,7 +538,6 @@ fn main() {
             "recovery": "RingBFT 3x4, S1r2 crash@3s + blank restart@4s, checkpoint interval 16",
             "hole_fetch": "RingBFT 3x4, S1r2 misses all quorum traffic for seq 10, checkpoint interval 512",
             "state_transfer": "RingBFT 2x4, S0r2 dark 2.0-3.2s (~1 checkpoint window), delta-chain catch-up, interval 256",
-            "pipeline": "RingBFT 1x4 saturated (3000 clients, batch 50, local topology) modeled at 1 vs 4 workers",
             "tracing": "RingBFT 3x4 sharded quick workload, trace_sample_rate 64 vs 0 (same seed)",
             "durability": "RingBFT 2x4, S1r2 kill -9@10s + durable WAL restart@10.5s, interval 256",
             "open_loop": "RingBFT 3x4 quick workload under Poisson arrivals, offered rate swept 5k-60k tps, 3s per point; adaptive-batching pair at 500 tps",
@@ -603,7 +550,6 @@ fn main() {
         "recovery": recovery,
         "hole_fetch": hole_fetch,
         "state_transfer": state_transfer,
-        "pipeline": pipeline,
         "tracing": tracing,
         "durability": durability,
         "open_loop": open_loop,

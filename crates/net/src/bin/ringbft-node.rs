@@ -190,15 +190,7 @@ fn parse_args() -> Args {
 }
 
 fn print_example(z: usize, n: usize, port_base: u16) {
-    let mut system = SystemConfig::uniform(ProtocolKind::RingBft, z, n);
-    // Size the example's offload stage to this machine: leave a core
-    // for the reactor plus the pool-independent main thread.
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    system.pipeline_workers = if cores > 2 {
-        ringbft_net::default_workers(cores)
-    } else {
-        0
-    };
+    let system = SystemConfig::uniform(ProtocolKind::RingBft, z, n);
     let mut peers = std::collections::HashMap::new();
     let mut port = port_base;
     for shard in &system.shards {
@@ -293,17 +285,9 @@ fn main() {
             }
         };
         let (peers, clock, auth) = (peers.clone(), clock.clone(), auth.clone());
-        let workers = cluster.system.pipeline_workers;
-        let node_id = NodeId::Replica(id);
-        match NodeRuntime::launch_with_pipeline(
-            node_id, node, listener, peers, clock, auth, workers,
-        ) {
+        match NodeRuntime::launch(NodeId::Replica(id), node, listener, peers, clock, auth) {
             Ok(rt) => {
-                println!(
-                    "hosting {id} on {addr} ({} pipeline worker{})",
-                    rt.pipeline_workers(),
-                    if rt.pipeline_workers() == 1 { "" } else { "s" }
-                );
+                println!("hosting {id} on {addr}");
                 runtimes.push(rt);
             }
             Err(e) => {

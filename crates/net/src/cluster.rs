@@ -97,14 +97,13 @@ impl LocalCluster {
                     ring.attach_wal(wal, &recovered);
                 }
             }
-            let rt = NodeRuntime::launch_with_pipeline(
+            let rt = NodeRuntime::launch(
                 NodeId::Replica(r),
                 node,
                 listener,
                 peers.clone(),
                 clock.clone(),
                 auth.clone(),
-                cfg.pipeline_workers,
             )?;
             replicas.push(rt);
         }
@@ -214,10 +213,7 @@ impl LocalCluster {
         self.peers
             .insert(NodeId::Replica(r), listener.local_addr()?);
         let (peers, clock, auth) = (self.peers.clone(), self.clock.clone(), self.auth.clone());
-        let workers = self.cfg.pipeline_workers;
-        let id = NodeId::Replica(r);
-        let rt =
-            NodeRuntime::launch_with_pipeline(id, node, listener, peers, clock, auth, workers)?;
+        let rt = NodeRuntime::launch(NodeId::Replica(r), node, listener, peers, clock, auth)?;
         self.replicas.push(rt);
         Ok(())
     }

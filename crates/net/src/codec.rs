@@ -12,17 +12,15 @@
 //! +--------+---------+-------+----------+--------+-------+--------------------------+
 //! ```
 //!
-//! The header is versioned so future PRs can evolve the body encoding
-//! (compression, signatures) without breaking running clusters mid-
-//! upgrade: a decoder rejects frames whose `version` it does not speak
-//! instead of misparsing them. Version 2 introduced the authenticator.
+//! The header is versioned so the body encoding can evolve without
+//! breaking running clusters mid-upgrade: a decoder rejects frames
+//! whose `version` it does not speak instead of misparsing them.
 //!
-//! Since v6 the destination is *not* part of the body: a broadcast
-//! serializes its payload exactly once ([`encode_body`]) and stamps a
-//! fresh fixed-size prefix — header, address, MAC — per destination
+//! The destination is *not* part of the body: a broadcast serializes
+//! its payload exactly once ([`encode_body`]) and stamps a fresh
+//! fixed-size prefix — header, address, MAC — per destination
 //! ([`frame_prefix`]). The encoded body bytes are shared (`Arc`) across
-//! every peer queue, so an N-way fan-out pays one bincode encode
-//! instead of N.
+//! every peer queue, so an N-way fan-out pays one bincode encode.
 //!
 //! The MAC implements the paper's §3 authenticated channels with the
 //! pairwise keys of [`ringbft_crypto::KeyStore`]: a data frame is tagged
@@ -50,22 +48,15 @@ use std::sync::Arc;
 /// Frame magic: `"RBFT"` little-endian.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"RBFT");
 
-/// Current frame version (2 = MAC-authenticated frames; 3 = hole-fetch
-/// messages added to the recovery vocabulary; 4 = delta state transfer —
-/// `StateRequest` gained the requester's base, `StatePlan` replaced the
-/// `StateDone` trailer, and `StateChunk` is chain-link framed; 5 =
-/// causal tracing — the envelope gained an optional
-/// [`TraceContext`] and transactions carry
-/// an optional trace field, so older peers must not decode v5 bodies;
-/// 6 = serialize-once fan-out — the destination moved out of the body
-/// into a fixed 9-byte address field between the header and the MAC, so
-/// a broadcast's body bytes are identical for every destination).
+/// The frame version this codec writes and the only one it accepts:
+/// MAC-authenticated frames with the destination in the fixed address
+/// field and a body of sender, message and optional [`TraceContext`].
 pub const VERSION: u16 = 6;
 
 /// Bytes of the fixed frame header (excluding address + authenticator).
 pub const HEADER_BYTES: usize = 12;
 
-/// Bytes of the destination address following the header (v6): a 1-byte
+/// Bytes of the destination address following the header: a 1-byte
 /// node-kind tag and an 8-byte payload (replica: shard + index as two
 /// `u32` LE; client: one `u64` LE).
 pub const ADDR_BYTES: usize = 9;
@@ -118,7 +109,7 @@ impl FrameAuth {
     }
 }
 
-/// Encodes a destination into the fixed v6 address field.
+/// Encodes a destination into the fixed address field.
 fn encode_addr(to: NodeId) -> [u8; ADDR_BYTES] {
     let mut a = [0u8; ADDR_BYTES];
     match to {
@@ -135,7 +126,7 @@ fn encode_addr(to: NodeId) -> [u8; ADDR_BYTES] {
     a
 }
 
-/// Decodes the fixed v6 address field back into a destination.
+/// Decodes the fixed address field back into a destination.
 fn decode_addr(addr: &[u8; ADDR_BYTES]) -> Result<NodeId, CodecError> {
     match addr[0] {
         0 => {
@@ -174,9 +165,9 @@ pub const MAX_FRAME_BYTES: u32 = {
 /// `to` is carried explicitly because one listener can host several
 /// logical nodes (a `ringbft-node` process hosting a whole shard, or a
 /// client host serving thousands of logical clients behind aliases).
-/// Since codec v6 it rides in the frame's fixed address field, not the
-/// body: the body bytes (`from` + `msg` + `trace`) are identical for
-/// every destination of a broadcast.
+/// It rides in the frame's fixed address field, not the body: the body
+/// bytes (`from` + `msg` + `trace`) are identical for every destination
+/// of a broadcast.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Envelope<M> {
     /// The sending node.
@@ -185,7 +176,7 @@ pub struct Envelope<M> {
     pub to: NodeId,
     /// The protocol message.
     pub msg: M,
-    /// Causal trace context (codec v5): present when `msg` transports a
+    /// Causal trace context: present when `msg` transports a
     /// sampled transaction, so frames can be correlated by trace id and
     /// ring hop without decoding the body. Covered by the frame MAC
     /// like every other body byte.
@@ -359,12 +350,12 @@ fn decode_body<M: Deserialize>(
 /// A frame whose header passed validation but whose MAC check and body
 /// decode are still pending.
 ///
-/// This is the unit of work the verify/hash pipeline stage moves off
-/// the reactor thread: extraction (cheap, needs the stream cursor) runs
-/// on the reactor via [`FrameAssembler::next_raw_frame`]; verification
-/// (HMAC + deserialize, the expensive part) runs wherever
-/// [`decode_raw_frame`] is called — a worker pool under
-/// `pipeline_workers > 0`, the reactor itself otherwise.
+/// The reactor does not use it: it reads with
+/// [`FrameAssembler::next_frame`], which checks and decodes in place.
+/// Extraction ([`FrameAssembler::next_raw_frame`]) and verification
+/// ([`decode_raw_frame`]) are separate steps here so that the codec
+/// tests, the codec micro-benchmarks and the wall-clock benchmark's
+/// ingress probe can exercise each half on its own.
 #[derive(Debug, Clone)]
 pub struct RawFrame {
     /// Header flags ([`FLAG_HELLO`]).
@@ -375,15 +366,6 @@ pub struct RawFrame {
     pub mac: [u8; FRAME_MAC_BYTES],
     /// The encoded body (not yet decoded).
     pub body: Vec<u8>,
-}
-
-impl RawFrame {
-    /// True when the body is a [`Hello`] control frame. The reactor
-    /// verifies Hellos inline — they are rare (one per connection) and
-    /// routing must not lag behind the verify queue.
-    pub fn is_hello(&self) -> bool {
-        self.flags & FLAG_HELLO != 0
-    }
 }
 
 /// MAC-verifies and decodes an extracted frame: the deferred second
@@ -486,7 +468,7 @@ impl FrameAssembler {
 
     /// Extracts the next complete frame *without* verifying or decoding
     /// it — only the header is validated. The MAC check and body decode
-    /// happen later via [`decode_raw_frame`] (on a verify worker).
+    /// happen later via [`decode_raw_frame`].
     /// Errors carry the same meaning as [`FrameAssembler::next_frame`]:
     /// the stream is unrecoverable and the connection must be dropped.
     pub fn next_raw_frame(&mut self) -> Result<Option<RawFrame>, CodecError> {
@@ -495,11 +477,11 @@ impl FrameAssembler {
     }
 
     /// Like [`FrameAssembler::next_raw_frame`], but moves the body into
-    /// `scratch` (cleared first) instead of a fresh allocation — the
-    /// reactor feeds pooled buffers here so the steady-state offload
-    /// path performs no per-frame allocs. On a complete frame, `scratch`
-    /// is taken (left empty); on `Ok(None)` or error it is untouched and
-    /// the caller keeps it for the next call.
+    /// `scratch` (cleared first) instead of a fresh allocation, so a
+    /// caller that hands each body back as the next `scratch` allocates
+    /// nothing per frame. On a complete frame, `scratch` is taken (left
+    /// empty); on `Ok(None)` or error it is untouched and the caller
+    /// keeps it for the next call.
     pub fn next_raw_frame_in(
         &mut self,
         scratch: &mut Vec<u8>,
@@ -789,15 +771,14 @@ mod tests {
         let mut asm = FrameAssembler::new();
         asm.extend(&frame);
         let raw = asm.next_raw_frame().unwrap().expect("complete frame");
-        assert!(!raw.is_hello());
+        assert_eq!(raw.flags & FLAG_HELLO, 0);
         assert_eq!(asm.buffered(), 0);
         // The deferred decode enforces the same authentication.
         let decoded = decode_raw_frame::<AnyMsg>(&raw, &auth(), receiver()).unwrap();
         assert!(matches!(decoded, Frame::Data(d) if d == env));
 
         // A tampered MAC passes extraction (header-only) but fails the
-        // deferred verify — exactly the split the offload stage relies
-        // on: corruption is caught before delivery, just off-thread.
+        // deferred verify.
         let mut tampered = raw.clone();
         tampered.mac[0] ^= 1;
         let err = decode_raw_frame::<AnyMsg>(&tampered, &auth(), receiver()).unwrap_err();
@@ -814,8 +795,7 @@ mod tests {
         let err = asm.next_raw_frame().unwrap_err();
         assert!(matches!(err, CodecError::BadVersion(99)));
 
-        // A Hello extracts with the flag visible, so the reactor can
-        // keep routing frames on the fast path.
+        // A Hello extracts with its flag set and decodes as a Hello.
         let hello = Hello {
             node: NodeId::Replica(ReplicaId::new(ShardId(1), 2)),
             aliases: vec![],
@@ -824,7 +804,7 @@ mod tests {
         let mut asm = FrameAssembler::new();
         asm.extend(&encode_hello_frame(&hello, &auth(), receiver()).unwrap());
         let raw = asm.next_raw_frame().unwrap().expect("complete frame");
-        assert!(raw.is_hello());
+        assert_ne!(raw.flags & FLAG_HELLO, 0);
         let decoded = decode_raw_frame::<AnyMsg>(&raw, &auth(), receiver()).unwrap();
         assert!(matches!(decoded, Frame::Hello(h) if h == hello));
     }

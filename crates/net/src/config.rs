@@ -20,7 +20,6 @@
 //!   "checkpoint_interval": 128,
 //!   "state_chunk_records": 4096,
 //!   "auth_seed": 0,
-//!   "pipeline_workers": 2,
 //!   "trace_sample_rate": 64,
 //!   "durability": { "batched": 50 },
 //!   "peers": {
@@ -107,7 +106,7 @@ pub fn parse_replica_name(name: &str) -> Result<ReplicaId, ConfigError> {
 }
 
 /// Top-level keys a cluster file may carry.
-const KNOWN_KEYS: [&str; 19] = [
+const KNOWN_KEYS: [&str; 18] = [
     "protocol",
     "shards",
     "batch_size",
@@ -123,7 +122,6 @@ const KNOWN_KEYS: [&str; 19] = [
     "state_chunk_records",
     "full_snapshot_every",
     "auth_seed",
-    "pipeline_workers",
     "trace_sample_rate",
     "durability",
     "peers",
@@ -248,9 +246,6 @@ pub fn parse_cluster_config(text: &str) -> Result<ClusterConfig, ConfigError> {
     if let Some(v) = u64_knob("auth_seed")? {
         system.auth_seed = v;
     }
-    if let Some(v) = u64_knob("pipeline_workers")? {
-        system.pipeline_workers = v as usize;
-    }
     if let Some(v) = u64_knob("trace_sample_rate")? {
         system.trace_sample_rate = v;
     }
@@ -374,7 +369,6 @@ pub fn render_cluster_config(
         "state_chunk_records": system.state_chunk_records as u64,
         "full_snapshot_every": system.full_snapshot_every,
         "auth_seed": system.auth_seed,
-        "pipeline_workers": system.pipeline_workers as u64,
         "trace_sample_rate": system.trace_sample_rate,
         "durability": match system.durability {
             ringbft_types::Durability::None => serde_json::json!("none"),
@@ -439,7 +433,6 @@ mod tests {
             "state_chunk_records": 512,
             "full_snapshot_every": 2,
             "auth_seed": 7,
-            "pipeline_workers": 3,
             "trace_sample_rate": 8,
             "peers": {}
         }"#;
@@ -448,14 +441,7 @@ mod tests {
         assert_eq!(cc.system.state_chunk_records, 512);
         assert_eq!(cc.system.full_snapshot_every, 2);
         assert_eq!(cc.system.auth_seed, 7);
-        assert_eq!(cc.system.pipeline_workers, 3);
         assert_eq!(cc.system.trace_sample_rate, 8);
-        // An absurd worker count fails SystemConfig validation.
-        assert!(parse_cluster_config(
-            r#"{ "protocol": "RingBft", "shards": [{ "n": 4 }],
-                 "pipeline_workers": 65, "peers": {} }"#
-        )
-        .is_err());
         // A zero interval fails SystemConfig validation.
         assert!(parse_cluster_config(
             r#"{ "protocol": "RingBft", "shards": [{ "n": 4 }],
@@ -567,7 +553,7 @@ mod tests {
             r#""shards": [{ "n": 4 }], "checkpoint_interval": 1.5"#,
             r#""shards": [{ "n": 4 }], "cross_shard_rate": "0.3""#,
             r#""shards": [{ "n": 4 }], "timers_ms": { "local": "100" }"#,
-            r#""shards": [{ "n": 4 }], "pipeline_workers": true"#,
+            r#""shards": [{ "n": 4 }], "trace_sample_rate": true"#,
             r#""shards": [{ "n": 4, "region": 2 }]"#,
             r#""shards": [{ "n": "4" }]"#,
             r#""shards": [{ "n": 4 }], "timers_ms": 100"#,
@@ -611,8 +597,9 @@ mod tests {
     fn unknown_keys_rejected() {
         for (knob, key) in [
             (r#""batchsize": 500"#, "batchsize"),
-            // The runtime runs one reactor per node; the knob is gone.
+            // A node runs one thread, its reactor; these knobs are gone.
             (r#""reactor_shards": 2"#, "reactor_shards"),
+            (r#""pipeline_workers": 2"#, "pipeline_workers"),
         ] {
             let err = parse_cluster_config(&format!(
                 r#"{{ "protocol": "RingBft", "shards": [{{ "n": 4 }}],

@@ -51,7 +51,6 @@
 pub mod cluster;
 pub mod codec;
 pub mod config;
-mod pool;
 mod reactor;
 pub mod runtime;
 pub mod telemetry;
@@ -59,5 +58,4 @@ pub mod telemetry;
 pub use cluster::{DurableRestart, LocalCluster};
 pub use codec::{encode_frame, CodecError, Envelope, FrameAuth};
 pub use config::{load_cluster_config, parse_cluster_config, ClusterConfig, ConfigError};
-pub use pool::default_workers;
 pub use runtime::{Clock, NetStatsSnapshot, NetTelemetry, NodeRuntime, PeerTable};

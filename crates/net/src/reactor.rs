@@ -30,9 +30,8 @@
 //! mailbox ([`ReactorThread`]): a command is a closure the reactor runs
 //! on itself, answered on a one-shot channel, or a *lend* — the reactor
 //! sends the node to a `with_node` caller and blocks until the caller's
-//! closure hands it back. Verify workers deposit verdicts in their own
-//! inbox, and `shutdown` closes the mailbox and receives the node from
-//! the exiting thread.
+//! closure hands it back. `shutdown` closes the mailbox and receives
+//! the node from the exiting thread.
 //!
 //! The kernel interface is a minimal raw-FFI [`sys`] module
 //! (`epoll_create1`/`epoll_ctl`/`epoll_wait`/`eventfd`, plus
@@ -41,10 +40,10 @@
 //! `std::net` on the raw fds.
 
 use crate::codec::{
-    decode_raw_frame, encode_body, encode_hello_frame, frame_prefix, Envelope, Frame,
-    FrameAssembler, Hello, RawFrame, PREFIX_BYTES,
+    encode_body, encode_hello_frame, frame_prefix, Envelope, Frame, FrameAssembler, Hello,
+    PREFIX_BYTES,
 };
-use crate::runtime::{NetMsg, NetTelemetry, Shared, TelemetryRoutes, VerifiedFrame};
+use crate::runtime::{NetMsg, NetTelemetry, Shared, TelemetryRoutes};
 use ringbft_obs::{Histogram, TraceRing};
 use ringbft_types::sansio::ProtocolNode;
 use ringbft_types::{Action, Instant, NodeId, TimerKind};
@@ -126,7 +125,7 @@ pub(crate) mod sys {
 }
 
 /// An `eventfd`-backed wakeup channel: threads outside the reactor poke
-/// its `epoll_wait` (verify verdicts, mailbox commands, shutdown).
+/// its `epoll_wait` (mailbox commands, shutdown).
 #[derive(Debug)]
 pub(crate) struct EventFd(RawFd);
 
@@ -144,8 +143,7 @@ impl EventFd {
     }
 
     /// Makes the reactor's next (or current) `epoll_wait` return, so it
-    /// drains the verify inbox and its mailbox without waiting out its
-    /// poll timeout.
+    /// drains its mailbox without waiting out its poll timeout.
     pub fn wake(&self) {
         let one: u64 = 1;
         // EAGAIN (counter saturated) still leaves the fd readable, which
@@ -523,10 +521,8 @@ struct TelemetryConn {
 /// ([`NodeRuntime::set_inbound_filter`](crate::runtime::NodeRuntime::set_inbound_filter)).
 pub(crate) type InboundFilter<M> = Box<dyn Fn(NodeId, &M) -> bool + Send>;
 
-/// A bounded free list of reusable byte buffers: frame-reassembly
-/// scratch on the verify-offload read path (verify workers hand each
-/// body back with its verdict) and per-connection egress staging
-/// buffers cycle through here instead of allocating per frame or per
+/// A bounded free list of reusable byte buffers: per-connection egress
+/// staging buffers cycle through here instead of allocating per
 /// connection.
 #[derive(Default)]
 struct BufPool {
@@ -597,7 +593,7 @@ struct NetObs {
 /// every connection of the runtime, the per-peer outbound queues, the
 /// timer wheel and everything else only it writes.
 struct Reactor<M, N> {
-    shared: Arc<Shared<M>>,
+    shared: Arc<Shared>,
     /// The hosted node. Every protocol call is made here; `with_node`
     /// borrows it through the mailbox.
     node: N,
@@ -660,7 +656,7 @@ const REACTOR_EXITED: &str =
 
 /// A runtime's handle on its reactor thread, and the only way into it.
 pub(crate) struct ReactorThread<M, N> {
-    shared: Arc<Shared<M>>,
+    shared: Arc<Shared>,
     mailbox: Sender<Command<M, N>>,
     handle: JoinHandle<()>,
     /// Receives the node once the thread's loop has ended.
@@ -679,7 +675,7 @@ where
     /// `<node>-reactor0` is kept because `benchmark/` finds the
     /// reactor's CPU time by it.
     pub(crate) fn spawn(
-        shared: Arc<Shared<M>>,
+        shared: Arc<Shared>,
         node: N,
         listener: TcpListener,
     ) -> std::io::Result<ReactorThread<M, N>> {
@@ -838,7 +834,6 @@ where
         self.drain_pending(pending);
         let mut events = vec![sys::EpollEvent { events: 0, data: 0 }; 256];
         loop {
-            self.drain_verified();
             self.fire_due_timers();
             self.process_reconnects();
             // Flush *after* timers so a send produced by a timer
@@ -952,12 +947,12 @@ where
     /// marking the peer dirty so the loop drains its queue.
     fn enqueue_send(&mut self, to: NodeId, msg: M, pending: &mut VecDeque<(NodeId, M)>) {
         let shared = &self.shared;
-        let resolved = shared.peers.resolve(to);
+        let (resolved, known) = shared.peers.route(to);
         if resolved == shared.id {
             pending.push_back((shared.id, msg));
             return;
         }
-        if shared.peers.addr_of(resolved).is_none() {
+        if !known {
             // Unknown peer: drop, as the simulator drops sends to
             // unregistered nodes. (A Hello may register it later; dials
             // re-read the table on every attempt.)
@@ -991,12 +986,12 @@ where
         let shared = Arc::clone(&self.shared);
         let mut remotes = Vec::with_capacity(tos.len());
         for to in tos {
-            let resolved = shared.peers.resolve(to);
+            let (resolved, known) = shared.peers.route(to);
             if resolved == shared.id {
                 pending.push_back((shared.id, msg.clone()));
                 continue;
             }
-            if shared.peers.addr_of(resolved).is_none() {
+            if !known {
                 shared
                     .counters
                     .messages_dropped
@@ -1525,47 +1520,22 @@ where
                     }
                 }
             };
-            let offloading = self.shared.verify.is_some();
-            let (frames, raws, mut corrupt, peer_ip) = {
+            let (frames, corrupt, peer_ip) = {
                 let conn = self.conns.get_mut(&tok).expect("conn exists");
                 conn.asm.extend(&buf[..n]);
                 let mut frames = Vec::new();
-                let mut raws = Vec::new();
                 let mut corrupt = false;
-                if offloading {
-                    // Verify stage installed: extract header-validated
-                    // raw frames only (cheap); MAC checks and body
-                    // decodes happen on the worker pool. Bodies land in
-                    // pooled buffers (returned after decode) so the
-                    // steady-state read path allocates nothing.
-                    let mut scratch = self.bufs.take();
-                    loop {
-                        match conn.asm.next_raw_frame_in(&mut scratch) {
-                            Ok(Some(r)) => {
-                                raws.push(r);
-                                scratch = self.bufs.take();
-                            }
-                            Ok(None) => break,
-                            Err(_) => {
-                                corrupt = true;
-                                break;
-                            }
-                        }
-                    }
-                    self.bufs.put(scratch);
-                } else {
-                    loop {
-                        match conn.asm.next_frame::<M>(&self.shared.auth, self.shared.id) {
-                            Ok(Some(f)) => frames.push(f),
-                            Ok(None) => break,
-                            Err(_) => {
-                                corrupt = true;
-                                break;
-                            }
+                loop {
+                    match conn.asm.next_frame::<M>(&self.shared.auth, self.shared.id) {
+                        Ok(Some(f)) => frames.push(f),
+                        Ok(None) => break,
+                        Err(_) => {
+                            corrupt = true;
+                            break;
                         }
                     }
                 }
-                (frames, raws, corrupt, conn.peer_ip)
+                (frames, corrupt, conn.peer_ip)
             };
             let stalled = {
                 let conn = self.conns.get(&tok).expect("conn exists");
@@ -1580,68 +1550,11 @@ where
             for frame in frames {
                 self.handle_frame(peer_ip, frame);
             }
-            for raw in raws {
-                if raw.is_hello() {
-                    // Hello frames are verified inline: routing must
-                    // never lag behind the verify queue, and they are
-                    // rare (one per connection).
-                    match decode_raw_frame::<M>(&raw, &self.shared.auth, self.shared.id) {
-                        Ok(f) => {
-                            if let Some(v) = &self.shared.verify {
-                                v.inline.fetch_add(1, Ordering::Relaxed);
-                            }
-                            self.bufs.put(raw.body);
-                            self.handle_frame(peer_ip, f);
-                        }
-                        Err(_) => {
-                            corrupt = true;
-                            break;
-                        }
-                    }
-                } else {
-                    self.offload_frame(tok, raw);
-                }
-            }
             if corrupt {
                 // Forged/corrupted traffic: drop the connection, exactly
                 // as the old reader did.
                 self.close_conn(tok);
                 return;
-            }
-        }
-    }
-
-    /// Hands a raw data frame to the worker pool for MAC verification
-    /// and decode. Frames are pinned to a worker by connection token, so
-    /// per-connection frame order survives the offload; the worker
-    /// deposits the verdict in the verify inbox and pokes the eventfd,
-    /// and `drain_verified` picks it up at the top of the next loop
-    /// iteration.
-    fn offload_frame(&self, tok: u64, raw: RawFrame) {
-        let verify = self.shared.verify.as_ref().expect("verify stage");
-        verify.queue_depth.fetch_add(1, Ordering::Relaxed);
-        verify.offloaded.fetch_add(1, Ordering::Relaxed);
-        let shared = Arc::clone(&self.shared);
-        verify.pool.submit_to(
-            tok as usize,
-            Box::new(move || shared.verify_frame(tok, raw)),
-        );
-    }
-
-    /// Drains the verify inbox: envelopes the worker pool authenticated
-    /// are delivered in deposit order, and corrupt verdicts close the
-    /// offending connection (tolerating tokens whose connection is
-    /// already gone). Each frame's body buffer goes back to the pool.
-    fn drain_verified(&mut self) {
-        let batch = match self.shared.verify.as_ref() {
-            Some(v) => std::mem::take(&mut *v.inbox.lock().expect("verify inbox")),
-            None => return,
-        };
-        for VerifiedFrame { token, env, body } in batch {
-            self.bufs.put(body);
-            match env {
-                Some(env) => self.deliver_env(env),
-                None => self.close_conn(token),
             }
         }
     }
@@ -1675,8 +1588,7 @@ where
     }
 
     /// Delivers an authenticated envelope to the hosted node, applying
-    /// the address check and any installed inbound drop rule. Shared by
-    /// the inline decode path and the verify inbox.
+    /// the address check and any installed inbound drop rule.
     fn deliver_env(&mut self, env: Envelope<M>) {
         // Deliver only traffic addressed to (an alias of) us;
         // anything else indicates a stale peer table.
@@ -1697,8 +1609,8 @@ where
     // Telemetry scrape endpoint
     // ------------------------------------------------------------------
 
-    /// Transport metrics as one stable JSON object: the shared counters,
-    /// the reactor's own instruments and the verify stage's.
+    /// Transport metrics as one stable JSON object: the shared counters
+    /// and the reactor's own instruments.
     fn metrics_json(&self) -> String {
         let c = self.shared.stats_snapshot();
         let mut cw = ringbft_obs::json::ObjectWriter::new();
@@ -1717,28 +1629,8 @@ where
             .field_u64("net.reassembly_stalls", self.obs.reassembly_stalls)
             .field_u64("net.reconnects", c.reconnects)
             .field_u64("net.timers_fired", c.timers_fired);
-        let verify = self.shared.verify.as_ref();
-        let (v_off, v_inline, v_depth) = match verify {
-            Some(v) => (
-                v.offloaded.load(Ordering::Relaxed),
-                v.inline.load(Ordering::Relaxed),
-                v.queue_depth.load(Ordering::Relaxed),
-            ),
-            None => (0, 0, 0),
-        };
-        let pool = verify.map(|v| v.pool.stats()).unwrap_or_default();
-        cw.field_u64("pipeline.verify_inline", v_inline)
-            .field_u64("pipeline.verify_offloaded", v_off)
-            .field_u64("pipeline.worker_busy_ns", pool.busy_ns)
-            .field_u64("pipeline.worker_idle_ns", pool.idle_ns)
-            .field_u64("pipeline.worker_tasks", pool.tasks);
         let mut gw = ringbft_obs::json::ObjectWriter::new();
-        gw.field_u64("net.peer_queue_hwm_bytes", self.obs.queue_hwm_bytes)
-            .field_u64("pipeline.verify_queue_depth", v_depth)
-            .field_u64(
-                "pipeline.workers",
-                verify.map_or(0, |v| v.pool.workers()) as u64,
-            );
+        gw.field_u64("net.peer_queue_hwm_bytes", self.obs.queue_hwm_bytes);
         let mut hw = ringbft_obs::json::ObjectWriter::new();
         hw.field_raw(
             "net.epoll_wait_ns",

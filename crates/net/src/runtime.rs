@@ -8,10 +8,11 @@
 //!
 //! ## Thread model
 //!
-//! Per hosted node: **exactly one reactor thread**, independent of how
-//! many peers or clients are connected, plus the optional verify pool
-//! (`pipeline_workers`). The reactor (`crate::reactor`) multiplexes
-//! every socket of the node through one `epoll` instance: nonblocking
+//! Per hosted node: **exactly one thread**, the reactor, independent
+//! of how many peers or clients are connected. It reads, MAC-checks,
+//! decodes and delivers every inbound frame to the node inline. The
+//! reactor (`crate::reactor`) multiplexes every socket of the node
+//! through one `epoll` instance: nonblocking
 //! accept/read/write state machines per connection, per-peer outbound
 //! byte queues with backpressure watermarks (when a peer cannot keep
 //! up, new frames for it are dropped and counted rather than buffered
@@ -21,8 +22,7 @@
 //! reactor owns the hosted node and every other piece of state only it
 //! writes; [`NodeRuntime`]'s accessors reach them through its command
 //! mailbox. This module holds only what other threads share with it:
-//! the routing table, atomic counters, the verify inbox and the
-//! eventfd.
+//! the routing table, atomic counters and the eventfd.
 //!
 //! The previous runtime spawned two OS threads per peer connection plus
 //! a timer thread — at the paper's scale (428 nodes, 500 k clients)
@@ -33,16 +33,15 @@
 //! epoch (`Clock`), so all nodes of one process observe one timebase,
 //! mirroring `Instant::ZERO` at simulation start.
 
-use crate::codec::{decode_raw_frame, Envelope, Frame, FrameAuth, RawFrame};
-use crate::pool::WorkerPool;
+use crate::codec::FrameAuth;
 use crate::reactor::{EventFd, ReactorThread};
 use ringbft_types::sansio::ProtocolNode;
 use ringbft_types::{Instant, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Marker for messages the runtime can carry: encodable, decodable, and
 /// movable across the runtime's threads.
@@ -143,6 +142,15 @@ impl PeerTable {
         let inner = self.inner.read().expect("peer table");
         let resolved = inner.aliases.get(&node).copied().unwrap_or(node);
         inner.addrs.get(&resolved).copied()
+    }
+
+    /// `node` resolved as [`PeerTable::resolve`] does, and whether that
+    /// node has an address, as [`PeerTable::addr_of`] would report, under
+    /// one read lock.
+    pub(crate) fn route(&self, node: NodeId) -> (NodeId, bool) {
+        let inner = self.inner.read().expect("peer table");
+        let resolved = inner.aliases.get(&node).copied().unwrap_or(node);
+        (resolved, inner.addrs.contains_key(&resolved))
     }
 
     /// Snapshot of all registered `(node, addr)` pairs.
@@ -246,46 +254,9 @@ pub struct NetTelemetry {
     pub trace_jsonl: String,
 }
 
-/// A frame that went through the off-thread verify stage.
-pub(crate) struct VerifiedFrame<M> {
-    /// The connection it arrived on.
-    pub(crate) token: u64,
-    /// The authenticated envelope, or `None` when the MAC or decode
-    /// failed: the connection is unrecoverable and the reactor drops it
-    /// (it may already be gone by the time this lands).
-    pub(crate) env: Option<Envelope<M>>,
-    /// The frame's body buffer, back for the reactor's pool.
-    pub(crate) body: Vec<u8>,
-}
-
-/// The inbound verify/hash pipeline stage (`pipeline_workers > 0`).
-///
-/// The reactor extracts header-validated [`RawFrame`]s and pins them
-/// to a worker by connection token (per-connection FIFO order); the
-/// worker runs the HMAC check and body decode, deposits the verdict in
-/// the inbox, and wakes the reactor's eventfd — the same wake path
-/// every other cross-thread event uses. The hosted node
-/// itself never sees a frame that has not been authenticated, exactly
-/// as on the inline path.
-///
-/// [`RawFrame`]: crate::codec::RawFrame
-pub(crate) struct VerifyStage<M> {
-    /// The `pipeline_workers` verify threads.
-    pub(crate) pool: Arc<WorkerPool>,
-    /// Verify verdicts awaiting the reactor.
-    pub(crate) inbox: Mutex<VecDeque<VerifiedFrame<M>>>,
-    /// Frames submitted to the pool but not yet verified.
-    pub(crate) queue_depth: AtomicU64,
-    /// Frames verified off-thread.
-    pub(crate) offloaded: AtomicU64,
-    /// Frames verified on a reactor thread (Hellos, which must not lag
-    /// the routing table behind the verify queue).
-    pub(crate) inline: AtomicU64,
-}
-
-/// State shared between the public [`NodeRuntime`] handle, its reactor
-/// thread and its verify workers.
-pub(crate) struct Shared<M> {
+/// State shared between the public [`NodeRuntime`] handle and its
+/// reactor thread.
+pub(crate) struct Shared {
     pub(crate) id: NodeId,
     pub(crate) clock: Clock,
     pub(crate) peers: PeerTable,
@@ -295,17 +266,14 @@ pub(crate) struct Shared<M> {
     /// Port our own listener accepts on (advertised in Hello frames).
     pub(crate) listen_port: u16,
     pub(crate) counters: NetCounters,
-    /// The reactor's eventfd (verify verdicts, mailbox commands,
-    /// shutdown).
+    /// The reactor's eventfd (mailbox commands, shutdown).
     pub(crate) wakeup: EventFd,
     /// Batches and transactions the hosted node reported `Executed`.
     pub(crate) executed_batches: AtomicU64,
     pub(crate) executed_txns: AtomicU64,
-    /// The verify/hash offload stage, when `pipeline_workers > 0`.
-    pub(crate) verify: Option<VerifyStage<M>>,
 }
 
-impl<M> Shared<M> {
+impl Shared {
     /// Snapshot of the transport counters.
     pub(crate) fn stats_snapshot(&self) -> NetStatsSnapshot {
         let c = &self.counters;
@@ -325,30 +293,6 @@ impl<M> Shared<M> {
     }
 }
 
-impl<M: NetMsg> Shared<M> {
-    /// A verify worker's task: MAC-checks and decodes `raw`, deposits
-    /// the verdict with the body buffer in the inbox, and wakes the
-    /// reactor.
-    pub(crate) fn verify_frame(&self, token: u64, raw: RawFrame) {
-        let env = match decode_raw_frame::<M>(&raw, &self.auth, self.id) {
-            Ok(Frame::Data(env)) => Some(env),
-            // Hellos are verified inline and never reach the pool.
-            Ok(Frame::Hello(_)) | Err(_) => None,
-        };
-        let v = self.verify.as_ref().expect("verify stage");
-        v.inbox
-            .lock()
-            .expect("verify inbox")
-            .push_back(VerifiedFrame {
-                token,
-                env,
-                body: raw.body,
-            });
-        v.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        self.wakeup.wake();
-    }
-}
-
 /// How long [`NodeRuntime::shutdown`] waits for the reactor thread to
 /// hand back the node before declaring the shutdown unclean.
 /// The reactor never blocks (all I/O is nonblocking and every wait has
@@ -358,7 +302,7 @@ const SHUTDOWN_JOIN_TIMEOUT: std::time::Duration = std::time::Duration::from_sec
 
 /// Hosts one protocol node over TCP.
 pub struct NodeRuntime<M: NetMsg, N: ProtocolNode<M> + Send + 'static> {
-    shared: Arc<Shared<M>>,
+    shared: Arc<Shared>,
     local_addr: SocketAddr,
     reactor: ReactorThread<M, N>,
 }
@@ -373,8 +317,7 @@ where
     /// one cluster must share the authenticator's seed). The listener
     /// must already be bound (bind with port 0 to let the kernel pick,
     /// then collect `local_addr` into the table). Spawns exactly one
-    /// reactor thread and verifies frames on it; see
-    /// [`NodeRuntime::launch_with_pipeline`] for a verify pool.
+    /// thread, the reactor, which verifies frames and runs the node.
     pub fn launch(
         id: NodeId,
         node: N,
@@ -383,35 +326,6 @@ where
         clock: Clock,
         auth: FrameAuth,
     ) -> std::io::Result<NodeRuntime<M, N>> {
-        Self::launch_with_pipeline(id, node, listener, peers, clock, auth, 0)
-    }
-
-    /// Like [`NodeRuntime::launch`], but also runs a
-    /// `pipeline_workers`-thread worker pool hosting the verify/hash
-    /// stage: inbound frame MAC checks and body decodes run off the
-    /// reactor thread, pinned per connection so frame order is
-    /// preserved, feeding verified messages back through the reactor's
-    /// eventfd wake path. The hosted node itself runs on the reactor
-    /// thread, so the per-node thread budget is exactly
-    /// `1 + pipeline_workers`, fixed at launch and independent of how
-    /// many peers or clients connect. `pipeline_workers = 0` verifies
-    /// inline.
-    pub fn launch_with_pipeline(
-        id: NodeId,
-        node: N,
-        listener: TcpListener,
-        peers: PeerTable,
-        clock: Clock,
-        auth: FrameAuth,
-        pipeline_workers: usize,
-    ) -> std::io::Result<NodeRuntime<M, N>> {
-        let verify = (pipeline_workers > 0).then(|| VerifyStage {
-            pool: Arc::new(WorkerPool::new(&format!("{id}-pipe"), pipeline_workers)),
-            inbox: Mutex::new(VecDeque::new()),
-            queue_depth: AtomicU64::new(0),
-            offloaded: AtomicU64::new(0),
-            inline: AtomicU64::new(0),
-        });
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let shared = Arc::new(Shared {
@@ -424,7 +338,6 @@ where
             wakeup: EventFd::new()?,
             executed_batches: AtomicU64::new(0),
             executed_txns: AtomicU64::new(0),
-            verify,
         });
         let reactor = ReactorThread::spawn(Arc::clone(&shared), node, listener)?;
         Ok(NodeRuntime {
@@ -442,26 +355,6 @@ where
     /// The bound listener address.
     pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
-    }
-
-    /// The number of pipeline worker threads (0 when the runtime was
-    /// launched without an offload stage).
-    pub fn pipeline_workers(&self) -> usize {
-        self.shared.verify.as_ref().map_or(0, |v| v.pool.workers())
-    }
-
-    /// `(offloaded, inline)` frame-verification counts: how many
-    /// inbound data frames were MAC-checked on the worker pool versus
-    /// decoded inline on the reactor thread (Hello frames and the
-    /// zero-worker path). Both zero without an offload stage.
-    pub fn verify_stats(&self) -> (u64, u64) {
-        match &self.shared.verify {
-            Some(v) => (
-                v.offloaded.load(Ordering::Relaxed),
-                v.inline.load(Ordering::Relaxed),
-            ),
-            None => (0, 0),
-        }
     }
 
     /// Lends the hosted node to `f` on the calling thread: the reactor
@@ -558,5 +451,35 @@ where
     /// borrower panicked and the node was lost.
     pub fn shutdown(self) -> Option<N> {
         self.reactor.stop(SHUTDOWN_JOIN_TIMEOUT)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ringbft_types::ClientId;
+
+    #[test]
+    fn route_resolves_aliases_and_reports_addresses_like_addr_of() {
+        let peers = PeerTable::new();
+        let host = NodeId::Client(ClientId(1_000));
+        let client = NodeId::Client(ClientId(7));
+        peers.insert(host, "127.0.0.1:4100".parse().unwrap());
+        peers.add_alias(client, host);
+        assert_eq!(peers.route(client), (host, true));
+        assert_eq!(peers.route(host), (host, true));
+        assert!(peers.addr_of(client).is_some());
+
+        // An alias whose host has no address yet routes to the host
+        // but reports no address, exactly as `addr_of` does.
+        let orphan = NodeId::Client(ClientId(8));
+        let gone = NodeId::Client(ClientId(2_000));
+        peers.add_alias(orphan, gone);
+        assert_eq!(peers.route(orphan), (gone, false));
+        assert!(peers.addr_of(orphan).is_none());
+
+        let unknown = NodeId::Client(ClientId(9));
+        assert_eq!(peers.route(unknown), (unknown, false));
+        assert!(peers.addr_of(unknown).is_none());
     }
 }

@@ -178,20 +178,6 @@ fn eventually(mut pred: impl FnMut() -> bool) -> bool {
     true
 }
 
-/// The value of counter `name` in a runtime's `metrics_json`.
-fn counter(metrics: &str, name: &str) -> u64 {
-    let key = format!("\"{name}\":");
-    let at = metrics
-        .find(&key)
-        .unwrap_or_else(|| panic!("{name} missing from {metrics}"))
-        + key.len();
-    metrics[at..]
-        .split(|c: char| !c.is_ascii_digit())
-        .next()
-        .and_then(|v| v.parse().ok())
-        .expect("counter value")
-}
-
 fn ring(node: &AnyNode) -> &ringbft_core::RingReplica {
     match node {
         AnyNode::Ring(r) => r,
@@ -600,123 +586,18 @@ fn commit_hole_repaired_via_certificate_fetch_over_tcp() {
     assert!(cluster.shutdown(), "cluster shutdown was not clean");
 }
 
-/// Acceptance test (pipeline): a cluster launched with
-/// `pipeline_workers` ∈ {1, 2, 4} completes a closed-loop workload with
-/// frame verification running on the worker pool, and replicas of the
-/// shard still converge to identical stores (the offload must not
-/// reorder anything).
-#[test]
-fn pipelined_cluster_offloads_verification() {
-    let _alone = RUNTIMES.write().unwrap_or_else(|e| e.into_inner());
-    for workers in [1, 2, 4] {
-        let mut cfg = quick_cfg(1, 4);
-        cfg.clients = 16;
-        cfg.cross_shard_rate = 0.0;
-        cfg.involved_shards = 1;
-        cfg.batch_size = 2;
-        cfg.pipeline_workers = workers;
-        let mut cluster = LocalCluster::launch(cfg).expect("launch cluster");
-
-        for rt in cluster.replica_runtimes() {
-            assert_eq!(rt.pipeline_workers(), workers);
-        }
-
-        cluster
-            .spawn_workload_host(7, 2_000_000, 16)
-            .expect("spawn workload");
-        let target = 60usize;
-        let ok = cluster.wait_until(DEADLINE, |c| c.total_completions() >= target);
-        let total = cluster.total_completions();
-        assert!(
-            ok,
-            "{workers} workers: pipelined workload stalled: \
-             {total}/{target} completions before the deadline"
-        );
-
-        // Each runtime runs exactly one reactor thread, named as
-        // `benchmark/` expects, plus its verify pool; checked after the
-        // workload so every thread has started and named itself.
-        let names = thread_names();
-        for rt in cluster.replica_runtimes() {
-            let id = rt.id();
-            let mut own: Vec<String> = names
-                .iter()
-                .filter(|name| name.starts_with(&format!("{id}-")))
-                .cloned()
-                .collect();
-            own.sort();
-            let mut expected: Vec<String> =
-                (0..workers).map(|w| format!("{id}-pipe-w{w}")).collect();
-            expected.push(format!("{id}-reactor0"));
-            assert_eq!(own, expected, "{id}: threads of one runtime");
-        }
-
-        // Data frames actually took the offload path, and the transport
-        // metrics expose the pipeline instruments.
-        for rt in cluster.replica_runtimes() {
-            let (offloaded, _inline) = rt.verify_stats();
-            assert!(
-                offloaded > 0,
-                "{}: no frames were offloaded at {workers} workers",
-                rt.id()
-            );
-            let metrics = rt.metrics_json();
-            assert!(
-                metrics.contains("\"pipeline.verify_offloaded\"")
-                    && metrics.contains(&format!("\"pipeline.workers\":{workers}")),
-                "{}: pipeline instruments missing from {metrics}",
-                rt.id()
-            );
-            // Each verdict hands its body buffer back to the reactor's
-            // pool, so misses are bounded by the buffers live at once,
-            // not by the frames verified. Before the pool became a
-            // reactor field this read 26-53 misses for 470-661
-            // offloaded frames at 2 workers; losing the buffers would
-            // miss once per offloaded frame.
-            let misses = counter(&metrics, "net.egress_pool_misses");
-            assert!(
-                misses < 128,
-                "{}: {misses} pool misses over {offloaded} offloaded frames \
-                 at {workers} workers",
-                rt.id()
-            );
-        }
-
-        // Off-thread verification must not break replica agreement.
-        let converged = cluster.wait_until(DEADLINE, |c| {
-            let prints: Vec<u64> = (0..4u32)
-                .map(|i| {
-                    c.with_replica(ReplicaId::new(ShardId(0), i), |n| match n {
-                        ringbft_sim::AnyNode::Ring(r) => r.store().state_fingerprint(),
-                        _ => panic!("ring replica expected"),
-                    })
-                })
-                .collect();
-            prints.windows(2).all(|w| w[0] == w[1])
-        });
-        assert!(
-            converged,
-            "stores diverged under the threaded pipeline at {workers} workers"
-        );
-
-        assert!(
-            cluster.shutdown(),
-            "cluster shutdown was not clean at {workers} workers"
-        );
-    }
-}
-
 /// Closed-loop workload over 3 shards: the simulator's own `SimClient`
 /// drives sustained traffic through real sockets and completes
-/// transactions continuously.
+/// transactions continuously. Each replica runtime runs exactly one
+/// thread, and every shard's replicas converge to identical stores.
 #[test]
 fn closed_loop_workload_sustains_throughput_over_tcp() {
-    let _runtimes = shared_runtimes();
+    let _alone = RUNTIMES.write().unwrap_or_else(|e| e.into_inner());
     let mut cfg = quick_cfg(3, 4);
     cfg.clients = 24;
     cfg.cross_shard_rate = 0.3;
     let mut cluster = LocalCluster::launch(cfg).expect("launch cluster");
-    cluster
+    let host = cluster
         .spawn_workload_host(42, 1_000_000, 24)
         .expect("spawn workload");
 
@@ -739,6 +620,40 @@ fn closed_loop_workload_sustains_throughput_over_tcp() {
         executed_shards.len() >= 2,
         "expected cross-shard execution, saw {executed_shards:?}"
     );
+
+    // Each runtime runs exactly one thread, its reactor, named as
+    // `benchmark/` expects; checked under load, once every reactor has
+    // started and named itself.
+    let names = thread_names();
+    for rt in cluster.replica_runtimes() {
+        let id = rt.id();
+        let own: Vec<&String> = names
+            .iter()
+            .filter(|name| name.starts_with(&format!("{id}-")))
+            .collect();
+        assert_eq!(
+            own,
+            [&format!("{id}-reactor0")],
+            "{id}: threads of one runtime"
+        );
+    }
+
+    // Once the load stops, the replicas of every shard hold identical
+    // stores.
+    assert!(cluster.shutdown_client(host), "workload host shutdown");
+    let converged = cluster.wait_until(DEADLINE, |c| {
+        (0..3u32).all(|s| {
+            let prints: Vec<u64> = (0..4u32)
+                .map(|i| {
+                    c.with_replica(ReplicaId::new(ShardId(s), i), |n| {
+                        ring(n).store().state_fingerprint()
+                    })
+                })
+                .collect();
+            prints.windows(2).all(|w| w[0] == w[1])
+        })
+    });
+    assert!(converged, "a shard's stores diverged");
     assert!(cluster.shutdown(), "cluster shutdown was not clean");
 }
 

@@ -114,36 +114,6 @@ mod tests {
         assert_eq!(a.bytes_sent, b.bytes_sent);
     }
 
-    /// Modelling pipeline workers must raise throughput on a saturated
-    /// single-shard workload — the knee `BENCH_ringbft.json`'s
-    /// `pipeline.scaling_ok` gates.
-    #[test]
-    fn modeled_workers_scale_saturated_throughput() {
-        let run = |workers: usize| {
-            let mut cfg = SystemConfig::uniform(ProtocolKind::RingBft, 1, 4);
-            cfg.num_keys = 6_000;
-            cfg.clients = 3_000;
-            cfg.batch_size = 50;
-            cfg.cross_shard_rate = 0.0;
-            cfg.involved_shards = 1;
-            Scenario::new(cfg, 11)
-                .warmup_secs(0.5)
-                .measure_secs(2.0)
-                .local_topology(true)
-                .model_workers(workers)
-                .run()
-        };
-        let base = run(0);
-        let piped = run(4);
-        assert!(base.completed_txns > 0);
-        assert!(
-            piped.throughput_tps > base.throughput_tps * 1.5,
-            "4 modeled workers: {} tps vs {} tps inline",
-            piped.throughput_tps,
-            base.throughput_tps
-        );
-    }
-
     #[test]
     fn primary_crash_recovers_via_view_change() {
         let mut cfg = SystemConfig::uniform(ProtocolKind::RingBft, 3, 4);

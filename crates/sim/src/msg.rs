@@ -189,41 +189,6 @@ impl SimMessage for AnyMsg {
         protocol_cost + FRAME_MAC_VERIFY
     }
 
-    fn offload_cost(&self) -> Duration {
-        // The slice of `cpu_cost` a pipeline worker can absorb: frame-MAC
-        // verification on every message, plus the message's crypto/exec
-        // work (client DS checks, batch digests, attestation signature
-        // validation, fragment execution). Protocol state transitions are
-        // the serial remainder. Baseline protocols run without the
-        // pipeline, so only RingBFT traffic offloads beyond the MAC.
-        let crypto = match self {
-            AnyMsg::Ring(m) => match m {
-                // Client digital-signature verification (serial: dedup +
-                // lock admission).
-                RingMsg::Request { .. } => Duration::from_micros(13),
-                // Batch digest computation (serial: slot bookkeeping).
-                RingMsg::Pbft(PbftMsg::Preprepare { batch, .. }) => {
-                    Duration::from_micros(8 + batch.len() as u64)
-                }
-                // Commit-certificate attestation checks plus batch hash.
-                RingMsg::Forward(f) | RingMsg::ForwardShare(f) => {
-                    Duration::from_micros(10 + 2 * f.cert_signers.len() as u64)
-                }
-                // Cross-shard fragment execution off the core. Replicas now
-                // execute in place, so this charge models work no worker
-                // runs; kept until the cost model is recalibrated.
-                RingMsg::Execute(_) | RingMsg::ExecuteShare(_) => Duration::from_micros(6),
-                // Attestation checks plus batch hash on repair replies.
-                RingMsg::Recovery(RecoveryMsg::HoleReply(r)) => Duration::from_micros(
-                    8 + r.batch.len() as u64 + 2 * r.cert.signers.len() as u64,
-                ),
-                _ => Duration::ZERO,
-            },
-            AnyMsg::Sharded(_) | AnyMsg::Ss(_) => Duration::ZERO,
-        };
-        crypto + FRAME_MAC_VERIFY
-    }
-
     fn trace_context(&self) -> Option<ringbft_types::TraceContext> {
         // Only RingBFT traffic is causally traced; the baselines run
         // without instrumentation (their numbers are comparison-only).
@@ -283,39 +248,6 @@ mod tests {
             digest: [0; 32],
         }));
         assert_eq!(prep.wire_bytes(), 216);
-    }
-
-    #[test]
-    fn offload_never_exceeds_cpu_cost() {
-        let b = batch(100);
-        let samples = [
-            AnyMsg::Ring(RingMsg::Pbft(PbftMsg::Preprepare {
-                view: ViewNum(0),
-                seq: SeqNum(1),
-                digest: [0; 32],
-                batch: Arc::clone(&b),
-            })),
-            AnyMsg::Ring(RingMsg::Pbft(PbftMsg::Prepare {
-                view: ViewNum(0),
-                seq: SeqNum(1),
-                digest: [0; 32],
-            })),
-            AnyMsg::Ring(RingMsg::Forward(ringbft_core::ForwardMsg {
-                batch: b,
-                digest: [0; 32],
-                from_shard: ShardId(0),
-                cert_signers: (0..19).collect(),
-                deps: vec![],
-                hop: 0,
-            })),
-        ];
-        for m in &samples {
-            assert!(
-                m.offload_cost() <= m.cpu_cost(),
-                "offload exceeds total cost"
-            );
-            assert!(m.offload_cost() >= Duration::from_micros(2), "MAC at least");
-        }
     }
 
     #[test]

@@ -274,13 +274,9 @@ fn timeline_steps(t: &SpanTimeline) -> Vec<(u32, &'static str, f64)> {
         .collect()
 }
 
-/// Pipeline accounting of one run: the CPU model's worker count and
-/// what the replicas counted.
+/// Pipeline accounting of one run: what the replicas counted.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PipelineReport {
-    /// Pipeline workers modelled by the simulator's CPU scheduler
-    /// ([`ringbft_simnet::World::set_workers`]).
-    pub modeled_workers: usize,
     /// Single-shard batches executed, summed over replicas.
     pub exec_jobs: u64,
     /// Sub-`batch_size` batches cut early by the adaptive controller
@@ -337,7 +333,7 @@ pub struct ScenarioReport {
     pub holes: Vec<HoleReport>,
     /// Delta state-transfer metrics, one per darkened replica.
     pub delta_transfers: Vec<DeltaTransferReport>,
-    /// Pipeline accounting (modelled workers, executed batches, flushes).
+    /// Pipeline accounting (executed batches, adaptive flushes).
     pub pipeline: PipelineReport,
     /// Open-loop arrival accounting, when the scenario was built with
     /// [`Scenario::open_loop`]. `None` for closed-loop runs.
@@ -374,7 +370,6 @@ pub struct Scenario {
     divergences: Vec<(ReplicaId, f64)>,
     commit_holes: Vec<(ReplicaId, u64)>,
     delta_transfers: Vec<(ReplicaId, f64, f64)>,
-    model_workers: Option<usize>,
     open_loop: Option<ringbft_workload::arrivals::ArrivalProcess>,
 }
 
@@ -395,7 +390,6 @@ impl Scenario {
             divergences: Vec::new(),
             commit_holes: Vec::new(),
             delta_transfers: Vec::new(),
-            model_workers: None,
             open_loop: None,
         }
     }
@@ -407,16 +401,6 @@ impl Scenario {
     /// throughput stops tracking it locates the knee.
     pub fn open_loop(mut self, process: ringbft_workload::arrivals::ArrivalProcess) -> Self {
         self.open_loop = Some(process);
-        self
-    }
-
-    /// Overrides the number of pipeline workers the simulator's CPU
-    /// scheduler models (offloadable message costs overlap with the
-    /// ordering core). Defaults to the config's `pipeline_workers`, so
-    /// a threaded deployment is modelled faithfully; the determinism
-    /// twin pins the model while varying the replica-side stage.
-    pub fn model_workers(mut self, n: usize) -> Self {
-        self.model_workers = Some(n);
         self
     }
 
@@ -558,8 +542,6 @@ impl Scenario {
         topology.wan_bps /= self.bandwidth_divisor;
         let mut world: World<AnyMsg, AnyNode> =
             World::new(topology, self.faults.clone(), self.seed);
-        let modeled_workers = self.model_workers.unwrap_or(cfg.pipeline_workers);
-        world.set_workers(modeled_workers);
 
         // --- targeted faults: commit holes and darkness windows ---
         if !self.commit_holes.is_empty() || !self.delta_transfers.is_empty() {
@@ -1109,10 +1091,7 @@ impl Scenario {
             .collect();
 
         // Pipeline accounting, summed over the instrumented replicas.
-        let mut pipeline = PipelineReport {
-            modeled_workers,
-            ..Default::default()
-        };
+        let mut pipeline = PipelineReport::default();
         for (_, node) in world.nodes() {
             if let Some(obs) = node.ring_obs() {
                 let c = |n: &str| obs.reg.counter_by_name(n).unwrap_or(0);

@@ -86,21 +86,6 @@ fn seed() -> u64 {
     }
 }
 
-/// The pipeline-worker dimension of the CI matrix:
-/// `RINGBFT_PIPELINE_WORKERS` > 0 models that many verify/execute
-/// workers in the simulator's CPU scheduler, so every recovery path is
-/// also exercised under the offloaded cost model. Replicas execute in
-/// place either way. Same fail-loudly contract as the seed.
-fn pipeline_workers() -> usize {
-    match std::env::var("RINGBFT_PIPELINE_WORKERS") {
-        Ok(s) => s
-            .trim()
-            .parse()
-            .unwrap_or_else(|_| panic!("RINGBFT_PIPELINE_WORKERS is not an integer: {s:?}")),
-        Err(_) => 0,
-    }
-}
-
 /// The batching-policy dimension of the CI matrix:
 /// `RINGBFT_ADAPTIVE_BATCHING=1` runs every fault scenario with the
 /// Nagle-style adaptive flush cut enabled, so recovery is also proven
@@ -133,7 +118,6 @@ fn fault_cfg(z: usize) -> SystemConfig {
     cfg.timers.remote = Duration::from_millis(2400);
     cfg.timers.transmit = Duration::from_millis(3600);
     cfg.timers.client = Duration::from_millis(4800);
-    cfg.pipeline_workers = pipeline_workers();
     cfg.adaptive_batching = adaptive_batching();
     cfg
 }

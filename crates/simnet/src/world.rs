@@ -35,16 +35,6 @@ pub trait SimMessage: Clone {
         Duration::from_micros(5)
     }
 
-    /// The slice of [`SimMessage::cpu_cost`] that a pipeline worker can
-    /// take off the ordering core — MAC/signature verification, batch
-    /// digesting, execution — when the simulated node runs with
-    /// [`World::set_workers`] > 0. Clamped to `cpu_cost`; the remainder
-    /// is inherently serial (protocol state transitions). Default: none
-    /// (the whole cost stays on the core, as before the pipeline).
-    fn offload_cost(&self) -> Duration {
-        Duration::ZERO
-    }
-
     /// Causal trace context this message transports, when it carries a
     /// sampled transaction (`ringbft_types::trace`). The TCP runtime
     /// copies it into the frame envelope so traffic can be correlated
@@ -142,11 +132,6 @@ struct Slot<N> {
     region: Region,
     egress_free: Instant,
     busy_until: Instant,
-    /// Per-pipeline-worker availability (the CPU model's second
-    /// resource): entry `i` is when worker `i` next becomes free. Sized
-    /// lazily to [`World::workers`]; empty when the world models no
-    /// pipeline workers.
-    worker_free: Vec<Instant>,
     crashed: bool,
 }
 
@@ -180,11 +165,6 @@ pub struct World<M: SimMessage, N: SimNode<M>> {
     drop_filter: Option<DropFilter<M>>,
     /// Multiplicative latency jitter range `[1, 1 + jitter_frac]`.
     jitter_frac: f64,
-    /// Pipeline workers modelled per node: each delivered message's
-    /// [`SimMessage::offload_cost`] runs on the earliest-free worker
-    /// while only the serial remainder occupies the ordering core. 0
-    /// (the default) reproduces the single-core model exactly.
-    workers: usize,
     /// Executed-batch log (drained by the harness).
     pub exec_log: Vec<ExecRecord>,
     /// View-change log.
@@ -210,7 +190,6 @@ impl<M: SimMessage, N: SimNode<M>> World<M, N> {
             rng: ChaCha12Rng::seed_from_u64(seed),
             drop_filter: None,
             jitter_frac: 0.05,
-            workers: 0,
             exec_log: Vec::new(),
             view_log: Vec::new(),
             stats: NetStats::default(),
@@ -221,20 +200,6 @@ impl<M: SimMessage, N: SimNode<M>> World<M, N> {
     pub fn set_jitter(&mut self, frac: f64) {
         assert!(frac >= 0.0);
         self.jitter_frac = frac;
-    }
-
-    /// Models `n` pipeline workers per node: every delivered message's
-    /// [`SimMessage::offload_cost`] is scheduled on the earliest-free
-    /// worker, overlapping with the ordering core, which only pays the
-    /// serial remainder. `0` restores the single-core model unchanged
-    /// (byte-identical event sequence).
-    pub fn set_workers(&mut self, n: usize) {
-        self.workers = n;
-    }
-
-    /// The modelled pipeline worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// Installs a content-aware drop rule: every message for which
@@ -259,7 +224,6 @@ impl<M: SimMessage, N: SimNode<M>> World<M, N> {
                 region,
                 egress_free: Instant::ZERO,
                 busy_until: Instant::ZERO,
-                worker_free: Vec::new(),
                 crashed: false,
             },
         );
@@ -384,39 +348,16 @@ impl<M: SimMessage, N: SimNode<M>> World<M, N> {
     fn dispatch(&mut self, at: Instant, event: Event<M>) {
         match event {
             Event::Deliver { from, to, msg } => {
-                let workers = self.workers;
                 let Some(slot) = self.slots.get_mut(&to) else {
                     return;
                 };
                 if slot.crashed {
                     return;
                 }
-                // CPU model: the offloadable slice of the cost runs on
-                // the earliest-free pipeline worker (when modelled);
-                // the core then pays only the serial remainder, and
-                // processing starts when both are done.
+                // CPU model: one core per node processes deliveries in
+                // arrival order, each for its message's `cpu_cost`.
                 let total = msg.cpu_cost();
-                let off = msg.offload_cost().min(total);
-                let finish = if workers > 0 && off > Duration::ZERO {
-                    if slot.worker_free.len() != workers {
-                        slot.worker_free.resize(workers, at);
-                    }
-                    let wi = slot
-                        .worker_free
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, t)| **t)
-                        .map(|(i, _)| i)
-                        .expect("workers > 0");
-                    let wstart = at.max(slot.worker_free[wi]);
-                    let wdone = wstart + off;
-                    slot.worker_free[wi] = wdone;
-                    let serial = Duration::from_nanos(total.as_nanos() - off.as_nanos());
-                    let start = wdone.max(slot.busy_until);
-                    start + serial
-                } else {
-                    at.max(slot.busy_until) + total
-                };
+                let finish = at.max(slot.busy_until) + total;
                 slot.busy_until = finish;
                 let actions = slot.node.on_message(finish, from, msg);
                 self.apply_actions(to, finish, actions);
@@ -485,7 +426,6 @@ impl<M: SimMessage, N: SimNode<M>> World<M, N> {
                 slot.crashed = false;
                 slot.busy_until = at;
                 slot.egress_free = at;
-                slot.worker_free.iter_mut().for_each(|t| *t = at);
                 let actions = slot.node.on_start(at);
                 self.apply_actions(node, at, actions);
             }
@@ -799,78 +739,6 @@ mod tests {
                 assert_eq!(fired, &[(TimerKind::Local, 1), (TimerKind::Remote, 2)]);
             }
         }
-    }
-
-    #[test]
-    fn pipeline_workers_overlap_offloadable_cost() {
-        // 40 messages, 10 µs CPU each of which 8 µs is offloadable.
-        // With 0 workers the core pays the full 400 µs serially; with 4
-        // workers each worker digests 10 messages (80 µs) while the core
-        // pays only 40 × 2 µs — the burst must finish several times
-        // faster.
-        #[derive(Clone)]
-        struct Heavy;
-        impl SimMessage for Heavy {
-            fn wire_bytes(&self) -> u64 {
-                100
-            }
-            fn cpu_cost(&self) -> Duration {
-                Duration::from_micros(10)
-            }
-            fn offload_cost(&self) -> Duration {
-                Duration::from_micros(8)
-            }
-        }
-        enum Node {
-            Sender,
-            Sink(Vec<Instant>),
-        }
-        impl SimNode<Heavy> for Node {
-            fn on_start(&mut self, _now: Instant) -> Vec<Action<Heavy>> {
-                match self {
-                    Node::Sender => (0..40)
-                        .map(|_| Action::Send {
-                            to: rep(1, 0),
-                            msg: Heavy,
-                        })
-                        .collect(),
-                    Node::Sink(_) => vec![],
-                }
-            }
-            fn on_message(&mut self, now: Instant, _: NodeId, _: Heavy) -> Vec<Action<Heavy>> {
-                if let Node::Sink(times) = self {
-                    times.push(now);
-                }
-                vec![]
-            }
-            fn on_timer(&mut self, _: Instant, _: TimerKind, _: u64) -> Vec<Action<Heavy>> {
-                vec![]
-            }
-        }
-        let span = |workers: usize| {
-            let mut w: World<Heavy, Node> = World::new(Topology::local(), FaultPlan::none(), 0);
-            w.set_jitter(0.0);
-            w.set_workers(workers);
-            w.add_node(rep(0, 0), Region::Oregon, Node::Sender);
-            w.add_node(rep(1, 0), Region::Oregon, Node::Sink(vec![]));
-            w.start();
-            w.run_until(Instant::ZERO + Duration::from_secs(1));
-            let Node::Sink(times) = w.node(rep(1, 0)).unwrap() else {
-                panic!()
-            };
-            assert_eq!(times.len(), 40, "all messages processed");
-            times.last().unwrap().since(times[0])
-        };
-        let serial = span(0);
-        let piped = span(4);
-        assert!(
-            piped.as_nanos() * 3 < serial.as_nanos(),
-            "4 workers only improved {serial} to {piped}"
-        );
-        // workers=1 still helps (verify overlaps the serial remainder)
-        // but less than 4.
-        let one = span(1);
-        assert!(one < serial && piped < one, "{serial} / {one} / {piped}");
     }
 
     #[test]

@@ -238,17 +238,11 @@ pub struct SystemConfig {
     /// wall-clock benchmark assigns it; it goes with the benchmark
     /// change that ROADMAP P3 schedules.
     pub reactor_shards: usize,
-    /// Verify workers per node: `0` (the default) checks inbound frame
-    /// MACs and decodes bodies on the reactor thread. A positive value
-    /// makes the TCP runtime run those checks on a fixed pool of that
-    /// many threads, and the simulator model that many workers in its
-    /// CPU scheduler. Replicas always execute in place and never read
-    /// it. The simulator's model still charges fragment execution to
-    /// those workers as well as verification, so its modelled scaling
-    /// factor is not a verify-only figure. A TCP node runs
-    /// `1 + pipeline_workers` threads: its reactor plus this pool. The
-    /// recommended sizing is `min(4, cores − 2)`
-    /// (`ringbft_net::default_workers`).
+    /// Unused: nothing reads it, and [`SystemConfig::validate`] accepts
+    /// only 0, because a `ringbft-net` node runs one thread, its
+    /// reactor, which verifies frames inline. Like `reactor_shards`,
+    /// the field stays only because the wall-clock benchmark assigns
+    /// it; it goes with the benchmark change that ROADMAP P3 schedules.
     pub pipeline_workers: usize,
     /// Ablation switch: send cross-shard Forward/Execute messages to
     /// *every* replica of the next shard instead of only the same-index
@@ -404,8 +398,8 @@ impl SystemConfig {
         if self.reactor_shards != 1 {
             return Err("reactor_shards must be 1 (one reactor thread per node)".into());
         }
-        if self.pipeline_workers > 64 {
-            return Err("pipeline_workers must be within 0..=64".into());
+        if self.pipeline_workers != 0 {
+            return Err("pipeline_workers must be 0 (frames are verified on the reactor)".into());
         }
         if let Durability::Batched(ms) = self.durability {
             if ms == 0 || ms > 60_000 {
@@ -487,13 +481,12 @@ mod tests {
     #[test]
     fn pipeline_workers_validated() {
         let mut cfg = SystemConfig::uniform(ProtocolKind::RingBft, 2, 4);
-        assert_eq!(cfg.pipeline_workers, 0, "inline by default");
-        cfg.pipeline_workers = 4;
+        assert_eq!(cfg.pipeline_workers, 0);
         cfg.validate().unwrap();
-        cfg.pipeline_workers = 65;
-        assert!(cfg.validate().is_err());
-        cfg.pipeline_workers = 64;
-        cfg.validate().unwrap();
+        for bad in [1, 4, 64] {
+            cfg.pipeline_workers = bad;
+            assert!(cfg.validate().is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Behaviour fingerprint of the fault matrix: runs
 # crates/sim/tests/fault_matrix.rs on the five CI legs
-# (seed / pipeline workers / adaptive batching) and prints every
+# (seed / adaptive batching) and prints every
 # `report-digest <test> <seed> <sha256>` line, sorted. Each digest
 # hashes one scenario's full report (client latencies, phase
 # histograms, per-replica trace rings), so a change that holds
@@ -20,10 +20,9 @@ cd "$(dirname "$0")/.."
 
 cargo test -q -p ringbft-sim --test fault_matrix --no-run
 
-for leg in 7/0/0 13/2/0 19/4/0 31/0/0 17/2/1; do
-    IFS=/ read -r seed workers adaptive <<<"$leg"
-    RINGBFT_FAULT_SEED="$seed" RINGBFT_PIPELINE_WORKERS="$workers" \
-        RINGBFT_ADAPTIVE_BATCHING="$adaptive" \
+for leg in 7/0 13/0 19/0 31/0 17/1; do
+    IFS=/ read -r seed adaptive <<<"$leg"
+    RINGBFT_FAULT_SEED="$seed" RINGBFT_ADAPTIVE_BATCHING="$adaptive" \
         cargo test -q -p ringbft-sim --test fault_matrix -- --nocapture |
         grep -o 'report-digest .*'
 done | LC_ALL=C sort

@@ -185,26 +185,21 @@ if [[ "$KILL_AT" -gt 0 ]]; then
     # workload keeps completing transactions.
     sleep "$KILL_AT"
 
-    # Reactor thread model: with the cluster fully connected and the
-    # workload's 100 logical clients live, a process hosting H replicas
-    # runs exactly H * (1 + pipeline_workers) threads (one reactor per
-    # replica; pipeline_workers is sized to the machine by
-    # --example-config, 0 on small hosts) plus
-    # the main thread — connection count must not move it. The shard-1
-    # process hosts 4 replicas: allow that budget + main + 1 slack.
-    PIPE_WORKERS=$(sed -n 's/.*"pipeline_workers": \([0-9]*\).*/\1/p' "$CONFIG" | head -1)
-    PIPE_WORKERS=${PIPE_WORKERS:-0}
-    THREAD_BUDGET=$((4 * (1 + PIPE_WORKERS) + 2))
+    # Thread model: with the cluster fully connected and the workload's
+    # 100 logical clients live, a process hosting H replicas runs one
+    # reactor thread per replica plus the main thread — connection
+    # count must not move it. The shard-1 process hosts 4 replicas:
+    # allow 4 reactors + main + 1 slack.
+    THREAD_BUDGET=6
     SHARD1_THREADS=$(threads_of "${PIDS[1]}")
     SHARD1_THREADS=${SHARD1_THREADS:-0}
     if [[ "$SHARD1_THREADS" -gt "$THREAD_BUDGET" ]]; then
         echo "smoke: shard-1 process runs $SHARD1_THREADS threads for 4 hosted replicas" \
-             "with $PIPE_WORKERS pipeline workers each (budget $THREAD_BUDGET —" \
-             "thread-per-connection regression?)" >&2
+             "(budget $THREAD_BUDGET — thread-per-connection regression?)" >&2
         exit 1
     fi
     echo "smoke: shard-1 process thread count $SHARD1_THREADS" \
-         "(4 replicas x (1 reactor + $PIPE_WORKERS workers) + main, budget $THREAD_BUDGET) — ok"
+         "(4 reactors + main, budget $THREAD_BUDGET) — ok"
     scrape_telemetry
     echo "smoke: killing replica S0r3 (pid $VICTIM_PID) with SIGKILL"
     kill -9 "$VICTIM_PID" 2>/dev/null || true
