@@ -94,6 +94,11 @@ pub const CLOSE_KIND: u8 = 6;
 const FULL_KIND: u8 = 4;
 const DELTA_KIND: u8 = 5;
 
+/// Encoded size of one [`crate::RecordEntry`]: three fixed-width `u64`s.
+const RECORD_BYTES: usize = 3 * 8;
+/// Records per run when a full snapshot streams into the log (48 KiB).
+const FULL_STREAM_RECORDS: usize = 2048;
+
 /// The payload of the snapshot-carrying [`WalEntry`] variant of frame
 /// kind `kind`, encoded from a borrowed body: the variant tag (kinds
 /// are the variant indices plus one), then the body — byte-identical to
@@ -282,9 +287,34 @@ impl ReplicaWal {
     /// Appends a full snapshot by *compacting*: the log is rewritten to
     /// hold exactly this snapshot (history before it is subsumed by the
     /// capture), atomically and durably.
+    ///
+    /// The entry streams into the log a run of records at a time, so
+    /// the log never buffers more of its encoding than one run; the
+    /// bytes are those of an appended [`WalEntry::CheckpointFull`].
     pub fn append_full(&mut self, snap: &Snapshot) -> std::io::Result<()> {
-        self.storage
-            .compact(&[(FULL_KIND, encode_borrowed(FULL_KIND, snap))])
+        // The derived encoding writes a struct's fields in declaration
+        // order, and a list as its `u64` length followed by its
+        // elements: everything up to the first record, the records, and
+        // everything after them.
+        let head = bincode::serialize(&(
+            u32::from(FULL_KIND) - 1,
+            snap.shard,
+            snap.seq,
+            snap.records.len() as u64,
+        ))
+        .expect("wal entries serialize");
+        let tail = bincode::serialize(&(snap.ledger_height, snap.ledger_head))
+            .expect("wal entries serialize");
+        let len = head.len() + snap.records.len() * RECORD_BYTES + tail.len();
+        self.storage.compact(FULL_KIND, len, &mut |out| {
+            out.write_all(&head)?;
+            for run in snap.records.chunks(FULL_STREAM_RECORDS) {
+                // A run encodes as its length (dropped) and its records.
+                let bytes = bincode::serialize(run).expect("wal entries serialize");
+                out.write_all(&bytes[8..])?;
+            }
+            out.write_all(&tail)
+        })
     }
 
     /// Appends a delta checkpoint (a [`WalEntry::CheckpointDelta`])
@@ -422,6 +452,56 @@ mod tests {
         }
         assert_eq!(WalEntry::CheckpointFull(full).kind(), FULL_KIND);
         assert_eq!(WalEntry::CheckpointDelta(delta).kind(), DELTA_KIND);
+    }
+
+    #[test]
+    fn streamed_full_snapshot_frame_equals_the_appended_entry() {
+        // More records than one streamed run, and a partial last run.
+        let mut kv = store(2 * FULL_STREAM_RECORDS as u64 + 5);
+        kv.put(17, 3);
+        let full = Snapshot::capture(ShardId(3), 64, &kv, 9, [4; 32]);
+        // The frame an append of the whole encoded entry writes.
+        let expected = {
+            let handle = MemWalHandle::new();
+            let (mut plain, _) = MemWal::open(handle.clone());
+            plain
+                .append(FULL_KIND, &encode_borrowed(FULL_KIND, &full))
+                .unwrap();
+            handle.bytes()
+        };
+        assert_eq!(
+            bincode::serialize(&full.records[..1]).unwrap().len(),
+            8 + RECORD_BYTES
+        );
+
+        let handle = MemWalHandle::new();
+        let (mut wal, _) = ReplicaWal::open_mem(handle.clone(), Durability::Strict);
+        wal.append(&WalEntry::Commit {
+            seq: 1,
+            digest: [1; 32],
+        })
+        .unwrap();
+        wal.append_full(&full).unwrap();
+        assert_eq!(handle.bytes(), expected, "MemWal frame");
+
+        let dir =
+            std::env::temp_dir().join(format!("ringbft-streamed-full-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("replica.wal");
+        let (mut wal, _) = ReplicaWal::open_file(&path, Durability::Strict).unwrap();
+        wal.append(&WalEntry::Commit {
+            seq: 1,
+            digest: [1; 32],
+        })
+        .unwrap();
+        wal.append_full(&full).unwrap();
+        assert_eq!(wal.len_bytes(), expected.len() as u64);
+        drop(wal);
+        assert_eq!(std::fs::read(&path).unwrap(), expected, "FileWal frame");
+        let (_, recovered) = ReplicaWal::open_file(&path, Durability::Strict).unwrap();
+        assert_eq!(recovered.entries, 1);
+        assert_eq!(recovered.full.as_ref(), Some(&full));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

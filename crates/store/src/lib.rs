@@ -16,4 +16,4 @@ pub mod wal;
 
 pub use kv::{rmw_ops, FragmentResult, KvStore, Record};
 pub use locks::{Admission, LockManager};
-pub use wal::{FileWal, MemWal, MemWalHandle, Storage, WalRecord};
+pub use wal::{FileWal, MemWal, MemWalHandle, PayloadWriter, Storage, WalRecord};

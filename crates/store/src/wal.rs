@@ -27,9 +27,19 @@
 //! incomplete or fails its checksum — the *torn tail* a crash mid-write
 //! leaves behind. The torn suffix is truncated, never replayed: a
 //! record is either durable in full or it never happened.
+//!
+//! ## Compaction
+//!
+//! [`Storage::compact`] replaces the whole log with one record, the
+//! replica's full checkpoint snapshot. Its payload is streamed: the
+//! caller writes it piecewise into the log's new contents while the
+//! frame checksum is computed on the way through, and the header's
+//! checksum is patched in at the end. The frame is byte-identical to an
+//! appended one, and neither the payload nor the frame is ever held in
+//! a buffer of its own.
 
 use std::fs;
-use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
+use std::io::{self, Read as _, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -54,21 +64,73 @@ fn mix(a: u64, b: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Per-record checksum over `(len, kind, payload)`. Not cryptographic —
-/// the WAL is a local-integrity device (torn writes, bit rot), not a
-/// trust boundary; state fetched from peers is verified against
-/// quorum-stable SHA-256 digests instead.
-fn checksum(kind: u8, payload: &[u8]) -> u64 {
-    let mut h = mix(
-        0x57414c_u64, // "WAL"
-        (payload.len() as u64) << 8 | kind as u64,
-    );
-    for chunk in payload.chunks(8) {
-        let mut buf = [0u8; 8];
-        buf[..chunk.len()].copy_from_slice(chunk);
-        h = mix(h, u64::from_le_bytes(buf));
+/// Per-record checksum over `(len, kind, payload)`, fed incrementally
+/// so a frame can be checksummed while its payload streams past. Not
+/// cryptographic — the WAL is a local-integrity device (torn writes,
+/// bit rot), not a trust boundary; state fetched from peers is verified
+/// against quorum-stable SHA-256 digests instead.
+///
+/// The payload is mixed in 8-byte little-endian words, the last one
+/// zero-padded, however its bytes were split across
+/// [`Checksum::update`] calls.
+struct Checksum {
+    h: u64,
+    /// The current word, of which `filled` bytes have arrived.
+    word: [u8; 8],
+    filled: usize,
+    /// Payload bytes fed so far.
+    fed: usize,
+}
+
+impl Checksum {
+    fn new(kind: u8, len: usize) -> Checksum {
+        Checksum {
+            h: mix(
+                0x57414c_u64, // "WAL"
+                (len as u64) << 8 | kind as u64,
+            ),
+            word: [0; 8],
+            filled: 0,
+            fed: 0,
+        }
     }
-    h
+
+    fn update(&mut self, mut bytes: &[u8]) {
+        self.fed += bytes.len();
+        if self.filled > 0 {
+            let take = (8 - self.filled).min(bytes.len());
+            self.word[self.filled..self.filled + take].copy_from_slice(&bytes[..take]);
+            self.filled += take;
+            bytes = &bytes[take..];
+            if self.filled < 8 {
+                return;
+            }
+            self.h = mix(self.h, u64::from_le_bytes(self.word));
+            self.filled = 0;
+        }
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.h = mix(self.h, u64::from_le_bytes(w.try_into().expect("8 bytes")));
+        }
+        let rest = words.remainder();
+        self.word[..rest.len()].copy_from_slice(rest);
+        self.filled = rest.len();
+    }
+
+    fn finish(mut self) -> u64 {
+        if self.filled > 0 {
+            self.word[self.filled..].fill(0);
+            self.h = mix(self.h, u64::from_le_bytes(self.word));
+        }
+        self.h
+    }
+}
+
+/// The checksum of a whole payload.
+fn checksum(kind: u8, payload: &[u8]) -> u64 {
+    let mut sum = Checksum::new(kind, payload.len());
+    sum.update(payload);
+    sum.finish()
 }
 
 /// Encodes one framed record.
@@ -79,6 +141,65 @@ fn encode(kind: u8, payload: &[u8]) -> Vec<u8> {
     frame.push(kind);
     frame.extend_from_slice(payload);
     frame
+}
+
+/// Writes one record's payload, in as many pieces as it likes, into the
+/// log (the payload argument of [`Storage::compact`]).
+pub type PayloadWriter<'a> = dyn FnMut(&mut dyn Write) -> io::Result<()> + 'a;
+
+/// Forwards payload bytes to the log while checksumming them.
+struct Checksummed<'a, W> {
+    out: &'a mut W,
+    sum: Checksum,
+}
+
+impl<W: Write> Write for Checksummed<'_, W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.out.write(buf)?;
+        self.sum.update(&buf[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.out.flush()
+    }
+}
+
+/// Streams one framed record into `out` at its current position and
+/// returns the frame's length. The header goes out with a zero
+/// checksum, `payload` writes its `len` bytes through the running
+/// checksum, and the checksum is then patched into the header: the
+/// bytes equal `encode(kind, ..)` of the same payload, and the payload
+/// is never buffered whole.
+fn write_frame<W: Write + Seek>(
+    out: &mut W,
+    kind: u8,
+    len: usize,
+    payload: &mut PayloadWriter<'_>,
+) -> io::Result<u64> {
+    let len32 = u32::try_from(len)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "payload exceeds a frame"))?;
+    let start = out.stream_position()?;
+    out.write_all(&len32.to_le_bytes())?;
+    out.write_all(&[0; 8])?;
+    out.write_all(&[kind])?;
+    let mut body = Checksummed {
+        out: &mut *out,
+        sum: Checksum::new(kind, len),
+    };
+    payload(&mut body)?;
+    let sum = body.sum;
+    if sum.fed != len {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("payload wrote {} bytes, declared {len}", sum.fed),
+        ));
+    }
+    let end = out.stream_position()?;
+    out.seek(SeekFrom::Start(start + 4))?;
+    out.write_all(&sum.finish().to_le_bytes())?;
+    out.seek(SeekFrom::Start(end))?;
+    Ok(end - start)
 }
 
 /// Scans `bytes` for the longest valid record prefix. Returns the
@@ -134,10 +255,22 @@ pub trait Storage: Send {
     /// True when at least one append happened since the last sync.
     fn dirty(&self) -> bool;
 
-    /// Atomically replaces the log's contents with `records` and syncs
-    /// (checkpoint compaction). On return the log holds exactly
-    /// `records`, durably.
-    fn compact(&mut self, records: &[(u8, Vec<u8>)]) -> std::io::Result<()>;
+    /// Atomically replaces the log's contents with one record and syncs
+    /// (checkpoint compaction). On `Ok` the log holds exactly that
+    /// record, durably; on `Err` it still holds what it held before.
+    ///
+    /// The record is `kind` with a `len`-byte payload that `payload`
+    /// writes. The payload streams into the log's new contents, its
+    /// checksum computed on the way through, so a compaction of a large
+    /// snapshot never holds the encoded payload, nor its frame, in a
+    /// buffer of its own. Writing other than exactly `len` bytes fails
+    /// the compaction.
+    fn compact(
+        &mut self,
+        kind: u8,
+        len: usize,
+        payload: &mut PayloadWriter<'_>,
+    ) -> std::io::Result<()>;
 }
 
 // ---------------------------------------------------------------------
@@ -251,11 +384,17 @@ impl Storage for MemWal {
         inner.bytes.len() > inner.synced
     }
 
-    fn compact(&mut self, records: &[(u8, Vec<u8>)]) -> std::io::Result<()> {
-        let mut bytes = Vec::new();
-        for (kind, payload) in records {
-            bytes.extend_from_slice(&encode(*kind, payload));
-        }
+    fn compact(
+        &mut self,
+        kind: u8,
+        len: usize,
+        payload: &mut PayloadWriter<'_>,
+    ) -> std::io::Result<()> {
+        // Built beside the old contents and swapped in whole, so a
+        // failed payload leaves the log as it was.
+        let mut log = io::Cursor::new(Vec::with_capacity(FRAME_HEADER + len));
+        write_frame(&mut log, kind, len, payload)?;
+        let bytes = log.into_inner();
         let mut inner = self.handle.0.lock().expect("wal lock");
         inner.synced = bytes.len();
         inner.bytes = bytes;
@@ -351,18 +490,30 @@ impl Storage for FileWal {
         self.dirty
     }
 
-    fn compact(&mut self, records: &[(u8, Vec<u8>)]) -> std::io::Result<()> {
+    fn compact(
+        &mut self,
+        kind: u8,
+        len: usize,
+        payload: &mut PayloadWriter<'_>,
+    ) -> std::io::Result<()> {
         // Write-new / fsync / rename-over: the log is never in a state
-        // where a crash leaves neither the old nor the new contents.
+        // where a crash leaves neither the old nor the new contents. A
+        // compaction that fails before the rename leaves the old log
+        // in place and the open file handle on it.
         let tmp = self.path.with_extension("wal.tmp");
-        let mut out = fs::File::create(&tmp)?;
-        let mut len = 0u64;
-        for (kind, payload) in records {
-            let frame = encode(*kind, payload);
-            out.write_all(&frame)?;
-            len += frame.len() as u64;
-        }
-        out.sync_data()?;
+        let written = (|| -> io::Result<u64> {
+            let mut out = io::BufWriter::new(fs::File::create(&tmp)?);
+            let len = write_frame(&mut out, kind, len, payload)?;
+            out.into_inner().map_err(|e| e.into_error())?.sync_data()?;
+            Ok(len)
+        })();
+        let len = match written {
+            Ok(len) => len,
+            Err(e) => {
+                let _ = fs::remove_file(&tmp);
+                return Err(e);
+            }
+        };
         fs::rename(&tmp, &self.path)?;
         if let Some(dir) = self.path.parent() {
             if !dir.as_os_str().is_empty() {
@@ -457,7 +608,8 @@ mod tests {
         for i in 0..10u8 {
             wal.append(i, &[i; 16]).unwrap();
         }
-        wal.compact(&[(7, b"only".to_vec())]).unwrap();
+        wal.compact(7, 4, &mut |out| out.write_all(b"only"))
+            .unwrap();
         assert!(!wal.dirty());
         let (_, replayed) = MemWal::open(handle);
         assert_eq!(replayed, records_of(&[(7, b"only".to_vec())]));
@@ -509,7 +661,8 @@ mod tests {
         // Compaction rewrites the file atomically.
         {
             let (mut wal, _) = FileWal::open(&path).unwrap();
-            wal.compact(&[(9, b"base".to_vec())]).unwrap();
+            wal.compact(9, 4, &mut |out| out.write_all(b"base"))
+                .unwrap();
             wal.append(4, b"delta").unwrap();
             wal.sync().unwrap();
         }
@@ -521,6 +674,73 @@ mod tests {
             );
         }
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A scratch directory for one file-backed test.
+    pub(super) fn test_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("ringbft-{name}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn file_compaction_that_stops_before_its_rename_keeps_the_previous_log() {
+        let dir = test_dir("wal-stopped-compaction");
+        let path = dir.join("replica.wal");
+        let tmp = path.with_extension("wal.tmp");
+        let (mut wal, _) = FileWal::open(&path).unwrap();
+        wal.append(1, b"base").unwrap();
+        wal.append(2, b"delta").unwrap();
+        wal.sync().unwrap();
+        let before = fs::read(&path).unwrap();
+        // A payload that fails halfway through, and one that writes
+        // fewer bytes than it declared: both stop before the rename.
+        let failing = wal.compact(9, 64, &mut |out| {
+            out.write_all(&[7; 32])?;
+            Err(io::Error::other("capture failed"))
+        });
+        assert_eq!(failing.unwrap_err().to_string(), "capture failed");
+        let short = wal.compact(9, 64, &mut |out| out.write_all(&[7; 63]));
+        assert_eq!(short.unwrap_err().kind(), io::ErrorKind::InvalidData);
+        assert!(!tmp.exists(), "a stopped compaction removes its new file");
+        assert_eq!(fs::read(&path).unwrap(), before);
+        assert_eq!(wal.len_bytes(), before.len() as u64);
+        // The handle still appends to the previous log.
+        wal.append(3, b"tail").unwrap();
+        wal.sync().unwrap();
+        drop(wal);
+        // A crash between writing the new file and renaming it leaves
+        // a stray temporary file, which replay ignores.
+        fs::write(&tmp, encode(9, b"never renamed")).unwrap();
+        let (_, replayed) = FileWal::open(&path).unwrap();
+        assert_eq!(
+            replayed,
+            records_of(&[
+                (1, b"base".to_vec()),
+                (2, b"delta".to_vec()),
+                (3, b"tail".to_vec())
+            ])
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn mem_compaction_with_a_failing_payload_keeps_the_previous_log() {
+        let handle = MemWalHandle::new();
+        let (mut wal, _) = MemWal::open(handle.clone());
+        wal.append(1, b"base").unwrap();
+        wal.sync().unwrap();
+        let before = handle.bytes();
+        let failing = wal.compact(9, 8, &mut |out| {
+            out.write_all(b"half")?;
+            Err(io::Error::other("capture failed"))
+        });
+        assert!(failing.is_err());
+        assert!(wal
+            .compact(9, 8, &mut |out| out.write_all(b"too long!"))
+            .is_err());
+        assert_eq!(handle.bytes(), before);
+        assert_eq!(wal.syncs(), 1);
     }
 
     #[test]
@@ -536,6 +756,7 @@ mod tests {
 
 #[cfg(test)]
 mod prop_tests {
+    use super::tests::test_dir;
     use super::*;
     use proptest::prelude::*;
 
@@ -569,6 +790,69 @@ mod prop_tests {
                 prop_assert_eq!(rec.kind, i as u8);
                 prop_assert_eq!(&rec.payload, &payloads[i]);
             }
+        }
+
+        /// The incremental checksum, fed in arbitrary pieces, is the
+        /// word-by-word definition the log format fixes.
+        #[test]
+        fn checksum_is_the_word_by_word_definition(
+            payload in proptest::collection::vec(any::<u8>(), 0..100),
+            cut in any::<usize>(),
+            kind in any::<u8>(),
+        ) {
+            let mut h = mix(0x57414c_u64, (payload.len() as u64) << 8 | kind as u64);
+            for chunk in payload.chunks(8) {
+                let mut word = [0u8; 8];
+                word[..chunk.len()].copy_from_slice(chunk);
+                h = mix(h, u64::from_le_bytes(word));
+            }
+            let (a, b) = payload.split_at(cut % (payload.len() + 1));
+            let mut sum = Checksum::new(kind, payload.len());
+            sum.update(a);
+            sum.update(b);
+            prop_assert_eq!(sum.finish(), h);
+        }
+
+        /// A compaction whose payload arrives in arbitrary pieces
+        /// writes exactly the frame an append of the whole payload
+        /// writes, on both backends, and the file backend's reopen
+        /// replays it.
+        #[test]
+        fn streamed_compaction_writes_the_appended_frame(
+            payload in proptest::collection::vec(any::<u8>(), 0..300),
+            cuts in proptest::collection::vec(any::<usize>(), 0..6),
+            kind in any::<u8>(),
+        ) {
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (payload.len() + 1)).collect();
+            cuts.push(0);
+            cuts.push(payload.len());
+            cuts.sort_unstable();
+            let mut pieces = |out: &mut dyn Write| {
+                for w in cuts.windows(2) {
+                    out.write_all(&payload[w[0]..w[1]])?;
+                }
+                Ok(())
+            };
+            let frame = encode(kind, &payload);
+
+            let handle = MemWalHandle::new();
+            let (mut wal, _) = MemWal::open(handle.clone());
+            wal.append(1, b"replaced").unwrap();
+            wal.compact(kind, payload.len(), &mut pieces).unwrap();
+            prop_assert_eq!(handle.bytes(), frame.clone());
+            prop_assert_eq!(wal.len_bytes(), frame.len() as u64);
+
+            let dir = test_dir("wal-streamed-compaction");
+            let path = dir.join("replica.wal");
+            let (mut wal, _) = FileWal::open(&path).unwrap();
+            wal.append(1, b"replaced").unwrap();
+            wal.compact(kind, payload.len(), &mut pieces).unwrap();
+            prop_assert_eq!(wal.len_bytes(), frame.len() as u64);
+            drop(wal);
+            prop_assert_eq!(fs::read(&path).unwrap(), frame);
+            let (_, replayed) = FileWal::open(&path).unwrap();
+            prop_assert_eq!(replayed, vec![WalRecord { kind, payload: payload.clone() }]);
+            let _ = fs::remove_dir_all(&dir);
         }
 
         /// Replay is the identity on whatever record sequence was
