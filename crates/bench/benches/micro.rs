@@ -269,7 +269,7 @@ fn bench_recovery(c: &mut Criterion) {
         // into the checkpoint store and read the digest off the
         // accumulator. The store carries over between iterations, as it
         // does between windows.
-        let mut store = CheckpointStore::new(kv.clone());
+        let mut store = CheckpointStore::new(&kv);
         g.bench_function(format!("checkpoint_window_{keys}"), |b| {
             b.iter(|| {
                 let dirty = store.fold_window(window.iter().copied());

@@ -158,7 +158,7 @@ impl RingReplica {
         } else {
             KvStore::new()
         };
-        let ckpt = Checkpointer::new(&cfg, me, kv.clone());
+        let ckpt = Checkpointer::new(&cfg, me, &kv);
         // Slightly tighter than the state-transfer probe: the first
         // hole request goes out after a third of a timeout (in-flight
         // commits close transient gaps well before that), so a single
@@ -327,11 +327,12 @@ impl RingReplica {
         self.ckpt.seq()
     }
 
-    /// Order-insensitive fingerprint of the checkpoint store — equal
+    /// The state digest of the checkpoint store at its sequence — equal
     /// across replicas that announced the same checkpoint sequence
-    /// (post-run convergence checks).
-    pub fn checkpoint_fingerprint(&self) -> u64 {
-        self.ckpt.store().state_fingerprint()
+    /// (post-run convergence checks). Read off the digest accumulator:
+    /// O(1) in the size of the store.
+    pub fn checkpoint_digest(&self) -> Digest {
+        self.ckpt.store().digest(self.me.shard, self.ckpt.seq())
     }
 
     /// State-transfer counters (installs, transfers served, …).

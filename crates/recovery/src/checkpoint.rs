@@ -11,12 +11,22 @@
 //!
 //! A sum can be maintained incrementally: replacing a record subtracts
 //! its old leaf and adds its new one, so a checkpoint costs two leaf
-//! hashes per key *written in the window* and never touches the rest of
-//! the store ([`CheckpointStore::fold_window`]). Computing the same
-//! digest from scratch ([`crate::Snapshot::digest`],
+//! hashes per key *written in the window* and hashes nothing else
+//! ([`CheckpointStore::fold_window`]). Computing the same digest from
+//! scratch ([`crate::Snapshot::digest`],
 //! [`crate::Snapshot::digest_of_store`]) is one leaf per record and is
 //! only needed to verify state that arrives from outside: an installed
 //! snapshot, a replayed log.
+//!
+//! The store keeps its records as one list ascending by key, the layout
+//! of [`crate::Snapshot::records`], rather than as a second hash map
+//! beside the replica's live one. A window's writes are sorted by key;
+//! a key the store holds is updated in place, found by binary search,
+//! and keys new to the store are merged in by one backward pass over
+//! the records above the first of them. A full capture is then a copy
+//! of the list (no walk of a hash map, no sort), a restore from a
+//! snapshot or a replayed log adopts the snapshot's list, and a copy of
+//! the store for a state-transfer fold is 24 bytes a record.
 //!
 //! The additive lane hash is a stated substitution, of the same kind as
 //! this repository's HMACs standing in for signatures: it binds state
@@ -25,7 +35,7 @@
 //! does not resist an adversary who searches for colliding record sets
 //! (Wagner's generalized-birthday attack applies to sums mod 2^64).
 
-use crate::snapshot::RecordEntry;
+use crate::snapshot::{RecordEntry, Snapshot};
 use ringbft_crypto::{sha256_one_block, Digest, Sha256};
 use ringbft_store::{KvStore, Record};
 use ringbft_types::txn::{Key, Value};
@@ -101,24 +111,95 @@ impl StateAcc {
 /// A replica's canonical checkpoint store together with the digest
 /// accumulator over it. The two only change together, through the
 /// methods here, so the accumulator cannot drift from the records.
+///
+/// The records are held ascending by key, in [`Snapshot::records`]'
+/// layout (24 bytes a record), so a full capture is a copy of the list
+/// and a restore adopts a snapshot's list as it is.
 #[derive(Debug, Clone, Default)]
 pub struct CheckpointStore {
-    kv: KvStore,
+    records: Vec<RecordEntry>,
     acc: StateAcc,
 }
 
+/// Sorts `records` by key; a key listed more than once keeps its last
+/// entry.
+fn sort_last_wins(records: &mut Vec<RecordEntry>) {
+    // Stable, so a key's entries keep their list order.
+    records.sort_by_key(|r| r.key);
+    records.dedup_by(|later, kept| {
+        let same = later.key == kept.key;
+        if same {
+            *kept = *later;
+        }
+        same
+    });
+}
+
+fn strictly_ascending(records: &[RecordEntry]) -> bool {
+    records.windows(2).all(|w| w[0].key < w[1].key)
+}
+
 impl CheckpointStore {
-    /// Takes ownership of `kv` and seeds the accumulator from it (one
-    /// leaf per record — the only O(keys) step; every wholesale swap of
-    /// the checkpoint store pays it once).
-    pub fn new(kv: KvStore) -> CheckpointStore {
-        let acc = StateAcc::of(kv.iter());
-        CheckpointStore { kv, acc }
+    /// A store holding `kv`'s records: one sort, and one leaf per
+    /// record to seed the accumulator.
+    pub fn new(kv: &KvStore) -> CheckpointStore {
+        let mut records: Vec<RecordEntry> =
+            kv.iter().map(|(key, r)| RecordEntry::of(key, r)).collect();
+        records.sort_unstable_by_key(|r| r.key);
+        CheckpointStore::from_records(records)
     }
 
-    /// The records.
-    pub fn kv(&self) -> &KvStore {
-        &self.kv
+    /// A store holding `records`, a snapshot's record list, adopted as
+    /// it is when ascending by key. A list that is not (corrupt or
+    /// hostile input) is sorted, and a key listed more than once keeps
+    /// its last entry. Seeding the accumulator costs one leaf per
+    /// record: the only O(keys) step, paid once per wholesale swap of
+    /// the checkpoint store.
+    pub fn from_records(mut records: Vec<RecordEntry>) -> CheckpointStore {
+        if !strictly_ascending(&records) {
+            sort_last_wins(&mut records);
+        }
+        let acc = StateAcc::of(records.iter().map(|r| (r.key, r.record())));
+        CheckpointStore { records, acc }
+    }
+
+    /// The records, ascending by key.
+    pub fn records(&self) -> &[RecordEntry] {
+        &self.records
+    }
+
+    /// The record of `key`, by binary search.
+    pub fn get(&self, key: Key) -> Option<Record> {
+        let at = self.records.binary_search_by_key(&key, |r| r.key).ok()?;
+        Some(self.records[at].record())
+    }
+
+    /// A live key-value store holding these records.
+    pub fn to_kv(&self) -> KvStore {
+        self.records.iter().map(|r| (r.key, r.record())).collect()
+    }
+
+    /// The full snapshot of this store at checkpoint `(shard, seq)`: a
+    /// copy of the record list.
+    pub fn snapshot(
+        &self,
+        shard: ShardId,
+        seq: u64,
+        ledger_height: u64,
+        ledger_head: Digest,
+    ) -> Snapshot {
+        Snapshot {
+            shard,
+            seq,
+            records: self.records.clone(),
+            ledger_height,
+            ledger_head,
+        }
+    }
+
+    /// The record list, without a copy.
+    pub(crate) fn into_records(self) -> Vec<RecordEntry> {
+        self.records
     }
 
     /// The state digest at checkpoint `(shard, seq)`, from the
@@ -130,40 +211,109 @@ impl CheckpointStore {
     /// Applies one checkpoint window's write effects, in order, and
     /// returns the window's dirty records — each written key once, with
     /// its post-window value and version, ascending by key (the record
-    /// list of the window's [`crate::DeltaSnapshot`]). Work is
-    /// proportional to the writes; a key rewritten within the window
-    /// costs its leaves once.
+    /// list of the window's [`crate::DeltaSnapshot`]). Hashing is
+    /// proportional to the writes: a key rewritten within the window
+    /// costs its leaves once. Keys already held are found by binary
+    /// search; keys new to the store are merged in by one pass over the
+    /// records above the first of them.
     pub fn fold_window(
         &mut self,
         writes: impl IntoIterator<Item = (Key, Value)>,
     ) -> Vec<RecordEntry> {
-        // What each write replaced. After the stable sort a key's first
-        // entry holds its pre-window record, and dedup keeps that one.
-        let mut replaced: Vec<(Key, Option<Record>)> = writes
-            .into_iter()
-            .map(|(k, v)| (k, self.kv.put(k, v)))
-            .collect();
-        replaced.sort_by_key(|&(k, _)| k);
-        replaced.dedup_by_key(|&mut (k, _)| k);
+        let mut writes: Vec<(Key, Value)> = writes.into_iter().collect();
+        // Stable, so a key's writes stay in execution order: the last
+        // is its post-window value, and each one bumped its version.
+        writes.sort_by_key(|&(k, _)| k);
+        let per_key = || writes.chunk_by(|a, b| a.0 == b.0);
         // An exactly sized list: deltas are retained for several
-        // windows, and collecting in place would keep the scratch
-        // vector's larger allocation alive with each of them.
-        let mut dirty = Vec::with_capacity(replaced.len());
-        for (key, old) in replaced {
-            let new = self.kv.get(key).expect("written above");
-            self.acc.replace(key, old, new);
+        // windows, and a larger allocation would stay alive with each.
+        let mut dirty = Vec::with_capacity(per_key().count());
+        let updates = per_key().map(|w| (w[0].0, (w[w.len() - 1].1, w.len() as u64)));
+        self.upsert(updates, |key, old, (value, writes)| {
+            let new = Record {
+                value,
+                version: old.map_or(0, |o| o.version) + writes,
+            };
             dirty.push(RecordEntry::of(key, new));
-        }
+            new
+        });
         dirty
     }
 
     /// Installs `records` verbatim, versions included (a snapshot or
-    /// delta link being folded).
+    /// delta link being folded). A list that is not ascending by key is
+    /// sorted first, and a key listed more than once takes its last
+    /// entry.
     pub fn apply_records(&mut self, records: &[RecordEntry]) {
-        for r in records {
-            let new = r.record();
-            let old = self.kv.insert_record(r.key, new);
-            self.acc.replace(r.key, old, new);
+        let sorted;
+        let records = if strictly_ascending(records) {
+            records
+        } else {
+            sorted = {
+                let mut copy = records.to_vec();
+                sort_last_wins(&mut copy);
+                copy
+            };
+            &sorted
+        };
+        self.upsert(records.iter().map(|r| (r.key, r.record())), |_, _, new| new);
+    }
+
+    /// Writes `updates`, strictly ascending by key, each key's new
+    /// record made by `write` from its update and its old record. A key
+    /// already held is updated in place, found by binary search above
+    /// the previous update; new keys are merged in afterwards. The
+    /// accumulator follows every change.
+    fn upsert<U>(
+        &mut self,
+        updates: impl IntoIterator<Item = (Key, U)>,
+        mut write: impl FnMut(Key, Option<Record>, U) -> Record,
+    ) {
+        let mut fresh = Vec::new();
+        let mut from = 0;
+        for (key, update) in updates {
+            from += self.records[from..].partition_point(|r| r.key < key);
+            match self.records.get_mut(from) {
+                Some(held) if held.key == key => {
+                    let old = held.record();
+                    let new = write(key, Some(old), update);
+                    *held = RecordEntry::of(key, new);
+                    self.acc.replace(key, Some(old), new);
+                }
+                _ => {
+                    let new = write(key, None, update);
+                    self.acc.replace(key, None, new);
+                    fresh.push(RecordEntry::of(key, new));
+                }
+            }
+        }
+        self.merge(fresh);
+    }
+
+    /// Merges `fresh`, ascending by key and holding no key the store
+    /// holds, into the records: one backward pass that moves each
+    /// record above the first fresh key once.
+    fn merge(&mut self, fresh: Vec<RecordEntry>) {
+        let Some(&filler) = fresh.first() else {
+            return;
+        };
+        if self.records.is_empty() {
+            self.records = fresh;
+            return;
+        }
+        let mut held = self.records.len();
+        let mut next = fresh.len();
+        self.records.resize(held + next, filler);
+        let mut at = self.records.len();
+        while next > 0 {
+            at -= 1;
+            if held > 0 && self.records[held - 1].key > fresh[next - 1].key {
+                held -= 1;
+                self.records[at] = self.records[held];
+            } else {
+                next -= 1;
+                self.records[at] = fresh[next];
+            }
         }
     }
 }
@@ -181,10 +331,10 @@ mod tests {
         for k in 0..10u64 {
             kv.put(k, k + 100);
         }
-        let mut store = CheckpointStore::new(kv);
+        let mut store = CheckpointStore::new(&kv);
         assert_eq!(
             store.digest(SHARD, 8),
-            Snapshot::digest_of_store(SHARD, 8, store.kv())
+            Snapshot::digest_of_store(SHARD, 8, &store.to_kv())
         );
         // Key 3 twice, key 40 new, key 7 once — out of key order.
         let dirty = store.fold_window([(7, 1), (3, 2), (40, 3), (3, 4)]);
@@ -195,10 +345,10 @@ mod tests {
                 .collect::<Vec<_>>(),
             vec![(3, 4, 3), (7, 1, 2), (40, 3, 1)]
         );
-        assert_eq!(store.kv().len(), 11);
+        assert_eq!(store.records().len(), 11);
         assert_eq!(
             store.digest(SHARD, 16),
-            Snapshot::digest_of_store(SHARD, 16, store.kv())
+            Snapshot::digest_of_store(SHARD, 16, &store.to_kv())
         );
         // An empty window moves nothing but the sequence.
         assert!(store.fold_window([]).is_empty());
@@ -227,10 +377,10 @@ mod tests {
         // The same key twice in one list: the later entry wins, and
         // the accumulator follows the store.
         store.apply_records(&[rec(2, 21, 5), rec(9, 90, 1), rec(9, 91, 2)]);
-        assert_eq!(store.kv().get(9).unwrap().value, 91);
+        assert_eq!(store.get(9).unwrap().value, 91);
         assert_eq!(
             store.digest(SHARD, 8),
-            Snapshot::digest_of_store(SHARD, 8, store.kv())
+            Snapshot::digest_of_store(SHARD, 8, &store.to_kv())
         );
     }
 }
@@ -282,7 +432,7 @@ mod prop_tests {
             for k in 0..16u64 {
                 plain.put(k, k * 5 + 1);
             }
-            let mut store = CheckpointStore::new(plain.clone());
+            let mut store = CheckpointStore::new(&plain);
             for w in 1..=windows as u64 {
                 let seq = 8 * w;
                 let window: Vec<(Key, Value)> = (0..writes)
@@ -300,7 +450,7 @@ mod prop_tests {
                 prop_assert_eq!(digest, Snapshot::digest_of_store(SHARD, seq, &plain));
                 prop_assert_eq!(
                     digest,
-                    Snapshot::capture(SHARD, seq, store.kv(), 0, [0; 32]).digest()
+                    store.snapshot(SHARD, seq, 0, [0; 32]).digest()
                 );
                 let delta = DeltaSnapshot::capture(
                     SHARD,
@@ -313,6 +463,97 @@ mod prop_tests {
                     [0; 32],
                 );
                 prop_assert_eq!(dirty, delta.records);
+            }
+        }
+
+        /// The sorted store against a `KvStore` model: windows that
+        /// rewrite keys, write keys new to the store between, below and
+        /// above the keys it holds, and keys at the ends of the key
+        /// space. After every window the records ascend strictly and
+        /// equal the model's, and the accumulated digest is the
+        /// model's from-scratch one.
+        #[test]
+        fn sorted_store_tracks_a_kv_model_across_windows(
+            seed in 0u64..u64::MAX,
+            windows in 1usize..8,
+            writes in 0usize..50,
+        ) {
+            let mut rng = proptest::rng_for(&format!("model-{seed}"));
+            // Even keys in 40..80: odd keys inside that range, and every
+            // key outside it, are new to the store.
+            let mut model = KvStore::new();
+            for k in (40..80u64).step_by(2) {
+                model.put(k, k);
+            }
+            let mut store = CheckpointStore::new(&model);
+            for w in 1..=windows as u64 {
+                let window: Vec<(Key, Value)> = (0..writes)
+                    .map(|_| {
+                        let k = match Strategy::generate(&(0u64..20), &mut rng) {
+                            0 => 0,
+                            1 => u64::MAX,
+                            _ => Strategy::generate(&(0u64..120), &mut rng),
+                        };
+                        (k, Strategy::generate(&(0u64..1_000), &mut rng))
+                    })
+                    .collect();
+                let dirty = store.fold_window(window.iter().copied());
+                for &(k, v) in &window {
+                    model.put(k, v);
+                }
+                let truth = Snapshot::capture(SHARD, 8 * w, &model, 0, [0; 32]);
+                prop_assert!(strictly_ascending(store.records()));
+                prop_assert_eq!(store.records(), &truth.records[..]);
+                prop_assert_eq!(
+                    store.digest(SHARD, 8 * w),
+                    Snapshot::digest_of_store(SHARD, 8 * w, &model)
+                );
+                prop_assert!(strictly_ascending(&dirty));
+                prop_assert!(dirty.iter().all(|r| model.get(r.key) == Some(r.record())));
+                let mut keys: Vec<Key> = window.iter().map(|w| w.0).collect();
+                keys.sort_unstable();
+                keys.dedup();
+                prop_assert_eq!(dirty.iter().map(|r| r.key).collect::<Vec<_>>(), keys);
+            }
+        }
+
+        /// A hostile record list — unsorted, with keys listed several
+        /// times — never panics the store and is applied last write
+        /// wins, whether applied to a populated store or adopted whole.
+        #[test]
+        fn unsorted_or_duplicated_records_apply_last_write_wins(
+            seed in 0u64..u64::MAX,
+            n in 0usize..60,
+        ) {
+            let mut rng = proptest::rng_for(&format!("hostile-{seed}"));
+            let hostile: Vec<RecordEntry> = (0..n as u64)
+                .map(|i| {
+                    let key = Strategy::generate(&(0u64..24), &mut rng);
+                    entry(key, i, Strategy::generate(&(0u64..5), &mut rng))
+                })
+                .collect();
+            let mut model = KvStore::new();
+            for k in (0..24u64).step_by(3) {
+                model.put(k, k);
+            }
+            let mut store = CheckpointStore::new(&model);
+            store.apply_records(&hostile);
+            let mut blank = KvStore::new();
+            for r in &hostile {
+                model.insert_record(r.key, r.record());
+                blank.insert_record(r.key, r.record());
+            }
+            let adopted = CheckpointStore::from_records(hostile.clone());
+            for (store, model) in [(&store, &model), (&adopted, &blank)] {
+                prop_assert!(strictly_ascending(store.records()));
+                prop_assert_eq!(
+                    store.records(),
+                    &Snapshot::capture(SHARD, 8, model, 0, [0; 32]).records[..]
+                );
+                prop_assert_eq!(
+                    store.digest(SHARD, 8),
+                    Snapshot::digest_of_store(SHARD, 8, model)
+                );
             }
         }
 
@@ -343,8 +584,9 @@ mod prop_tests {
             let mut halves = CheckpointStore::default();
             halves.apply_records(b);
             halves.apply_records(a);
-            let seeded = CheckpointStore::new(truth.restore_store());
-            for store in [&forward, &backward, &halves, &seeded] {
+            let seeded = CheckpointStore::new(&truth.restore_store());
+            let adopted = CheckpointStore::from_records(truth.records.clone());
+            for store in [&forward, &backward, &halves, &seeded, &adopted] {
                 prop_assert_eq!(store.digest(SHARD, 32), truth.digest());
             }
         }

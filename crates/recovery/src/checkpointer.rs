@@ -96,8 +96,9 @@ pub struct Checkpointer {
 }
 
 impl Checkpointer {
-    /// The checkpoint state of replica `me` whose store starts as `kv`.
-    pub fn new(cfg: &SystemConfig, me: ReplicaId, kv: KvStore) -> Checkpointer {
+    /// The checkpoint state of replica `me` whose store starts as a
+    /// copy of `kv`.
+    pub fn new(cfg: &SystemConfig, me: ReplicaId, kv: &KvStore) -> Checkpointer {
         Checkpointer {
             shard: me.shard,
             full_every: cfg.full_snapshot_every,
@@ -142,9 +143,9 @@ impl Checkpointer {
         self.base.map_or(0, |(s, _)| s)
     }
 
-    /// The checkpoint store's records.
-    pub fn store(&self) -> &KvStore {
-        self.store.kv()
+    /// The checkpoint store.
+    pub fn store(&self) -> &CheckpointStore {
+        &self.store
     }
 
     /// True between a lost vote and the quorum install repairing it.
@@ -220,8 +221,9 @@ impl Checkpointer {
         self.windows_since_full += 1;
         let full = (delta.is_none() || self.windows_since_full >= self.full_every).then(|| {
             self.windows_since_full = 0;
-            let full =
-                Snapshot::capture(self.shard, seq, self.store.kv(), ledger_height, ledger_head);
+            let full = self
+                .store
+                .snapshot(self.shard, seq, ledger_height, ledger_head);
             // The one place the whole store is in hand anyway: check the
             // accumulator against a from-scratch digest in debug builds.
             debug_assert_eq!(full.digest(), digest, "digest accumulator drifted");
@@ -319,7 +321,8 @@ impl Checkpointer {
     /// quorum-stable digest is `digest`, returning the store for the
     /// host's live copy.
     pub fn restore_snapshot(&mut self, snap: &Snapshot, digest: Digest) -> KvStore {
-        self.restore(CheckpointStore::new(snap.restore_store()), snap.seq, digest)
+        let store = CheckpointStore::from_records(snap.records.clone());
+        self.restore(store, snap.seq, digest)
     }
 
     /// Replaces the checkpoint state with the tip of a replayed log and
@@ -354,7 +357,7 @@ impl Checkpointer {
             self.announced.retain(|s, _| *s > seq);
         }
         self.due.retain(|s| *s > seq);
-        self.store.kv().clone()
+        self.store.to_kv()
     }
 
     /// The host replayed the committed tail on top of an installed
@@ -393,7 +396,7 @@ mod tests {
         for k in 0..100 {
             kv.put(k, k);
         }
-        Checkpointer::new(&cfg, ReplicaId::new(SHARD, 1), kv)
+        Checkpointer::new(&cfg, ReplicaId::new(SHARD, 1), &kv)
     }
 
     /// Executes `seqs` in order, sequence `s` writing `s * 10` to key `s`.
@@ -453,7 +456,7 @@ mod tests {
         let mut c = checkpointer(4);
         for w in 1..=3 {
             let vote = window(&mut c, w);
-            let capture = Snapshot::capture(SHARD, vote.seq, c.store(), 0, [0; 32]);
+            let capture = Snapshot::capture(SHARD, vote.seq, &c.store().to_kv(), 0, [0; 32]);
             assert_eq!(vote.digest, capture.digest());
             assert_eq!(c.voted(vote.seq), Some(vote.digest));
             assert_eq!(c.seq(), vote.seq);
@@ -552,7 +555,7 @@ mod tests {
             RecoveryMsg::StateRequest { base: None, .. }
         ));
         // The quorum install repairs it and restores a base.
-        let snap = Snapshot::capture(SHARD, 16, c.store(), 3, [1; 32]);
+        let snap = c.store().snapshot(SHARD, 16, 3, [1; 32]);
         let digest = snap.digest();
         c.restore_snapshot(&snap, digest);
         assert!(c.is_diverged(), "until the tail replay finished");
@@ -569,11 +572,14 @@ mod tests {
         c.checkpoint_due(24);
         assert_eq!(c.watermark(), 18);
         assert!(c.reached(19) && !c.reached(20));
-        let snap = Snapshot::capture(SHARD, 20, c.store(), 3, [1; 32]);
+        let snap = c.store().snapshot(SHARD, 20, 3, [1; 32]);
         let digest = snap.digest();
         let kv = c.restore_snapshot(&snap, digest);
         assert_eq!((c.watermark(), c.seq()), (20, 20));
-        assert_eq!(kv.state_fingerprint(), c.store().state_fingerprint());
+        assert_eq!(
+            kv.state_fingerprint(),
+            c.store().to_kv().state_fingerprint()
+        );
         assert_eq!((c.voted(8), c.voted(16)), (None, None));
         assert!(c.pending_effects.is_empty() && c.executed_ahead.is_empty());
         assert!(!c.reached(21));

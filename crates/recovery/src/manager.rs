@@ -965,7 +965,7 @@ mod tests {
         };
         assert!(t.is_delta_only());
         assert_eq!(t.links.len(), 1);
-        let base_store = CheckpointStore::new(base.restore_store());
+        let base_store = CheckpointStore::from_records(base.records.clone());
         let folded = t
             .fold_verified(shard, Some((8, d0, &base_store)), |_| None)
             .expect("delta chain verifies");

@@ -70,7 +70,10 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Captures `kv` (plus ledger position) as the state at checkpoint
-    /// `seq`.
+    /// `seq`, sorting its records by key. Only tools and tests that
+    /// hold a plain [`KvStore`] still sort here: a replica captures its
+    /// [`CheckpointStore`], whose records are already in this order, by
+    /// copying them ([`CheckpointStore::snapshot`]).
     pub fn capture(
         shard: ShardId,
         seq: u64,
@@ -114,11 +117,7 @@ impl Snapshot {
 
     /// Rebuilds the key-value store this snapshot captured.
     pub fn restore_store(&self) -> KvStore {
-        let mut kv = KvStore::new();
-        for r in &self.records {
-            kv.insert_record(r.key, r.record());
-        }
-        kv
+        self.records.iter().map(|r| (r.key, r.record())).collect()
     }
 }
 
@@ -310,13 +309,13 @@ impl ChainTransfer {
         if folded != Some((self.target_seq, self.target_digest)) {
             return Err(ChainError::TargetMismatch);
         }
-        Ok(Snapshot::capture(
+        Ok(Snapshot {
             shard,
-            self.target_seq,
-            store.expect("non-empty chain").kv(),
-            self.ledger_height,
-            self.ledger_head,
-        ))
+            seq: self.target_seq,
+            records: store.expect("non-empty chain").into_records(),
+            ledger_height: self.ledger_height,
+            ledger_head: self.ledger_head,
+        })
     }
 }
 
@@ -382,7 +381,7 @@ mod tests {
         let delta =
             DeltaSnapshot::capture(ShardId(0), 4, base_digest, 8, [2u64, 2, 7], &kv, 1, [1; 32]);
         assert_eq!(delta.records.len(), 2, "dirty keys dedup");
-        let mut folded = CheckpointStore::new(base.restore_store());
+        let mut folded = CheckpointStore::from_records(base.records.clone());
         folded.apply_records(&delta.records);
         assert_eq!(
             folded.digest(ShardId(0), 8),
@@ -430,7 +429,7 @@ mod tests {
             ledger_height: 2,
             ledger_head: [2; 32],
         };
-        let base_store = CheckpointStore::new(base.restore_store());
+        let base_store = CheckpointStore::from_records(base.records.clone());
         let folded = transfer
             .fold_verified(shard, Some((4, d0, &base_store)), |_| None)
             .expect("verified chain folds");
@@ -639,7 +638,7 @@ mod prop_tests {
                 ledger_height: windows as u64,
                 ledger_head: [windows as u8; 32],
             };
-            let base_store = CheckpointStore::new(base.restore_store());
+            let base_store = CheckpointStore::from_records(base.records.clone());
             let folded = transfer
                 .fold_verified(
                     ShardId(1),
@@ -689,7 +688,7 @@ mod prop_tests {
                 1 => r.value ^= mask,
                 _ => r.version ^= mask,
             }
-            let base_store = CheckpointStore::new(base.restore_store());
+            let base_store = CheckpointStore::from_records(base.records.clone());
             let verdict = transfer.fold_verified(
                 ShardId(1),
                 Some((base.seq, base.digest(), &base_store)),

@@ -140,7 +140,7 @@ impl Recovered {
     /// O(keys + Σ delta records).
     pub fn fold(&self, shard: ShardId) -> Option<RecoveredTip> {
         let full = self.full.as_ref()?;
-        let mut store = CheckpointStore::new(full.restore_store());
+        let mut store = CheckpointStore::from_records(full.records.clone());
         let mut tip = (full.seq, store.digest(shard, full.seq));
         let mut ledger = (full.ledger_height, full.ledger_head);
         let mut chain = vec![tip.1];
@@ -399,7 +399,7 @@ mod tests {
         wal.append_delta(&delta).unwrap();
         // The vote carries the digest the live replica maintained
         // incrementally.
-        let mut live = CheckpointStore::new(store(8));
+        let mut live = CheckpointStore::new(&store(8));
         live.fold_window([(3, 999)]);
         wal.append(&WalEntry::CheckpointVote {
             seq: 16,
@@ -420,7 +420,10 @@ mod tests {
         assert!(!recovered.clean_close);
         let tip = recovered.fold(ShardId(0)).expect("chain survived");
         assert_eq!(tip.seq, 16);
-        assert_eq!(tip.store.kv().state_fingerprint(), kv.state_fingerprint());
+        assert_eq!(
+            tip.store.to_kv().state_fingerprint(),
+            kv.state_fingerprint()
+        );
         assert_eq!(tip.digest, Snapshot::digest_of_store(ShardId(0), 16, &kv));
         assert_eq!(
             recovered.votes,
@@ -522,7 +525,7 @@ mod tests {
         assert_eq!(tip.seq, 8);
         assert_eq!(tip.chain.len(), 1);
         assert_eq!(
-            tip.store.kv().state_fingerprint(),
+            tip.store.to_kv().state_fingerprint(),
             store(4).state_fingerprint()
         );
     }
@@ -661,7 +664,7 @@ mod prop_tests {
             );
             let tip = recovered.fold(ShardId(0)).expect("checkpoint survives");
             prop_assert_eq!(tip.seq, 8);
-            prop_assert_eq!(tip.store.kv().state_fingerprint(), kv.state_fingerprint());
+            prop_assert_eq!(tip.store.to_kv().state_fingerprint(), kv.state_fingerprint());
         }
     }
 }

@@ -905,7 +905,7 @@ impl Scenario {
             let Some(AnyNode::Ring(v)) = world.node(NodeId::Replica(replica)) else {
                 return false;
             };
-            let (vseq, vfp) = (v.checkpoint_seq(), v.checkpoint_fingerprint());
+            let (vseq, vdigest) = (v.checkpoint_seq(), v.checkpoint_digest());
             vseq > 0
                 && cfg
                     .shard(replica.shard)
@@ -913,7 +913,7 @@ impl Scenario {
                     .filter(|r| *r != replica)
                     .any(|r| match world.node(NodeId::Replica(r)) {
                         Some(AnyNode::Ring(p)) => {
-                            p.checkpoint_seq() == vseq && p.checkpoint_fingerprint() == vfp
+                            p.checkpoint_seq() == vseq && p.checkpoint_digest() == vdigest
                         }
                         _ => false,
                     })

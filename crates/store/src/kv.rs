@@ -163,6 +163,16 @@ impl KvStore {
     }
 }
 
+impl FromIterator<(Key, Record)> for KvStore {
+    /// Installs each record verbatim, version included; a later record
+    /// of a key replaces an earlier one.
+    fn from_iter<I: IntoIterator<Item = (Key, Record)>>(records: I) -> Self {
+        KvStore {
+            records: records.into_iter().collect(),
+        }
+    }
+}
+
 /// Deterministic initial value of a key (same on every replica).
 fn initial_value(key: Key) -> Value {
     mix(key, 0x9e3779b97f4a7c15)
