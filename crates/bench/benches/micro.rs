@@ -10,9 +10,11 @@
 //! * `codec/*` — the wire codec's egress/ingress hot path: body
 //!   serialization, per-peer prefixes, the serialize-once broadcast
 //!   against per-destination encoding, decode and frame reassembly;
-//! * `recovery/*` — the checkpoint state digest: one window folded into
-//!   the incrementally maintained digest against the from-scratch
-//!   computation, at a small and a paper-sized store;
+//! * `recovery/*` — the checkpoint store: one window folded into the
+//!   incrementally maintained digest (writes to held keys, and writes
+//!   of new keys that take the merge path) against the from-scratch
+//!   digest, and a full capture with its log compaction, at a small and
+//!   a paper-sized store;
 //! * `wire/*` — batch digests and message-size computation;
 //! * `workload/*` — YCSB transaction generation;
 //! * `simnet/*` — event-queue throughput (the simulator's own engine).
@@ -243,8 +245,9 @@ fn bench_codec(c: &mut Criterion) {
 }
 
 fn bench_recovery(c: &mut Criterion) {
-    use ringbft_recovery::{CheckpointStore, Snapshot};
-    use ringbft_store::KvStore;
+    use ringbft_recovery::{CheckpointStore, ReplicaWal, Snapshot};
+    use ringbft_store::{KvStore, MemWalHandle};
+    use ringbft_types::config::Durability;
 
     let mut g = c.benchmark_group("recovery");
     for keys in [8_000u64, 120_000] {
@@ -276,11 +279,32 @@ fn bench_recovery(c: &mut Criterion) {
                 black_box((dirty.len(), store.digest(ShardId(0), 128)))
             })
         });
+        // The same window when every write is to a key new to the
+        // store, between the keys it holds: the merge path.
+        let sparse = CheckpointStore::new(&kv.iter().map(|(k, r)| (2 * k, r)).collect::<KvStore>());
+        let fresh: Vec<(u64, u64)> = window.iter().map(|&(k, v)| (2 * k + 1, v)).collect();
+        g.bench_function(format!("checkpoint_window_new_keys_{keys}"), |b| {
+            b.iter_batched(
+                || sparse.clone(),
+                |mut store| store.fold_window(fresh.iter().copied()).len(),
+                BatchSize::LargeInput,
+            )
+        });
         // What it did before, and still does to verify an installed
         // snapshot or a replayed log: hash every record.
         g.throughput(Throughput::Elements(keys));
         g.bench_function(format!("digest_of_store_cold_{keys}"), |b| {
             b.iter(|| Snapshot::digest_of_store(ShardId(0), 128, black_box(&kv)))
+        });
+        // Every `full_snapshot_every`-th window: capture the whole
+        // store and compact the log down to it.
+        let (mut wal, _) = ReplicaWal::open_mem(MemWalHandle::new(), Durability::None);
+        g.bench_function(format!("full_capture_compaction_{keys}"), |b| {
+            b.iter(|| {
+                let full = store.snapshot(ShardId(0), 128, 16, [0; 32]);
+                wal.append_full(&full).expect("in-memory compaction");
+                black_box(wal.len_bytes())
+            })
         });
     }
     g.finish();

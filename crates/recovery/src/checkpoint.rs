@@ -21,12 +21,13 @@
 //! The store keeps its records as one list ascending by key, the layout
 //! of [`crate::Snapshot::records`], rather than as a second hash map
 //! beside the replica's live one. A window's writes are sorted by key;
-//! a key the store holds is updated in place, found by binary search,
-//! and keys new to the store are merged in by one backward pass over
-//! the records above the first of them. A full capture is then a copy
-//! of the list (no walk of a hash map, no sort), a restore from a
-//! snapshot or a replayed log adopts the snapshot's list, and a copy of
-//! the store for a state-transfer fold is 24 bytes a record.
+//! a key the store holds is updated in place, found by a galloping
+//! search from the previous key's position, and keys new to the store
+//! are merged in by one backward pass over the records above the first
+//! of them. A full capture is then a copy of the list (no walk of a
+//! hash map, no sort), a restore from a snapshot or a replayed log
+//! adopts the snapshot's list, and a copy of the store for a
+//! state-transfer fold is 24 bytes a record.
 //!
 //! The additive lane hash is a stated substitution, of the same kind as
 //! this repository's HMACs standing in for signatures: it binds state
@@ -139,6 +140,23 @@ fn strictly_ascending(records: &[RecordEntry]) -> bool {
     records.windows(2).all(|w| w[0].key < w[1].key)
 }
 
+/// The index of the first record at or after `from` whose key is not
+/// below `key`, by galloping: probes at doubling distances past `from`
+/// bound the answer, and a binary search inside that bound finds it.
+/// An answer `d` records on costs O(log d) probes near `from`, so a run
+/// of ascending lookups walks the list almost in order rather than
+/// paying a binary search's cache misses over all of it each time.
+fn seek(records: &[RecordEntry], from: usize, key: Key) -> usize {
+    let mut lo = from;
+    let mut step = 1;
+    while lo + step <= records.len() && records[lo + step - 1].key < key {
+        lo += step;
+        step *= 2;
+    }
+    let hi = (lo + step).min(records.len());
+    lo + records[lo..hi].partition_point(|r| r.key < key)
+}
+
 impl CheckpointStore {
     /// A store holding `kv`'s records: one sort, and one leaf per
     /// record to seed the accumulator.
@@ -213,9 +231,9 @@ impl CheckpointStore {
     /// its post-window value and version, ascending by key (the record
     /// list of the window's [`crate::DeltaSnapshot`]). Hashing is
     /// proportional to the writes: a key rewritten within the window
-    /// costs its leaves once. Keys already held are found by binary
-    /// search; keys new to the store are merged in by one pass over the
-    /// records above the first of them.
+    /// costs its leaves once. Keys already held are found by a
+    /// galloping search; keys new to the store are merged in by one
+    /// pass over the records above the first of them.
     pub fn fold_window(
         &mut self,
         writes: impl IntoIterator<Item = (Key, Value)>,
@@ -261,9 +279,9 @@ impl CheckpointStore {
 
     /// Writes `updates`, strictly ascending by key, each key's new
     /// record made by `write` from its update and its old record. A key
-    /// already held is updated in place, found by binary search above
-    /// the previous update; new keys are merged in afterwards. The
-    /// accumulator follows every change.
+    /// already held is updated in place, found by a galloping search
+    /// above the previous update; new keys are merged in afterwards.
+    /// The accumulator follows every change.
     fn upsert<U>(
         &mut self,
         updates: impl IntoIterator<Item = (Key, U)>,
@@ -272,7 +290,7 @@ impl CheckpointStore {
         let mut fresh = Vec::new();
         let mut from = 0;
         for (key, update) in updates {
-            from += self.records[from..].partition_point(|r| r.key < key);
+            from = seek(&self.records, from, key);
             match self.records.get_mut(from) {
                 Some(held) if held.key == key => {
                     let old = held.record();
@@ -532,17 +550,17 @@ mod prop_tests {
                     entry(key, i, Strategy::generate(&(0u64..5), &mut rng))
                 })
                 .collect();
-            let mut model = KvStore::new();
+            let mut held = KvStore::new();
             for k in (0..24u64).step_by(3) {
-                model.put(k, k);
+                held.put(k, k);
             }
-            let mut store = CheckpointStore::new(&model);
+            let mut store = CheckpointStore::new(&held);
             store.apply_records(&hostile);
-            let mut blank = KvStore::new();
-            for r in &hostile {
-                model.insert_record(r.key, r.record());
-                blank.insert_record(r.key, r.record());
-            }
+            // Collecting installs records in order, a later one of a
+            // key replacing an earlier one.
+            let listed = || hostile.iter().map(|r| (r.key, r.record()));
+            let model: KvStore = held.iter().chain(listed()).collect();
+            let blank: KvStore = listed().collect();
             let adopted = CheckpointStore::from_records(hostile.clone());
             for (store, model) in [(&store, &model), (&adopted, &blank)] {
                 prop_assert!(strictly_ascending(store.records()));
@@ -584,8 +602,8 @@ mod prop_tests {
             let mut halves = CheckpointStore::default();
             halves.apply_records(b);
             halves.apply_records(a);
-            let seeded = CheckpointStore::new(&truth.restore_store());
             let adopted = CheckpointStore::from_records(truth.records.clone());
+            let seeded = CheckpointStore::new(&adopted.to_kv());
             for store in [&forward, &backward, &halves, &seeded, &adopted] {
                 prop_assert_eq!(store.digest(SHARD, 32), truth.digest());
             }

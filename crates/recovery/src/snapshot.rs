@@ -114,11 +114,6 @@ impl Snapshot {
     pub fn digest_of_store(shard: ShardId, seq: u64, kv: &KvStore) -> Digest {
         StateAcc::of(kv.iter()).digest(shard, seq)
     }
-
-    /// Rebuilds the key-value store this snapshot captured.
-    pub fn restore_store(&self) -> KvStore {
-        self.records.iter().map(|r| (r.key, r.record())).collect()
-    }
 }
 
 /// An *incremental* checkpoint: only the records written since the
@@ -504,7 +499,7 @@ mod tests {
         let mut kv = store_with(&[(1, 10), (2, 20)]);
         kv.put(1, 11); // version bump
         let snap = Snapshot::capture(ShardId(0), 4, &kv, 1, [1; 32]);
-        let restored = snap.restore_store();
+        let restored = CheckpointStore::from_records(snap.records.clone()).to_kv();
         assert_eq!(restored.state_fingerprint(), kv.state_fingerprint());
         assert_eq!(restored.get(1).unwrap().version, 2);
         // Re-capturing the restored store reproduces the digest.
@@ -558,7 +553,7 @@ mod prop_tests {
             prop_assert_eq!(sa.digest(), sb.digest());
 
             // Install on a blank store and re-capture: digest preserved.
-            let restored = sa.restore_store();
+            let restored = CheckpointStore::from_records(sa.records.clone()).to_kv();
             let rs = Snapshot::capture(ShardId(2), 32, &restored, 0, [0; 32]);
             prop_assert_eq!(rs.digest(), sa.digest());
         }

@@ -80,14 +80,6 @@ impl KvStore {
         self.records.iter().map(|(k, r)| (*k, *r))
     }
 
-    /// Installs a record verbatim, version included — used when
-    /// restoring a checkpoint snapshot, where the donor's version
-    /// counters must be preserved exactly. Returns the record it
-    /// replaced, if the key was present.
-    pub fn insert_record(&mut self, key: Key, record: Record) -> Option<Record> {
-        self.records.insert(key, record)
-    }
-
     /// Writes a record, bumping its version. Inserts if missing. Returns
     /// the record it replaced (`None` for a key first written here), so
     /// a caller maintaining a digest over the store can retire the old
@@ -164,8 +156,10 @@ impl KvStore {
 }
 
 impl FromIterator<(Key, Record)> for KvStore {
-    /// Installs each record verbatim, version included; a later record
-    /// of a key replaces an earlier one.
+    /// Installs each record verbatim, version included — as when
+    /// restoring a checkpoint snapshot, where the donor's version
+    /// counters must be preserved exactly. A later record of a key
+    /// replaces an earlier one.
     fn from_iter<I: IntoIterator<Item = (Key, Record)>>(records: I) -> Self {
         KvStore {
             records: records.into_iter().collect(),
@@ -229,7 +223,6 @@ mod tests {
             version: 1,
         };
         assert_eq!(kv.get(77), Some(fresh));
-        assert_eq!(kv.insert_record(77, before), Some(fresh));
     }
 
     #[test]
