@@ -277,8 +277,6 @@ fn timeline_steps(t: &SpanTimeline) -> Vec<(u32, &'static str, f64)> {
 /// Pipeline accounting of one run: what the replicas counted.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PipelineReport {
-    /// Single-shard batches executed, summed over replicas.
-    pub exec_jobs: u64,
     /// Sub-`batch_size` batches cut early by the adaptive controller
     /// because the consensus pipe was idle, summed over replicas
     /// (stays 0 unless `adaptive_batching` is on).
@@ -1095,7 +1093,6 @@ impl Scenario {
         for (_, node) in world.nodes() {
             if let Some(obs) = node.ring_obs() {
                 let c = |n: &str| obs.reg.counter_by_name(n).unwrap_or(0);
-                pipeline.exec_jobs += c("pipeline.exec_jobs");
                 pipeline.batch_adaptive_flushes += c("ring.batch_adaptive_flushes");
             }
         }
