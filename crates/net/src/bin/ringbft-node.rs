@@ -441,7 +441,7 @@ fn main() {
                 _ => 0,
             });
             let line = format!(
-                "[{}] sent={} recv={} dropped={} undeliverable={} reconnects={} timers={} bytes={} (model {}) execs={} exec_txns={}",
+                "[{}] sent={} recv={} dropped={} undeliverable={} reconnects={} timers={} bytes={} execs={} exec_txns={}",
                 rt.id(),
                 s.messages_sent,
                 s.messages_delivered,
@@ -450,7 +450,6 @@ fn main() {
                 s.reconnects,
                 s.timers_fired,
                 s.bytes_sent,
-                s.modeled_bytes_sent,
                 rt.executed_batches(),
                 rt.executed_txns(),
             );

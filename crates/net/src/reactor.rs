@@ -25,8 +25,8 @@
 //!
 //! The reactor also owns, by value, the hosted node and everything else
 //! only it writes: the inbound filter, the telemetry listener and its
-//! routes, the view log, the transport instruments and the buffer free
-//! list. Other threads reach it through its eventfd and one command
+//! routes, the view log, and the transport counters and instruments.
+//! Other threads reach it through its eventfd and one command
 //! mailbox ([`ReactorThread`]): a command is a closure the reactor runs
 //! on itself, answered on a one-shot channel, or a *lend* — the reactor
 //! sends the node to a `with_node` caller and blocks until the caller's
@@ -40,10 +40,10 @@
 //! `std::net` on the raw fds.
 
 use crate::codec::{
-    encode_body, encode_hello_frame, frame_prefix, Envelope, Frame, FrameAssembler, Hello,
-    PREFIX_BYTES,
+    encode_body, encode_hello_frame, frame_prefix, Envelope, Frame, FrameAssembler, FrameAuth,
+    Hello, PREFIX_BYTES,
 };
-use crate::runtime::{NetMsg, NetTelemetry, Shared, TelemetryRoutes};
+use crate::runtime::{Clock, NetMsg, NetStatsSnapshot, NetTelemetry, PeerTable, TelemetryRoutes};
 use ringbft_obs::{Histogram, TraceRing};
 use ringbft_types::sansio::ProtocolNode;
 use ringbft_types::{Action, Instant, NodeId, TimerKind};
@@ -52,7 +52,6 @@ use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::io::{Read, Write};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, FromRawFd, RawFd};
-use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, Receiver, SendError, Sender, SyncSender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -127,10 +126,10 @@ pub(crate) mod sys {
 /// An `eventfd`-backed wakeup channel: threads outside the reactor poke
 /// its `epoll_wait` (mailbox commands, shutdown).
 #[derive(Debug)]
-pub(crate) struct EventFd(RawFd);
+struct EventFd(RawFd);
 
 impl EventFd {
-    pub fn new() -> std::io::Result<EventFd> {
+    fn new() -> std::io::Result<EventFd> {
         let fd = unsafe { sys::eventfd(0, sys::EFD_CLOEXEC | sys::EFD_NONBLOCK) };
         if fd < 0 {
             return Err(std::io::Error::last_os_error());
@@ -138,13 +137,13 @@ impl EventFd {
         Ok(EventFd(fd))
     }
 
-    pub fn raw(&self) -> RawFd {
+    fn raw(&self) -> RawFd {
         self.0
     }
 
     /// Makes the reactor's next (or current) `epoll_wait` return, so it
     /// drains its mailbox without waiting out its poll timeout.
-    pub fn wake(&self) {
+    fn wake(&self) {
         let one: u64 = 1;
         // EAGAIN (counter saturated) still leaves the fd readable, which
         // is all a wake needs.
@@ -158,7 +157,7 @@ impl EventFd {
     }
 
     /// Clears the counter so level-triggered polling quiesces.
-    pub fn drain(&self) {
+    fn drain(&self) {
         let mut v: u64 = 0;
         let _ = unsafe {
             sys::read(
@@ -521,57 +520,10 @@ struct TelemetryConn {
 /// ([`NodeRuntime::set_inbound_filter`](crate::runtime::NodeRuntime::set_inbound_filter)).
 pub(crate) type InboundFilter<M> = Box<dyn Fn(NodeId, &M) -> bool + Send>;
 
-/// A bounded free list of reusable byte buffers: per-connection egress
-/// staging buffers cycle through here instead of allocating per
-/// connection.
-#[derive(Default)]
-struct BufPool {
-    free: Vec<Vec<u8>>,
-    hits: u64,
-    misses: u64,
-}
-
-impl BufPool {
-    /// Buffers retained at most; excess returns simply drop.
-    const MAX_POOLED: usize = 64;
-    /// Fresh-buffer capacity on a pool miss (one comfortable frame).
-    const MIN_CAPACITY: usize = 4 * 1024;
-    /// Buffers that ballooned past this are dropped rather than
-    /// retained, so one huge body cannot pin memory forever.
-    const MAX_RETAINED_CAPACITY: usize = 1024 * 1024;
-
-    /// An empty buffer, reused when the free list has one.
-    fn take(&mut self) -> Vec<u8> {
-        match self.free.pop() {
-            Some(buf) => {
-                self.hits += 1;
-                buf
-            }
-            None => {
-                self.misses += 1;
-                Vec::with_capacity(Self::MIN_CAPACITY)
-            }
-        }
-    }
-
-    /// Returns a buffer to the free list (cleared; oversized or
-    /// capacity-less buffers are dropped).
-    fn put(&mut self, mut buf: Vec<u8>) {
-        if buf.capacity() == 0 || buf.capacity() > Self::MAX_RETAINED_CAPACITY {
-            return;
-        }
-        buf.clear();
-        if self.free.len() < Self::MAX_POOLED {
-            self.free.push(buf);
-        }
-    }
-}
-
 /// Retained connection-lifecycle events per runtime.
 const NET_TRACE_CAPACITY: usize = 256;
 
-/// Transport instruments beyond the shared
-/// [`NetCounters`](crate::runtime::NetCounters).
+/// Transport instruments beyond the [`NetStatsSnapshot`] counters.
 struct NetObs {
     /// Nanoseconds spent inside each `epoll_wait` call.
     epoll_wait: Histogram,
@@ -593,7 +545,16 @@ struct NetObs {
 /// every connection of the runtime, the per-peer outbound queues, the
 /// timer wheel and everything else only it writes.
 struct Reactor<M, N> {
-    shared: Arc<Shared>,
+    id: NodeId,
+    clock: Clock,
+    peers: PeerTable,
+    /// Channel authenticator: every frame sent carries a pairwise HMAC,
+    /// every frame received is verified before delivery (§3).
+    auth: FrameAuth,
+    /// Port our own listener accepts on (advertised in Hello frames).
+    listen_port: u16,
+    /// The eventfd other threads poke (mailbox commands, shutdown).
+    wakeup: Arc<EventFd>,
     /// The hosted node. Every protocol call is made here; `with_node`
     /// borrows it through the mailbox.
     node: N,
@@ -631,9 +592,14 @@ struct Reactor<M, N> {
     filter: Option<InboundFilter<M>>,
     /// View changes the node reported, on the runtime clock.
     view_log: Vec<(Instant, u64)>,
+    /// Transport counters ([`NodeRuntime::stats`](crate::runtime::NodeRuntime::stats)).
+    stats: NetStatsSnapshot,
+    /// Batches, and transactions in them, the node reported `Executed`.
+    executed: (u64, u64),
     obs: NetObs,
-    /// Reusable buffers for frame reassembly and egress staging.
-    bufs: BufPool,
+    /// Scratch list of a send's remote `(to, resolved)` destinations,
+    /// kept so that staging a send allocates no list of its own.
+    remotes: Vec<(NodeId, NodeId)>,
 }
 
 /// Work another thread posts to the reactor's mailbox.
@@ -656,7 +622,7 @@ const REACTOR_EXITED: &str =
 
 /// A runtime's handle on its reactor thread, and the only way into it.
 pub(crate) struct ReactorThread<M, N> {
-    shared: Arc<Shared>,
+    wakeup: Arc<EventFd>,
     mailbox: Sender<Command<M, N>>,
     handle: JoinHandle<()>,
     /// Receives the node once the thread's loop has ended.
@@ -665,23 +631,28 @@ pub(crate) struct ReactorThread<M, N> {
 
 impl<M, N> ReactorThread<M, N>
 where
-    M: NetMsg + ringbft_simnet::SimMessage,
+    M: NetMsg,
     N: ProtocolNode<M> + Send + 'static,
 {
-    /// Registers the eventfd and `listener` with a fresh epoll instance
-    /// on the caller's thread, so that fd exhaustion fails the launch
-    /// rather than leaving a runtime without a reactor, then spawns the
-    /// reactor thread hosting `node`. The `0` in its name
-    /// `<node>-reactor0` is kept because `benchmark/` finds the
-    /// reactor's CPU time by it.
+    /// Registers a fresh eventfd and the nonblocking `listener` with a
+    /// fresh epoll instance on the caller's thread, so that fd
+    /// exhaustion fails the launch rather than leaving a runtime without
+    /// a reactor, then spawns the reactor thread hosting `node` as `id`.
+    /// The `0` in its name `<node>-reactor0` is kept because
+    /// `benchmark/` finds the reactor's CPU time by it.
     pub(crate) fn spawn(
-        shared: Arc<Shared>,
+        id: NodeId,
         node: N,
         listener: TcpListener,
+        peers: PeerTable,
+        clock: Clock,
+        auth: FrameAuth,
     ) -> std::io::Result<ReactorThread<M, N>> {
+        let wakeup = Arc::new(EventFd::new()?);
+        let listen_port = listener.local_addr()?.port();
         let epoll = Epoll::new()?;
         for (fd, token) in [
-            (shared.wakeup.raw(), TOKEN_WAKE),
+            (wakeup.raw(), TOKEN_WAKE),
             (listener.as_raw_fd(), TOKEN_LISTEN),
         ] {
             if !epoll.add(fd, token, sys::EPOLLIN) {
@@ -690,7 +661,12 @@ where
         }
         let (mailbox, commands) = mpsc::channel();
         let reactor = Reactor {
-            shared: Arc::clone(&shared),
+            id,
+            clock,
+            peers,
+            auth,
+            listen_port,
+            wakeup: Arc::clone(&wakeup),
             node,
             mailbox: commands,
             epoll,
@@ -709,6 +685,8 @@ where
             backoff_until: HashMap::new(),
             filter: None,
             view_log: Vec::new(),
+            stats: NetStatsSnapshot::default(),
+            executed: (0, 0),
             obs: NetObs {
                 epoll_wait: Histogram::new(),
                 queue_hwm_bytes: 0,
@@ -716,18 +694,18 @@ where
                 reassembly_stalls: 0,
                 trace: TraceRing::new(NET_TRACE_CAPACITY),
             },
-            bufs: BufPool::default(),
+            remotes: Vec::new(),
         };
         let (exit_tx, exited) = mpsc::channel();
         let handle = std::thread::Builder::new()
-            .name(format!("{}-reactor0", shared.id))
+            .name(format!("{id}-reactor0"))
             .spawn(move || {
                 if let Some(node) = reactor.run() {
                     let _ = exit_tx.send(node);
                 }
             })?;
         Ok(ReactorThread {
-            shared,
+            wakeup,
             mailbox,
             handle,
             exited,
@@ -736,7 +714,7 @@ where
 
     fn post(&self, command: Command<M, N>) {
         self.mailbox.send(command).expect(REACTOR_EXITED);
-        self.shared.wakeup.wake();
+        self.wakeup.wake();
     }
 
     /// Runs `f` on the reactor thread and returns its answer.
@@ -790,6 +768,15 @@ where
         })
     }
 
+    pub(crate) fn stats(&self) -> NetStatsSnapshot {
+        self.call(|r| r.stats)
+    }
+
+    /// Batches, and transactions in them, the node has executed.
+    pub(crate) fn executed(&self) -> (u64, u64) {
+        self.call(|r| r.executed)
+    }
+
     pub(crate) fn metrics_json(&self) -> String {
         self.call(|r| r.metrics_json())
     }
@@ -809,7 +796,7 @@ where
     /// the node, or that a `with_node` borrower panicked with it.
     pub(crate) fn stop(self, timeout: std::time::Duration) -> Option<N> {
         drop(self.mailbox);
-        self.shared.wakeup.wake();
+        self.wakeup.wake();
         let node = self.exited.recv_timeout(timeout).ok()?;
         self.handle.join().ok()?;
         Some(node)
@@ -818,7 +805,7 @@ where
 
 impl<M, N> Reactor<M, N>
 where
-    M: NetMsg + ringbft_simnet::SimMessage,
+    M: NetMsg,
     N: ProtocolNode<M> + Send + 'static,
 {
     /// Runs until the mailbox closes, then returns the node (`None` if
@@ -827,7 +814,7 @@ where
     fn run(mut self) -> Option<N> {
         // The hosted node starts on the reactor, exactly as the old
         // event loop started it.
-        let now = self.shared.clock.now();
+        let now = self.clock.now();
         let actions = self.node.on_start(now);
         let mut pending = VecDeque::new();
         self.apply_actions(actions, &mut pending);
@@ -842,18 +829,18 @@ where
             // are covered too.
             self.flush_dirty_peers();
             let timeout = self.poll_timeout();
-            let wait_start = self.shared.clock.now();
+            let wait_start = self.clock.now();
             let n = self.epoll.wait(&mut events, timeout);
             // Time actually spent blocked in the kernel: the idle/busy
             // profile of the reactor (near the poll timeout when idle,
             // near zero when saturated).
-            let waited = self.shared.clock.now().since(wait_start);
+            let waited = self.clock.now().since(wait_start);
             self.obs.epoll_wait.record(waited.as_nanos());
             for ev in events.iter().take(n) {
                 let (token, bits) = (ev.data, ev.events);
                 match token {
                     TOKEN_WAKE => {
-                        self.shared.wakeup.drain();
+                        self.wakeup.drain();
                         loop {
                             match self.mailbox.try_recv() {
                                 Ok(Command::Call(f)) => f(&mut self),
@@ -882,7 +869,7 @@ where
     /// The `epoll_wait` timeout: the earliest of the timer wheel and the
     /// reconnect schedule, capped at the idle poll.
     fn poll_timeout(&self) -> i32 {
-        let now = self.shared.clock.now().as_nanos();
+        let now = self.clock.now().as_nanos();
         let mut next: u64 = now + IDLE_POLL.as_nanos() as u64;
         if let Some(deadline) = self.timers.next_deadline() {
             next = next.min(deadline);
@@ -903,11 +890,8 @@ where
     /// its actions produce (the simulator's loopback fast path).
     fn drain_pending(&mut self, mut pending: VecDeque<(NodeId, M)>) {
         while let Some((from, msg)) = pending.pop_front() {
-            self.shared
-                .counters
-                .messages_delivered
-                .fetch_add(1, Ordering::Relaxed);
-            let now = self.shared.clock.now();
+            self.stats.messages_delivered += 1;
+            let now = self.clock.now();
             let actions = self.node.on_message(now, from, msg);
             self.apply_actions(actions, &mut pending);
         }
@@ -922,143 +906,92 @@ where
     fn apply_actions(&mut self, actions: Vec<Action<M>>, pending: &mut VecDeque<(NodeId, M)>) {
         for action in actions {
             match action {
-                Action::Send { to, msg } => self.enqueue_send(to, msg, pending),
-                Action::SendMany { tos, msg } => self.enqueue_send_many(tos, msg, pending),
+                Action::Send { to, msg } => {
+                    self.enqueue(std::slice::from_ref(&to), msg, pending);
+                }
+                Action::SendMany { tos, msg } => {
+                    let frames = self.enqueue(&tos, msg, pending);
+                    if frames > 0 {
+                        self.stats.broadcasts += 1;
+                        self.stats.encodes_saved += frames - 1;
+                    }
+                }
                 Action::SetTimer { kind, token, after } => {
-                    let deadline = self.shared.clock.now().as_nanos() + after.as_nanos();
+                    let deadline = self.clock.now().as_nanos() + after.as_nanos();
                     self.timers.arm(kind, token, deadline);
                 }
                 Action::CancelTimer { kind, token } => self.timers.cancel(kind, token),
                 Action::Executed { txns, .. } => {
-                    let shared = &self.shared;
-                    shared.executed_batches.fetch_add(1, Ordering::Relaxed);
-                    shared
-                        .executed_txns
-                        .fetch_add(txns as u64, Ordering::Relaxed);
+                    self.executed.0 += 1;
+                    self.executed.1 += txns as u64;
                 }
                 Action::ViewChanged { view } => {
-                    self.view_log.push((self.shared.clock.now(), view));
+                    self.view_log.push((self.clock.now(), view));
                 }
             }
         }
     }
 
-    /// Queues a message for a peer (or loops it back for self-sends),
-    /// marking the peer dirty so the loop drains its queue.
-    fn enqueue_send(&mut self, to: NodeId, msg: M, pending: &mut VecDeque<(NodeId, M)>) {
-        let shared = &self.shared;
-        let (resolved, known) = shared.peers.route(to);
-        if resolved == shared.id {
-            pending.push_back((shared.id, msg));
-            return;
-        }
-        if !known {
-            // Unknown peer: drop, as the simulator drops sends to
-            // unregistered nodes. (A Hello may register it later; dials
-            // re-read the table on every attempt.)
-            shared
-                .counters
-                .messages_dropped
-                .fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let model = msg.wire_bytes();
-        let trace = msg.trace_context();
-        let body = match encode_body(shared.id, &msg, &trace) {
-            Ok(b) => b,
-            Err(_) => {
-                shared
-                    .counters
-                    .messages_dropped
-                    .fetch_add(1, Ordering::Relaxed);
-                return;
+    /// Queues one message for every peer in `tos`, encoding the payload
+    /// at most once: every remote destination gets a per-peer frame
+    /// prefix over the same shared body bytes. Self-sends loop back;
+    /// unknown peers drop, each independently, as the simulator drops
+    /// sends to unregistered nodes (a Hello may register one later;
+    /// dials re-read the table on every attempt). Returns how many
+    /// frames were built over the one encoded body.
+    fn enqueue(&mut self, tos: &[NodeId], msg: M, pending: &mut VecDeque<(NodeId, M)>) -> u64 {
+        let mut remotes = std::mem::take(&mut self.remotes);
+        let mut loopbacks = 0;
+        for &to in tos {
+            let (resolved, known) = self.peers.route(to);
+            if resolved == self.id {
+                loopbacks += 1;
+            } else if known {
+                remotes.push((to, resolved));
+            } else {
+                self.stats.messages_dropped += 1;
             }
-        };
-        let prefix = frame_prefix(shared.id, to, &body, &shared.auth);
-        self.stage_frame(resolved, EgressFrame { prefix, body }, model);
-    }
-
-    /// Queues one message for many peers, encoding the payload exactly
-    /// once: every remote destination gets a per-peer frame prefix over
-    /// the same shared body bytes. Self-sends loop back; unknown peers
-    /// drop, each independently, exactly as N unicast sends would.
-    fn enqueue_send_many(&mut self, tos: Vec<NodeId>, msg: M, pending: &mut VecDeque<(NodeId, M)>) {
-        let shared = Arc::clone(&self.shared);
-        let mut remotes = Vec::with_capacity(tos.len());
-        for to in tos {
-            let (resolved, known) = shared.peers.route(to);
-            if resolved == shared.id {
-                pending.push_back((shared.id, msg.clone()));
-                continue;
-            }
-            if !known {
-                shared
-                    .counters
-                    .messages_dropped
-                    .fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            remotes.push((to, resolved));
         }
-        if remotes.is_empty() {
-            return;
-        }
-        let model = msg.wire_bytes();
-        let trace = msg.trace_context();
-        let body = match encode_body(shared.id, &msg, &trace) {
-            Ok(b) => b,
-            Err(_) => {
-                shared
-                    .counters
-                    .messages_dropped
-                    .fetch_add(remotes.len() as u64, Ordering::Relaxed);
-                return;
+        let mut frames = 0;
+        if !remotes.is_empty() {
+            match encode_body(self.id, &msg, &msg.trace_context()) {
+                Ok(body) => {
+                    for &(to, resolved) in &remotes {
+                        let prefix = frame_prefix(self.id, to, &body, &self.auth);
+                        let body = Arc::clone(&body);
+                        self.stage_frame(resolved, EgressFrame { prefix, body });
+                    }
+                    frames = remotes.len() as u64;
+                }
+                Err(_) => self.stats.messages_dropped += remotes.len() as u64,
             }
-        };
-        shared.counters.broadcasts.fetch_add(1, Ordering::Relaxed);
-        shared
-            .counters
-            .encodes_saved
-            .fetch_add(remotes.len() as u64 - 1, Ordering::Relaxed);
-        for (to, resolved) in remotes {
-            let prefix = frame_prefix(shared.id, to, &body, &shared.auth);
-            let frame = EgressFrame {
-                prefix,
-                body: Arc::clone(&body),
-            };
-            self.stage_frame(resolved, frame, model);
+            remotes.clear();
         }
+        self.remotes = remotes;
+        if loopbacks > 0 {
+            for _ in 1..loopbacks {
+                pending.push_back((self.id, msg.clone()));
+            }
+            pending.push_back((self.id, msg));
+        }
+        frames
     }
 
     /// Offers one egress frame to `resolved`'s queue and, when accepted,
     /// books the send counters and marks the peer dirty.
-    fn stage_frame(&mut self, resolved: NodeId, frame: EgressFrame, model: u64) {
-        let shared = &self.shared;
+    fn stage_frame(&mut self, resolved: NodeId, frame: EgressFrame) {
         let bytes = frame.len() as u64;
         let q = self.outq.entry(resolved).or_default();
         let accepted = q.offer(frame);
         let depth = q.bytes as u64;
         if !accepted {
-            shared
-                .counters
-                .messages_dropped
-                .fetch_add(1, Ordering::Relaxed);
+            self.stats.messages_dropped += 1;
             self.obs.backpressure_hits += 1;
             return;
         }
         self.obs.queue_hwm_bytes = self.obs.queue_hwm_bytes.max(depth);
-        shared
-            .counters
-            .messages_sent
-            .fetch_add(1, Ordering::Relaxed);
-        shared
-            .counters
-            .bytes_sent
-            .fetch_add(bytes, Ordering::Relaxed);
-        shared
-            .counters
-            .modeled_bytes_sent
-            .fetch_add(model, Ordering::Relaxed);
+        self.stats.messages_sent += 1;
+        self.stats.bytes_sent += bytes;
         self.dirty.insert(resolved);
     }
 
@@ -1067,12 +1000,9 @@ where
     // ------------------------------------------------------------------
 
     fn fire_due_timers(&mut self) {
-        while let Some((kind, token)) = self.timers.pop_due(self.shared.clock.now().as_nanos()) {
-            self.shared
-                .counters
-                .timers_fired
-                .fetch_add(1, Ordering::Relaxed);
-            let now = self.shared.clock.now();
+        while let Some((kind, token)) = self.timers.pop_due(self.clock.now().as_nanos()) {
+            self.stats.timers_fired += 1;
+            let now = self.clock.now();
             let actions = self.node.on_timer(now, kind, token);
             let mut pending = VecDeque::new();
             self.apply_actions(actions, &mut pending);
@@ -1110,7 +1040,7 @@ where
         if !self.has_queued(peer) {
             return;
         }
-        let now = self.shared.clock.now().as_nanos();
+        let now = self.clock.now().as_nanos();
         if self.backoff_until.get(&peer).is_some_and(|u| *u > now) {
             return; // scheduled reconnect will dial
         }
@@ -1129,14 +1059,11 @@ where
     /// behind forever.
     fn flush_peer_queue(&mut self, peer: NodeId) {
         let flushed = self.outq.remove(&peer).map_or(0, |q| q.frames.len() as u64);
-        self.shared
-            .counters
-            .messages_undeliverable
-            .fetch_add(flushed, Ordering::Relaxed);
+        self.stats.messages_undeliverable += flushed;
     }
 
     fn start_connect(&mut self, peer: NodeId) {
-        let Some(addr) = self.shared.peers.addr_of(peer) else {
+        let Some(addr) = self.peers.addr_of(peer) else {
             // The route vanished (it existed at enqueue time): the
             // queued frames can never leave.
             self.flush_peer_queue(peer);
@@ -1144,11 +1071,8 @@ where
         };
         let attempt = *self.attempts.get(&peer).unwrap_or(&0);
         if attempt > 0 {
-            self.shared
-                .counters
-                .reconnects
-                .fetch_add(1, Ordering::Relaxed);
-            let now = self.shared.clock.now().as_nanos();
+            self.stats.reconnects += 1;
+            let now = self.clock.now().as_nanos();
             self.obs.trace.push(
                 now,
                 "reconnect",
@@ -1183,7 +1107,7 @@ where
                         },
                         peer_ip,
                         asm: FrameAssembler::new(),
-                        wbuf: self.bufs.take(),
+                        wbuf: Vec::new(),
                         wpos: 0,
                         wframes: 0,
                         interest: sys::EPOLLIN | sys::EPOLLOUT | sys::EPOLLRDHUP,
@@ -1194,8 +1118,7 @@ where
                 // Connect watchdog: *this* dial (generation-tagged)
                 // stuck in the handshake past the timeout is torn down
                 // and retried.
-                let deadline =
-                    self.shared.clock.now().as_nanos() + CONNECT_TIMEOUT.as_nanos() as u64;
+                let deadline = self.clock.now().as_nanos() + CONNECT_TIMEOUT.as_nanos() as u64;
                 self.reconnect.push(Reverse((deadline, peer, dial_id)));
             }
             Err(_) => self.dial_failed(peer),
@@ -1215,13 +1138,13 @@ where
             return;
         }
         let delay_ms = 20 * (*attempts as u64);
-        let deadline = self.shared.clock.now().as_nanos() + delay_ms * 1_000_000;
+        let deadline = self.clock.now().as_nanos() + delay_ms * 1_000_000;
         self.backoff_until.insert(peer, deadline);
         self.reconnect.push(Reverse((deadline, peer, DIAL_RETRY)));
     }
 
     fn process_reconnects(&mut self) {
-        let now = self.shared.clock.now().as_nanos();
+        let now = self.clock.now().as_nanos();
         while let Some(Reverse((deadline, peer, dial_id))) = self.reconnect.peek().copied() {
             if deadline > now {
                 break;
@@ -1280,11 +1203,11 @@ where
             return;
         }
         let hello = Hello {
-            node: self.shared.id,
-            aliases: self.shared.peers.aliases_of(self.shared.id),
-            listen_port: self.shared.listen_port,
+            node: self.id,
+            aliases: self.peers.aliases_of(self.id),
+            listen_port: self.listen_port,
         };
-        let Ok(frame) = encode_hello_frame(&hello, &self.shared.auth, peer) else {
+        let Ok(frame) = encode_hello_frame(&hello, &self.auth, peer) else {
             self.close_conn(tok);
             return;
         };
@@ -1294,8 +1217,8 @@ where
                 peer,
                 connected: true,
             };
-            // Stage the Hello into the pooled buffer (keep it; the
-            // connection reuses it for every subsequent drain).
+            // Stage the Hello; the connection reuses the buffer for
+            // every subsequent drain.
             conn.wbuf.clear();
             conn.wbuf.extend_from_slice(&frame);
             conn.wpos = 0;
@@ -1392,14 +1315,10 @@ where
             return;
         };
         self.epoll.del(conn.stream.as_raw_fd());
-        self.bufs.put(conn.wbuf);
         if let ConnKind::Outbound { peer, .. } = conn.kind {
             self.by_peer.remove(&peer);
             if conn.wframes > 0 {
-                self.shared
-                    .counters
-                    .messages_undeliverable
-                    .fetch_add(conn.wframes, Ordering::Relaxed);
+                self.stats.messages_undeliverable += conn.wframes;
             }
             let queued = self.has_queued(peer);
             if !queued {
@@ -1526,7 +1445,7 @@ where
                 let mut frames = Vec::new();
                 let mut corrupt = false;
                 loop {
-                    match conn.asm.next_frame::<M>(&self.shared.auth, self.shared.id) {
+                    match conn.asm.next_frame::<M>(&self.auth, self.id) {
                         Ok(Some(f)) => frames.push(f),
                         Ok(None) => break,
                         Err(_) => {
@@ -1575,11 +1494,11 @@ where
                 if let Some(ip) = peer_ip {
                     let addr = SocketAddr::new(ip, hello.listen_port);
                     match hello.node {
-                        NodeId::Client(_) => self.shared.peers.insert(hello.node, addr),
-                        NodeId::Replica(_) => self.shared.peers.insert_if_absent(hello.node, addr),
+                        NodeId::Client(_) => self.peers.insert(hello.node, addr),
+                        NodeId::Replica(_) => self.peers.insert_if_absent(hello.node, addr),
                     }
                     for alias in hello.aliases {
-                        self.shared.peers.add_alias(alias, hello.node);
+                        self.peers.add_alias(alias, hello.node);
                     }
                 }
             }
@@ -1592,14 +1511,11 @@ where
     fn deliver_env(&mut self, env: Envelope<M>) {
         // Deliver only traffic addressed to (an alias of) us;
         // anything else indicates a stale peer table.
-        if self.shared.peers.resolve(env.to) != self.shared.id {
+        if self.peers.resolve(env.to) != self.id {
             return;
         }
         if self.filter.as_ref().is_some_and(|f| f(env.from, &env.msg)) {
-            self.shared
-                .counters
-                .messages_filtered
-                .fetch_add(1, Ordering::Relaxed);
+            self.stats.messages_filtered += 1;
             return;
         }
         self.deliver(env.from, env.msg);
@@ -1609,22 +1525,19 @@ where
     // Telemetry scrape endpoint
     // ------------------------------------------------------------------
 
-    /// Transport metrics as one stable JSON object: the shared counters
-    /// and the reactor's own instruments.
+    /// Transport metrics as one stable JSON object: the counters and the
+    /// reactor's other instruments.
     fn metrics_json(&self) -> String {
-        let c = self.shared.stats_snapshot();
+        let c = &self.stats;
         let mut cw = ringbft_obs::json::ObjectWriter::new();
         cw.field_u64("net.broadcasts", c.broadcasts)
             .field_u64("net.bytes_sent", c.bytes_sent)
-            .field_u64("net.egress_pool_hits", self.bufs.hits)
-            .field_u64("net.egress_pool_misses", self.bufs.misses)
             .field_u64("net.encodes_saved", c.encodes_saved)
             .field_u64("net.messages_delivered", c.messages_delivered)
             .field_u64("net.messages_dropped", c.messages_dropped)
             .field_u64("net.messages_filtered", c.messages_filtered)
             .field_u64("net.messages_sent", c.messages_sent)
             .field_u64("net.messages_undeliverable", c.messages_undeliverable)
-            .field_u64("net.modeled_bytes_sent", c.modeled_bytes_sent)
             .field_u64("net.backpressure_hits", self.obs.backpressure_hits)
             .field_u64("net.reassembly_stalls", self.obs.reassembly_stalls)
             .field_u64("net.reconnects", c.reconnects)
@@ -1645,7 +1558,7 @@ where
 
     fn net_telemetry(&self) -> NetTelemetry {
         NetTelemetry {
-            id: self.shared.id,
+            id: self.id,
             metrics_json: self.metrics_json(),
             trace_jsonl: self.obs.trace.dump_jsonl(),
         }

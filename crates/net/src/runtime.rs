@@ -19,10 +19,10 @@
 //! without bound — BFT retransmission timers provide recovery, the same
 //! assumption the paper makes about unreliable channels), and the
 //! protocol timer wheel folded into the `epoll_wait` timeout. The
-//! reactor owns the hosted node and every other piece of state only it
-//! writes; [`NodeRuntime`]'s accessors reach them through its command
-//! mailbox. This module holds only what other threads share with it:
-//! the routing table, atomic counters and the eventfd.
+//! reactor owns the hosted node, its transport counters and every other
+//! piece of state only it writes; [`NodeRuntime`]'s accessors reach them
+//! through its command mailbox. The only state other threads share with
+//! it is the routing table ([`PeerTable`]).
 //!
 //! The previous runtime spawned two OS threads per peer connection plus
 //! a timer thread — at the paper's scale (428 nodes, 500 k clients)
@@ -34,20 +34,20 @@
 //! mirroring `Instant::ZERO` at simulation start.
 
 use crate::codec::FrameAuth;
-use crate::reactor::{EventFd, ReactorThread};
+use crate::reactor::ReactorThread;
 use ringbft_types::sansio::ProtocolNode;
-use ringbft_types::{Instant, NodeId};
+use ringbft_types::{Instant, NodeId, Traced};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Marker for messages the runtime can carry: encodable, decodable, and
-/// movable across the runtime's threads.
-pub trait NetMsg: Serialize + Deserialize + Clone + Send + 'static {}
+/// Marker for messages the runtime can carry: encodable, decodable,
+/// carrying their trace context into the frame envelope, and movable
+/// across the runtime's threads.
+pub trait NetMsg: Serialize + Deserialize + Traced + Clone + Send + 'static {}
 
-impl<T: Serialize + Deserialize + Clone + Send + 'static> NetMsg for T {}
+impl<T: Serialize + Deserialize + Traced + Clone + Send + 'static> NetMsg for T {}
 
 /// Shared wall-clock epoch translating real time into the sans-io
 /// `Instant` timeline.
@@ -171,67 +171,36 @@ impl PeerTable {
     }
 }
 
-/// Counters mirroring the simulator's `NetStats`, plus the transport-
-/// level drop counter of the backpressure boundary.
-#[derive(Debug, Default)]
-pub struct NetCounters {
-    /// Frames handed to peer queues.
-    pub messages_sent: AtomicU64,
-    /// Actual encoded bytes handed to peer queues.
-    pub bytes_sent: AtomicU64,
-    /// Bytes the simulator's wire model would have charged for the same
-    /// messages — kept so simulated and real runs report comparable
-    /// bandwidth numbers.
-    pub modeled_bytes_sent: AtomicU64,
-    /// Frames dropped before enqueue (peer queue over its watermark,
-    /// unknown peer, unencodable message).
-    pub messages_dropped: AtomicU64,
-    /// Frames accepted into a peer queue whose delivery then failed
-    /// (peer unreachable past the retry budget). `messages_sent`
-    /// already counted them, so sent − undeliverable ≈ on the wire.
-    pub messages_undeliverable: AtomicU64,
-    /// Timers fired (uncancelled).
-    pub timers_fired: AtomicU64,
-    /// Frames delivered to the hosted node.
-    pub messages_delivered: AtomicU64,
-    /// Inbound frames suppressed by a fault-injection filter
-    /// ([`NodeRuntime::set_inbound_filter`]).
-    pub messages_filtered: AtomicU64,
-    /// Outbound dials beyond a peer's first attempt (reconnects after a
-    /// failure or a dead connection).
-    pub reconnects: AtomicU64,
-    /// `SendMany` fan-outs staged (each encoded its payload once).
-    pub broadcasts: AtomicU64,
-    /// Payload serializations avoided by sharing one encoded body
-    /// across a broadcast's destinations: a fan-out to `k` remote peers
-    /// adds `k − 1` (the pre-v6 codec paid `k` full encodes).
-    pub encodes_saved: AtomicU64,
-}
-
-/// A point-in-time copy of [`NetCounters`].
+/// One runtime's transport counters, kept by its reactor and copied
+/// out by [`NodeRuntime::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStatsSnapshot {
     /// Frames handed to peer queues.
     pub messages_sent: u64,
-    /// Actual encoded bytes handed to peer queues.
+    /// Encoded bytes handed to peer queues.
     pub bytes_sent: u64,
-    /// Wire-model bytes for the same messages.
-    pub modeled_bytes_sent: u64,
-    /// Frames dropped at the backpressure boundary.
+    /// Frames dropped before enqueue (peer queue over its watermark,
+    /// unknown peer, unencodable message).
     pub messages_dropped: u64,
-    /// Enqueued frames whose delivery failed (peer unreachable).
+    /// Frames accepted into a peer queue whose delivery then failed
+    /// (peer unreachable past the retry budget). `messages_sent`
+    /// already counted them, so sent − undeliverable ≈ on the wire.
     pub messages_undeliverable: u64,
-    /// Timers fired.
+    /// Timers fired (uncancelled).
     pub timers_fired: u64,
-    /// Frames delivered to the node.
+    /// Frames delivered to the hosted node.
     pub messages_delivered: u64,
-    /// Inbound frames suppressed by a fault-injection filter.
+    /// Inbound frames suppressed by a fault-injection filter
+    /// ([`NodeRuntime::set_inbound_filter`]).
     pub messages_filtered: u64,
-    /// Outbound dials beyond a peer's first attempt.
+    /// Outbound dials beyond a peer's first attempt (reconnects after a
+    /// failure or a dead connection).
     pub reconnects: u64,
-    /// `SendMany` fan-outs staged.
+    /// `SendMany` fan-outs staged (each encoded its payload once).
     pub broadcasts: u64,
-    /// Payload serializations avoided by serialize-once fan-out.
+    /// Payload serializations avoided by sharing one encoded body
+    /// across a broadcast's destinations: a fan-out to `k` remote peers
+    /// adds `k − 1`.
     pub encodes_saved: u64,
 }
 
@@ -254,45 +223,6 @@ pub struct NetTelemetry {
     pub trace_jsonl: String,
 }
 
-/// State shared between the public [`NodeRuntime`] handle and its
-/// reactor thread.
-pub(crate) struct Shared {
-    pub(crate) id: NodeId,
-    pub(crate) clock: Clock,
-    pub(crate) peers: PeerTable,
-    /// Channel authenticator: every frame sent carries a pairwise HMAC,
-    /// every frame received is verified before delivery (§3).
-    pub(crate) auth: FrameAuth,
-    /// Port our own listener accepts on (advertised in Hello frames).
-    pub(crate) listen_port: u16,
-    pub(crate) counters: NetCounters,
-    /// The reactor's eventfd (mailbox commands, shutdown).
-    pub(crate) wakeup: EventFd,
-    /// Batches and transactions the hosted node reported `Executed`.
-    pub(crate) executed_batches: AtomicU64,
-    pub(crate) executed_txns: AtomicU64,
-}
-
-impl Shared {
-    /// Snapshot of the transport counters.
-    pub(crate) fn stats_snapshot(&self) -> NetStatsSnapshot {
-        let c = &self.counters;
-        NetStatsSnapshot {
-            messages_sent: c.messages_sent.load(Ordering::Relaxed),
-            bytes_sent: c.bytes_sent.load(Ordering::Relaxed),
-            modeled_bytes_sent: c.modeled_bytes_sent.load(Ordering::Relaxed),
-            messages_dropped: c.messages_dropped.load(Ordering::Relaxed),
-            messages_undeliverable: c.messages_undeliverable.load(Ordering::Relaxed),
-            timers_fired: c.timers_fired.load(Ordering::Relaxed),
-            messages_delivered: c.messages_delivered.load(Ordering::Relaxed),
-            messages_filtered: c.messages_filtered.load(Ordering::Relaxed),
-            reconnects: c.reconnects.load(Ordering::Relaxed),
-            broadcasts: c.broadcasts.load(Ordering::Relaxed),
-            encodes_saved: c.encodes_saved.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// How long [`NodeRuntime::shutdown`] waits for the reactor thread to
 /// hand back the node before declaring the shutdown unclean.
 /// The reactor never blocks (all I/O is nonblocking and every wait has
@@ -302,14 +232,14 @@ const SHUTDOWN_JOIN_TIMEOUT: std::time::Duration = std::time::Duration::from_sec
 
 /// Hosts one protocol node over TCP.
 pub struct NodeRuntime<M: NetMsg, N: ProtocolNode<M> + Send + 'static> {
-    shared: Arc<Shared>,
+    id: NodeId,
     local_addr: SocketAddr,
     reactor: ReactorThread<M, N>,
 }
 
 impl<M, N> NodeRuntime<M, N>
 where
-    M: NetMsg + ringbft_simnet::SimMessage,
+    M: NetMsg,
     N: ProtocolNode<M> + Send + 'static,
 {
     /// Starts hosting `node` as `id` on `listener`, reaching peers via
@@ -328,20 +258,9 @@ where
     ) -> std::io::Result<NodeRuntime<M, N>> {
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let shared = Arc::new(Shared {
-            id,
-            clock,
-            peers,
-            auth,
-            listen_port: local_addr.port(),
-            counters: NetCounters::default(),
-            wakeup: EventFd::new()?,
-            executed_batches: AtomicU64::new(0),
-            executed_txns: AtomicU64::new(0),
-        });
-        let reactor = ReactorThread::spawn(Arc::clone(&shared), node, listener)?;
+        let reactor = ReactorThread::spawn(id, node, listener, peers, clock, auth)?;
         Ok(NodeRuntime {
-            shared,
+            id,
             local_addr,
             reactor,
         })
@@ -349,7 +268,7 @@ where
 
     /// The node id this runtime hosts.
     pub fn id(&self) -> NodeId {
-        self.shared.id
+        self.id
     }
 
     /// The bound listener address.
@@ -359,9 +278,9 @@ where
 
     /// Lends the hosted node to `f` on the calling thread: the reactor
     /// hands the node over and pauses event processing until `f`
-    /// returns it, so keep `f` short. `f` must not call back into this
-    /// runtime (beyond `id`, `stats` and the `executed_*` counters),
-    /// because the reactor cannot answer while it waits for the node.
+    /// returns it, so keep `f` short. Inside `f`, `id` is the only
+    /// method of this runtime that is safe to call: every other one asks
+    /// the reactor, which cannot answer while it waits for the node.
     ///
     /// # Panics
     ///
@@ -391,13 +310,13 @@ where
 
     /// Snapshot of the transport counters.
     pub fn stats(&self) -> NetStatsSnapshot {
-        self.shared.stats_snapshot()
+        self.reactor.stats()
     }
 
     /// Transport-layer metrics as one stable JSON object: the
-    /// [`NetCounters`] plus reactor instrumentation (epoll-wait
-    /// histogram, peer-queue high-water mark, backpressure hits,
-    /// frame-reassembly stalls).
+    /// [`NetStatsSnapshot`] counters plus reactor instrumentation
+    /// (epoll-wait histogram, peer-queue high-water mark, backpressure
+    /// hits, frame-reassembly stalls).
     pub fn metrics_json(&self) -> String {
         self.reactor.metrics_json()
     }
@@ -427,12 +346,12 @@ where
 
     /// Batches the hosted node has executed.
     pub fn executed_batches(&self) -> u64 {
-        self.shared.executed_batches.load(Ordering::Relaxed)
+        self.reactor.executed().0
     }
 
     /// Transactions in those batches.
     pub fn executed_txns(&self) -> u64 {
-        self.shared.executed_txns.load(Ordering::Relaxed)
+        self.reactor.executed().1
     }
 
     /// Copy of the view-change log.

@@ -280,16 +280,13 @@ fn two_shards_commit_all_transaction_classes_over_tcp() {
         "both shards must execute, saw {executed_shards:?}"
     );
 
-    // Real frames crossed the loopback network, and the codec's actual
-    // sizes track the paper's wire model within the same order of
-    // magnitude.
+    // Real frames crossed the loopback network.
     let mut total_sent = 0u64;
     for rt in cluster.replica_runtimes() {
         let s = rt.stats();
         total_sent += s.messages_sent;
         if s.messages_sent > 0 {
             assert!(s.bytes_sent > 0);
-            assert!(s.modeled_bytes_sent > 0);
         }
     }
     assert!(total_sent > 0, "replicas exchanged no network traffic");

@@ -14,7 +14,7 @@ use ringbft_pbft::PbftMsg;
 use ringbft_protocols::SsMsg;
 use ringbft_recovery::RecoveryMsg;
 use ringbft_simnet::SimMessage;
-use ringbft_types::{wire, Duration};
+use ringbft_types::{wire, Duration, TraceContext, Traced};
 use serde::{Deserialize, Serialize};
 
 /// CPU time charged per delivered message for verifying the frame's
@@ -188,8 +188,10 @@ impl SimMessage for AnyMsg {
         };
         protocol_cost + FRAME_MAC_VERIFY
     }
+}
 
-    fn trace_context(&self) -> Option<ringbft_types::TraceContext> {
+impl Traced for AnyMsg {
+    fn trace_context(&self) -> Option<TraceContext> {
         // Only RingBFT traffic is causally traced; the baselines run
         // without instrumentation (their numbers are comparison-only).
         match self {

@@ -34,14 +34,6 @@ pub trait SimMessage: Clone {
     fn cpu_cost(&self) -> Duration {
         Duration::from_micros(5)
     }
-
-    /// Causal trace context this message transports, when it carries a
-    /// sampled transaction (`ringbft_types::trace`). The TCP runtime
-    /// copies it into the frame envelope so traffic can be correlated
-    /// by trace id without decoding bodies. Default: none.
-    fn trace_context(&self) -> Option<ringbft_types::TraceContext> {
-        None
-    }
 }
 
 /// A sans-io protocol node drivable by the [`World`].

@@ -30,5 +30,5 @@ pub use region::Region;
 pub use ring::RingOrder;
 pub use sansio::{Action, Outbox, ProtocolNode, TimerKind};
 pub use time::{Duration, Instant};
-pub use trace::TraceContext;
+pub use trace::{TraceContext, Traced};
 pub use txn::{Batch, BatchId, Operation, OperationKind, ReadWriteSet, Transaction, TxnId};

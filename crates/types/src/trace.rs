@@ -43,6 +43,16 @@ impl TraceContext {
     }
 }
 
+/// A message that may carry a sampled transaction's [`TraceContext`].
+/// The TCP runtime copies it into each frame envelope, so traffic can be
+/// correlated by trace id without decoding bodies.
+pub trait Traced {
+    /// The trace context this message transports. Default: none.
+    fn trace_context(&self) -> Option<TraceContext> {
+        None
+    }
+}
+
 /// Deterministic sampling decision: transaction `id` is traced at a
 /// `1 / rate` sampling rate. `rate = 0` disables tracing entirely,
 /// `rate = 1` traces everything. Deterministic in the id so every
