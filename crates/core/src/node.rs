@@ -195,10 +195,12 @@ impl RingReplica {
     /// store, watermark, locks, ledger position and PBFT stable floor,
     /// exactly the state swap a verified snapshot install performs. The
     /// live tail beyond the recovered tip re-enters via the ordinary
-    /// delta-chain transfer (O(gap), not O(state)).
+    /// delta-chain transfer (O(gap), not O(state)). The restored
+    /// sequence is [`RingReplica::checkpoint_seq`] afterwards (0 when
+    /// no checkpoint survived).
     ///
     /// Must be called right after construction, before any traffic.
-    pub fn attach_wal(&mut self, wal: ReplicaWal, recovered: &Recovered) {
+    pub fn attach_wal(&mut self, wal: ReplicaWal, recovered: Recovered) {
         assert!(self.wal.is_none(), "wal attached twice");
         assert!(
             self.ckpt.watermark() == 0 && self.work.is_empty(),
@@ -206,12 +208,13 @@ impl RingReplica {
         );
         if let Some(tip) = recovered.fold(self.me.shard) {
             let (seq, height, head) = (tip.seq, tip.ledger_height, tip.ledger_head);
+            let durable_seq = recovered.durable_seq;
             let kv = self.ckpt.restore_log(tip, recovered);
             self.restore_state(kv, seq, height, head);
             self.obs.trace.push(
                 self.obs_now.as_nanos(),
                 "wal_restore",
-                &[("seq", seq), ("durable_seq", recovered.durable_seq)],
+                &[("seq", seq), ("durable_seq", durable_seq)],
             );
         }
         self.wal = Some(wal);

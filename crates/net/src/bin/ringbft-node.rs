@@ -262,13 +262,13 @@ fn main() {
                 let path = dir.join(format!("{id}.wal"));
                 match ringbft_recovery::ReplicaWal::open_file(&path, cluster.system.durability) {
                     Ok((wal, recovered)) => {
-                        let seq = recovered.fold(id.shard).map(|t| t.seq).unwrap_or(0);
+                        let bytes = wal.len_bytes();
+                        ring.attach_wal(wal, recovered);
                         println!(
-                            "replayed {} ({} bytes, durable checkpoint seq {seq})",
+                            "replayed {} ({bytes} bytes, durable checkpoint seq {})",
                             path.display(),
-                            wal.len_bytes()
+                            ring.checkpoint_seq()
                         );
-                        ring.attach_wal(wal, &recovered);
                     }
                     Err(e) => {
                         eprintln!("open wal {}: {e}", path.display());

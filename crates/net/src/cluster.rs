@@ -94,7 +94,7 @@ impl LocalCluster {
             if let Some(dir) = &data_dir {
                 if let AnyNode::Ring(ring) = &mut node {
                     let (wal, recovered) = ReplicaWal::open_file(wal_path(dir, r), cfg.durability)?;
-                    ring.attach_wal(wal, &recovered);
+                    ring.attach_wal(wal, recovered);
                 }
             }
             let rt = NodeRuntime::launch(
@@ -193,13 +193,14 @@ impl LocalCluster {
             .find(|(id, _, _)| *id == r)
             .expect("replica in deployment");
         let (wal, recovered) = ReplicaWal::open_file(wal_path(&dir, r), self.cfg.durability)?;
-        let restart = DurableRestart {
+        let mut restart = DurableRestart {
             bytes_replayed: wal.len_bytes(),
-            recovered_seq: recovered.fold(r.shard).map(|tip| tip.seq).unwrap_or(0),
+            recovered_seq: 0,
             clean_close: recovered.clean_close,
         };
         if let AnyNode::Ring(ring) = &mut node {
-            ring.attach_wal(wal, &recovered);
+            ring.attach_wal(wal, recovered);
+            restart.recovered_seq = ring.checkpoint_seq();
         }
         self.relaunch(r, node)?;
         Ok(restart)

@@ -325,15 +325,16 @@ impl Checkpointer {
         self.restore(store, snap.seq, digest)
     }
 
-    /// Replaces the checkpoint state with the tip of a replayed log and
-    /// re-seeds retention from its chain, so the replica is servable
-    /// immediately and its base is a valid fold target.
-    pub fn restore_log(&mut self, tip: RecoveredTip, recovered: &Recovered) -> KvStore {
+    /// Replaces the checkpoint state with the tip of a replayed log,
+    /// `recovered` folded, and moves its full snapshot and verified
+    /// deltas into retention, so the replica is servable immediately and
+    /// its base is a valid fold target.
+    pub fn restore_log(&mut self, tip: RecoveredTip, recovered: Recovered) -> KvStore {
         let kv = self.restore(tip.store, tip.seq, tip.digest);
-        let full = recovered.full.clone().expect("a tip folds from a full");
+        let full = recovered.full.expect("a tip folds from a full");
         self.recovery.retain(Arc::new(full), tip.chain[0]);
-        for (d, digest) in recovered.deltas.iter().zip(&tip.chain[1..]) {
-            self.recovery.retain_delta(Arc::new(d.clone()), *digest);
+        for (d, digest) in recovered.deltas.into_iter().zip(&tip.chain[1..]) {
+            self.recovery.retain_delta(Arc::new(d), *digest);
         }
         kv
     }
@@ -561,6 +562,36 @@ mod tests {
         assert!(c.is_diverged(), "until the tail replay finished");
         assert!(c.finish_install(Arc::new(snap), digest));
         assert!(!c.is_diverged());
+    }
+
+    #[test]
+    fn restore_log_adopts_the_folded_tip_and_retains_its_chain() {
+        let mut c = checkpointer(4);
+        let votes: Vec<Vote> = (1..=3).map(|w| window(&mut c, w)).collect();
+        let Stable::Won(durable) = c.on_stable(votes[2].seq, votes[2].digest) else {
+            panic!("our digest won");
+        };
+        let mut recovered = Recovered::default();
+        for d in durable {
+            match d {
+                Durable::Full(f) => recovered.full = Some(Arc::unwrap_or_clone(f)),
+                Durable::Delta(d) => recovered.deltas.push(Arc::unwrap_or_clone(d)),
+            }
+        }
+        assert_eq!(recovered.full.as_ref().map(|f| f.seq), Some(8));
+        assert_eq!(recovered.deltas.len(), 2);
+
+        let mut restored = checkpointer(4);
+        let tip = recovered.fold(SHARD).expect("a full snapshot survived");
+        let kv = restored.restore_log(tip, recovered);
+        assert_eq!((restored.seq(), restored.watermark()), (24, 24));
+        assert_eq!(restored.store().digest(SHARD, 24), votes[2].digest);
+        assert_eq!(
+            kv.state_fingerprint(),
+            c.store().to_kv().state_fingerprint()
+        );
+        assert_eq!(restored.recovery().retained_seq(), Some(24));
+        assert_eq!(restored.recovery().retained_delta_windows(), 2);
     }
 
     #[test]

@@ -590,7 +590,7 @@ impl Scenario {
                 if r == *victim {
                     if let AnyNode::Ring(ring) = &mut node {
                         let (wal, recovered) = ReplicaWal::open_mem(handle.clone(), cfg.durability);
-                        ring.attach_wal(wal, &recovered);
+                        ring.attach_wal(wal, recovered);
                     }
                 }
             }
@@ -628,10 +628,10 @@ impl Scenario {
                     // (where OS-buffered appends survive).
                     handle.crash();
                     let (wal, recovered) = ReplicaWal::open_mem(handle, cfg2.durability);
-                    let seq = recovered.fold(replica.shard).map(|t| t.seq).unwrap_or(0);
-                    restored.set((wal.len_bytes(), seq));
+                    let bytes = wal.len_bytes();
                     let mut r = RingReplica::new(cfg2.clone(), replica, false);
-                    r.attach_wal(wal, &recovered);
+                    r.attach_wal(wal, recovered);
+                    restored.set((bytes, r.checkpoint_seq()));
                     AnyNode::Ring(Box::new(r))
                 }),
             );
