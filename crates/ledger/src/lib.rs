@@ -13,7 +13,7 @@
 //! involved shards must order them identically — checked by
 //! [`consistent_conflict_order`].
 
-use ringbft_crypto::{sha256_concat, Digest, MerkleTree};
+use ringbft_crypto::{Digest, MerkleTree};
 use ringbft_types::ShardId;
 
 pub mod block;
@@ -234,11 +234,6 @@ pub fn consistent_conflict_order(a: &Ledger, b: &Ledger, x: &Digest, y: &Digest)
 /// block").
 pub fn batch_merkle_root<'a, I: IntoIterator<Item = &'a [u8]>>(payloads: I) -> Digest {
     MerkleTree::from_payloads(payloads).root()
-}
-
-/// Digest of arbitrary chain metadata (used by tests and the harness).
-pub fn chain_digest(parts: &[&[u8]]) -> Digest {
-    sha256_concat(parts)
 }
 
 #[cfg(test)]

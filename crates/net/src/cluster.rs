@@ -277,16 +277,6 @@ impl LocalCluster {
         Ok(host)
     }
 
-    /// Runs `f` on the client runtime hosting `host`.
-    pub fn with_client<R>(&self, host: NodeId, f: impl FnOnce(&mut AnyNode) -> R) -> R {
-        let rt = self
-            .clients
-            .iter()
-            .find(|c| c.id() == host)
-            .expect("unknown client host");
-        rt.with_node(f)
-    }
-
     /// Total transactions completed across all workload hosts.
     pub fn total_completions(&self) -> usize {
         self.clients

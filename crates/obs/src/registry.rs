@@ -98,14 +98,6 @@ impl Registry {
             .map(|(_, v)| *v)
     }
 
-    /// Read-only gauge lookup by name.
-    pub fn gauge_by_name(&self, name: &str) -> Option<u64> {
-        self.gauges
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| *v)
-    }
-
     /// Records a sample into a histogram.
     pub fn record(&mut self, id: HistId, v: u64) {
         self.hists[id.0].1.record(v);
@@ -114,11 +106,6 @@ impl Registry {
     /// Read access to a histogram.
     pub fn hist(&self, id: HistId) -> &Histogram {
         &self.hists[id.0].1
-    }
-
-    /// Iterates all histograms as `(name, histogram)`.
-    pub fn iter_hists(&self) -> impl Iterator<Item = (&'static str, &Histogram)> {
-        self.hists.iter().map(|(n, h)| (*n, h))
     }
 
     /// Renders every instrument as one stable JSON object:

@@ -51,11 +51,6 @@ impl RccReplica {
         }
     }
 
-    /// Every replica accepts client requests directly (multi-primary).
-    pub fn accepts_requests(&self) -> bool {
-        true
-    }
-
     fn own_stream(&self) -> usize {
         self.me.index as usize
     }

@@ -499,7 +499,7 @@ impl RecoveryManager {
         req_base: Option<(u64, Digest)>,
         out: &mut Outbox<RecoveryMsg>,
     ) {
-        let Some((tip_seq, tip_digest)) = self.tip() else {
+        let Some((tip_seq, _)) = self.tip() else {
             return;
         };
         if tip_seq <= from_seq {
@@ -567,7 +567,6 @@ impl RecoveryManager {
         // break (divergence, or a full-capture cadence outliving the
         // delta memory) the longest continuous prefix is still a valid,
         // shorter offer — its endpoint was a stable checkpoint too.
-        let _ = (tip_seq, tip_digest);
         // Ledger base of the chain's endpoint entry.
         let (ledger_height, ledger_head) = self
             .deltas

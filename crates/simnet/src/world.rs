@@ -516,11 +516,6 @@ impl<M: SimMessage, N: SimNode<M>> World<M, N> {
         self.stats.bytes_sent += bytes;
         self.queue.push(arrival, Event::Deliver { from, to, msg });
     }
-
-    /// Pending event count (diagnostics).
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
 }
 
 #[cfg(test)]

@@ -110,11 +110,6 @@ impl RingOrder {
         self.first(involved) == s
     }
 
-    /// Is `s` the last involved shard in ring order?
-    pub fn is_last(&self, involved: &[ShardId], s: ShardId) -> bool {
-        self.last(involved) == s
-    }
-
     /// The full traversal order of an involved set, starting at the
     /// initiator: the path a cst takes during one rotation.
     pub fn traversal(&self, involved: &[ShardId]) -> Vec<ShardId> {
