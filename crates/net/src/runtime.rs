@@ -278,9 +278,10 @@ where
 
     /// Lends the hosted node to `f` on the calling thread: the reactor
     /// hands the node over and pauses event processing until `f`
-    /// returns it, so keep `f` short. Inside `f`, `id` is the only
-    /// method of this runtime that is safe to call: every other one asks
-    /// the reactor, which cannot answer while it waits for the node.
+    /// returns it, so keep `f` short. Inside `f`, only `id` and
+    /// `local_addr` of this runtime are safe to call: every other method
+    /// asks the reactor, which cannot answer while it waits for the
+    /// node.
     ///
     /// # Panics
     ///
